@@ -21,7 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import acceptance
-from .config import InitData, RunConfig, load_preset, parse_config, parse_init
+from .config import (InitData, RunConfig, euclidean_dim, load_preset,
+                     parse_config, parse_floats, parse_grid, parse_init,
+                     parse_times)
 from .errors import CalibrationFailure, ConfigError, LsgError
 from .estimates import decay_exponent_fit, strichartz_norm, strichartz_pair
 from .grids import GridMode, RadialGrid
@@ -74,17 +76,6 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("LSG_THREADS")
-    if not cap:
-        return
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(int(cap))
-    except (ImportError, ValueError):
-        pass  # soft cap: absence of the limiter must not break runs
-
-
 def _config_from(args) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "preset", None):
@@ -97,13 +88,7 @@ def _config_from(args) -> RunConfig:
 
 def _resolve_grid(args, cfg: RunConfig) -> tuple[int, float]:
     if getattr(args, "grid", None):
-        parts = args.grid.split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"--grid expects N,L, got {args.grid!r}")
-        n, box = int(parts[0]), float(parts[1])
-        if n % 2 != 0 or n < 16 or box <= 0:
-            raise ConfigError("--grid needs even N >= 16 and L > 0")
-        return n, box
+        return parse_grid(args.grid, "--grid")
     return cfg.grid
 
 
@@ -152,7 +137,12 @@ def _cmd_spherical(args) -> ResultRecord:
     artifacts: list[str] = []
 
     if args.action == "eval":
-        lam = np.array([float(v) for v in args.lam.split(",")])
+        if not args.lam:
+            raise ConfigError("spherical eval needs --lambda")
+        lam = np.array(parse_floats(args.lam, "--lambda"))
+        if lam.size != rs.rank:
+            raise ConfigError(f"--lambda needs {rs.rank} components for "
+                              f"{rs.name}, got {lam.size}")
         fld = spherical_function_field(rs, lam, grid)
         header = [f"h{i}" for i in range(rs.rank)] + ["re", "im"]
         rows = _field_csv_rows(grid, fld.values.real, fld.values.imag)
@@ -197,8 +187,8 @@ def _cmd_evolve(args) -> ResultRecord:
     group = args.group or cfg.group
     mode = GridMode.SCALED if args.mode == "scaled" else GridMode.FIXED
 
-    if group.lower().startswith("euclid:"):
-        dim = int(group.split(":", 1)[1])
+    dim = euclidean_dim(group)
+    if dim is not None:
         f = gaussian_profile(RadialGrid(dim, box, n), init.rate, init.chirp)
         result = euclidean_propagate(f, t, mode)
         mag = np.abs(result.field.values)
@@ -241,6 +231,8 @@ def _cmd_hardy(args) -> ResultRecord:
     init = _resolve_init(args, cfg)
     tol_crit = args.tol_crit
     if args.euclid is not None:
+        if args.euclid < 1:
+            raise ConfigError(f"--euclid must be >= 1, got {args.euclid}")
         system = args.euclid
         name = f"euclid:{args.euclid}"
         rank = args.euclid
@@ -282,7 +274,7 @@ def _cmd_decay_fit(args) -> ResultRecord:
     n, box = _resolve_grid(args, cfg)
     init = _resolve_init(args, cfg)
     if args.times:
-        times = [float(v) for v in args.times.split(",")]
+        times = list(parse_times(args.times, "--times"))
     else:
         times = list(np.geomspace(1.0, 10.0, 8))
     f = gaussian_profile(RadialGrid(rs.rank, box, n), init.rate, init.chirp)
@@ -521,7 +513,6 @@ def _error_line(exc: Exception) -> str:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

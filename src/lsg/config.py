@@ -12,6 +12,7 @@ nested-free so preset files diff cleanly. Example:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
 
@@ -43,9 +44,7 @@ class RunConfig:
 
     @property
     def euclidean_dim(self) -> int | None:
-        if self.group.lower().startswith("euclid:"):
-            return int(self.group.split(":", 1)[1])
-        return None
+        return euclidean_dim(self.group)
 
     def echo(self) -> dict:
         """Deterministic plain-dict form for record emission."""
@@ -63,7 +62,41 @@ class RunConfig:
         }
 
 
-def _parse_grid(text: str, key: str) -> tuple[int, float]:
+def euclidean_dim(group: str) -> int | None:
+    """n for a "euclid:<n>" group (n >= 1), None for a root-system name."""
+    if not group.lower().startswith("euclid:"):
+        return None
+    text = group.split(":", 1)[1]
+    try:
+        dim = int(text)
+    except ValueError as exc:
+        raise ConfigError(f"group {group!r}: dimension must be an integer") \
+            from exc
+    if dim < 1:
+        raise ConfigError(f"group {group!r}: dimension must be >= 1")
+    return dim
+
+
+def parse_floats(text: str, key: str) -> tuple[float, ...]:
+    """Comma-separated finite floats such as "0.25, 1, 4"."""
+    try:
+        values = tuple(float(v) for v in text.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{key}: values must be finite, got {text!r}")
+    return values
+
+
+def parse_times(text: str, key: str) -> tuple[float, ...]:
+    """parse_floats, with every time > 0."""
+    times = parse_floats(text, key)
+    if any(v <= 0 for v in times):
+        raise ConfigError(f"{key}: times must be positive")
+    return times
+
+
+def parse_grid(text: str, key: str) -> tuple[int, float]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
         raise ConfigError(f"{key} expects 'N,L', got {text!r}")
@@ -75,8 +108,8 @@ def _parse_grid(text: str, key: str) -> tuple[int, float]:
         raise ConfigError(f"{key}: N must be even, got {n}")
     if n < 16:
         raise ConfigError(f"{key}: N must be >= 16, got {n}")
-    if box <= 0:
-        raise ConfigError(f"{key}: L must be positive, got {box}")
+    if not 0 < box < math.inf:
+        raise ConfigError(f"{key}: L must be positive and finite, got {box}")
     return n, box
 
 
@@ -131,19 +164,14 @@ def parse_config(text: str) -> RunConfig:
         if key not in _GROUP_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key == "group":
+            euclidean_dim(value)
             cfg = replace(cfg, group=value)
         elif key == "grid":
-            cfg = replace(cfg, grid=_parse_grid(value, "grid"))
+            cfg = replace(cfg, grid=parse_grid(value, "grid"))
         elif key == "spectral_grid":
-            cfg = replace(cfg, spectral_grid=_parse_grid(value, "spectral_grid"))
+            cfg = replace(cfg, spectral_grid=parse_grid(value, "spectral_grid"))
         elif key in ("t", "times"):
-            try:
-                times = tuple(float(v) for v in value.split(","))
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: {exc}") from exc
-            if any(v <= 0 for v in times):
-                raise ConfigError(f"line {lineno}: times must be positive")
-            cfg = replace(cfg, times=times)
+            cfg = replace(cfg, times=parse_times(value, f"line {lineno}"))
         elif key == "init":
             cfg = replace(cfg, init=parse_init(value))
         elif key == "seed":

@@ -8,7 +8,8 @@ boundary: spacing^rank times a pairwise sum.
 Two transform paths share one convention  F(xi) = h^l * sum_k e^{sign*i<xi,x_k>} v_k:
 
 * `fourier_native`  - FFT, output on the dual grid xi_j = (j - N/2)*2pi/(N h)
-* `fourier_at`      - separable matrix product, arbitrary output nodes per axis
+* `fourier_at`      - chirp-z (Bluestein), any uniform output axis per axis,
+                      O((N+M) log(N+M)) per axis for M output nodes
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooSmall
+
+_UNIFORM_RTOL = 1e-12     # node drift allowed on a "uniform" fourier_at axis
 
 
 class Representation(enum.Enum):
@@ -226,19 +229,86 @@ def fourier_native(values: np.ndarray, grid: RadialGrid,
     return dual, out
 
 
+def _fast_fft_length(n: int) -> int:
+    """Smallest 5-smooth length 2^a·3^b·5^c >= n."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _uniform_step(xi: np.ndarray) -> float:
+    """Node spacing of a uniform axis (0 for one node); ValueError otherwise."""
+    if xi.ndim != 1 or xi.size == 0:
+        raise ValueError("fourier_at output axes must be non-empty 1-D arrays")
+    if xi.size == 1:
+        return 0.0
+    step = (xi[-1] - xi[0]) / (xi.size - 1)
+    drift = np.abs(xi - (xi[0] + step * np.arange(xi.size))).max()
+    if drift > _UNIFORM_RTOL * np.abs(xi).max():
+        raise ValueError(
+            f"fourier_at needs uniform output axes; node drift {drift:.2e}")
+    return step
+
+
+def _chirp_z_plan(grid: RadialGrid, xi: np.ndarray, step: float, sign: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pre-chirp, kernel spectrum and post-chirp for one output axis.
+
+    With x = x_c + q·h and ξ = ξ_c + p·d, pq = (p² + q² - (p-q)²)/2 turns
+    the sum into a convolution in p - q. The indices count from mid-axis,
+    so the chirp angles stay small where the data live.
+    """
+    n, m, h = grid.points_per_axis, xi.size, grid.spacing
+    kc, jc = n // 2, m // 2
+    x_c = -grid.half_width + kc * h
+    xi_c = xi[0] + jc * step
+    q = np.arange(n) - kc
+    p = np.arange(m) - jc
+    half_w = 0.5 * sign * step * h
+    size = _fast_fft_length(n + m - 1)
+    lag = np.arange(size)
+    lag = np.where(lag < m, lag, lag - size) + (kc - jc)
+    kernel_hat = np.fft.fft(np.exp(-1j * half_w * lag * lag))
+    pre = np.exp(1j * (sign * xi_c * h * q + half_w * q * q))
+    post = h * np.exp(1j * (sign * (xi_c * x_c + step * x_c * p)
+                            + half_w * p * p))
+    return pre, kernel_hat, post
+
+
 def fourier_at(values: np.ndarray, grid: RadialGrid,
                out_axes: list[np.ndarray], sign: int = -1) -> np.ndarray:
-    """Separable direct evaluation of the same sum at arbitrary output nodes.
+    """The same sum on caller-chosen uniform output axes, by chirp-z.
 
-    `out_axes` holds one 1-D node array per axis; cost is O(M·N) per axis
-    pair, exact (no aliasing tricks), and deterministic.
+    `out_axes` holds one uniform 1-D node array per axis (a single node
+    counts as uniform); any other axis raises ValueError. Each axis costs
+    three FFTs of a 5-smooth length >= N + M - 1 (Bluestein's chirp-z
+    algorithm), O((N+M) log(N+M)); axes with equal (length, first, last)
+    share one plan.
     """
-    x = grid.axis
     out = np.asarray(values, dtype=complex)
+    plans: dict[tuple[int, float, float], tuple] = {}
     for ax, xi in enumerate(out_axes):
-        kernel = np.exp(sign * 1j * np.outer(np.asarray(xi, dtype=float), x))
-        kernel *= grid.spacing
-        out = np.moveaxis(np.tensordot(kernel, out, axes=([1], [ax])), 0, ax)
+        xi = np.asarray(xi, dtype=float)
+        step = _uniform_step(xi)
+        key = (xi.size, float(xi[0]), float(xi[-1]))
+        if key not in plans:
+            plans[key] = _chirp_z_plan(grid, xi, step, sign)
+        pre, kernel_hat, post = plans[key]
+        shape = [1] * out.ndim
+        shape[ax] = -1
+        spec = np.fft.fft(out * pre.reshape(shape), n=kernel_hat.size, axis=ax)
+        conv = np.fft.ifft(spec * kernel_hat.reshape(shape), axis=ax)
+        head = (slice(None),) * ax + (slice(0, xi.size),)
+        out = conv[head] * post.reshape(shape)
     return out
 
 

@@ -16,8 +16,9 @@ Fresnel value κ|W|²(π/i)^{l/2}.
 Output grids: SCALED places nodes at H = 2t·ξ with ξ the FFT-native dual
 frequencies (fast path, tracks dispersive spreading, auto-upsamples when
 the input grid cannot resolve the chirp); FIXED evaluates the transform
-directly at caller-chosen nodes (O(N²) per axis, grid-aligned for time
-series).
+at the caller's uniform output grid by chirp-z, O((N+M) log(N+M)) per axis
+for N input and M output nodes, grid-aligned for time series. Both build
+the chirps e^{±i|H|²/4t} per axis, as the outer product of rank 1-D chirps.
 """
 
 from __future__ import annotations
@@ -60,10 +61,16 @@ def gaussian_profile(grid: RadialGrid, rate: float,
     return BiInvariantField(grid, vals.astype(complex), Representation.PLAIN)
 
 
-def _chirp(rsq: np.ndarray, t: float, sign: int = +1) -> np.ndarray:
-    """e^{±i|H|²/4t} with the angle reduced mod 2π before exponentiation."""
-    angle = np.mod(rsq / (4.0 * t), 2.0 * np.pi)
-    return np.exp(sign * 1j * angle)
+def _chirp(grid: RadialGrid, t: float, sign: int = +1) -> np.ndarray:
+    """e^{±i|H|²/4t} on the grid, the outer product of rank 1-D chirps.
+
+    The per-axis angle x²/4t is reduced mod 2π before exponentiation.
+    """
+    axis = np.exp(sign * 1j * np.mod(grid.axis**2 / (4.0 * t), 2.0 * np.pi))
+    out = axis
+    for _ in range(grid.rank - 1):
+        out = np.multiply.outer(out, axis)
+    return out
 
 
 def _refine_fft(values: np.ndarray, factor: int) -> np.ndarray:
@@ -116,20 +123,20 @@ def _chirp_sandwich(values: np.ndarray, grid: RadialGrid, t: float,
                 f"SCALED path would need {n_new} points per axis at t={t:g}")
         work = _refine_fft(values, factor) if factor > 1 else values
         wgrid = RadialGrid(grid.rank, grid.half_width, n_new)
-        r = _chirp(wgrid.radius_sq(), t) * work
+        r = _chirp(wgrid, t) * work
         dual, rhat = fourier_native(r, wgrid, sign=-1)
         out = RadialGrid(grid.rank, 2.0 * t * dual.half_width, n_new)
-        vals = t ** (-grid.rank / 2.0) * _chirp(out.radius_sq(), t) * rhat
+        vals = t ** (-grid.rank / 2.0) * _chirp(out, t) * rhat
         return out, vals
-    # FIXED: direct evaluation at requested nodes
+    # FIXED: chirp-z evaluation at the requested nodes
     out = out_grid or grid
     if grid.spacing * y_sup / (2.0 * t) > np.pi:
         raise GridTooSmall(
             f"grid spacing {grid.spacing:.3g} cannot resolve the t={t:g} "
             "chirp on the data support; use SCALED mode or refine")
-    r = _chirp(grid.radius_sq(), t) * values
+    r = _chirp(grid, t) * values
     rhat = fourier_at(r, grid, [out.axis / (2.0 * t)] * grid.rank, sign=-1)
-    vals = t ** (-grid.rank / 2.0) * _chirp(out.radius_sq(), t) * rhat
+    vals = t ** (-grid.rank / 2.0) * _chirp(out, t) * rhat
     return out, vals
 
 

@@ -122,6 +122,29 @@ def test_cli_config_error_exit_code():
     assert err["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("argv", [
+    ("evolve", "--grid", "abc,1", "--t", "1"),
+    ("evolve", "--group", "euclid:x", "--t", "1"),
+    ("evolve", "--group", "euclid:0", "--t", "1"),
+    ("decay-fit", "--group", "A1", "--times", "1,2,x"),
+    ("evolve", "--grid", "16,1e400", "--t", "1"),
+    ("hardy-check", "--euclid", "0", "--t0", "1"),
+], ids=["grid-abc", "euclid-x", "euclid-0", "decay-fit-times", "grid-inf",
+        "hardy-euclid-0"])
+def test_cli_malformed_input_is_a_config_error(argv):
+    out = run_cli(*argv)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert json.loads(out.stderr.strip())["error"] == "ConfigError"
+
+
+def test_cli_lambda_of_wrong_length_is_a_config_error():
+    out = run_cli("spherical", "eval", "--group", "A1", "--lambda", "1,2")
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert json.loads(out.stderr.strip())["error"] == "ConfigError"
+
+
 def test_cli_numerical_error_exit_code():
     # box far too small for the Gaussian tail -> GridTooSmall -> exit 3
     out = run_cli("evolve", "--group", "A1", "--grid", "16,2",

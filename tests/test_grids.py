@@ -43,6 +43,69 @@ def test_fourier_native_matches_direct_2d(rng):
     assert np.abs(fast - direct).max() <= 1e-11 * np.abs(direct).max()
 
 
+def dense_fourier(values, grid, out_axes, sign):
+    """Oracle for fourier_at: the sum as one dense M×N kernel per axis."""
+    x = grid.axis
+    out = np.asarray(values, dtype=complex)
+    for ax, xi in enumerate(out_axes):
+        kernel = np.exp(sign * 1j * np.outer(np.asarray(xi, dtype=float), x))
+        kernel *= grid.spacing
+        out = np.moveaxis(np.tensordot(kernel, out, axes=([1], [ax])), 0, ax)
+    return out
+
+
+def _rank1_case(n, box, out_axis, sign, centre=0.7, freq=1.3):
+    """Gaussian bump off the origin, modulated so its transform peaks
+    at ±freq, whichever side the sign puts inside the output axis."""
+    g = RadialGrid(1, box, n)
+    vals = np.exp(-0.8 * (g.axis - centre)**2 - sign * 1j * freq * g.axis)
+    return vals, g, [out_axis]
+
+
+@pytest.mark.parametrize("sign", [-1, +1])
+@pytest.mark.parametrize("label, out_axis, freq", [
+    ("M > N", np.linspace(-9.0, 7.0, 700), 1.3),
+    ("M < N, odd M", np.linspace(-6.0, 6.0, 201), 1.3),
+    ("M = 1", np.array([0.37]), 0.5),
+    ("off-centre", np.linspace(20.0, 31.0, 300), 25.0),
+])
+def test_fourier_at_matches_dense_rank1(sign, label, out_axis, freq):
+    vals, g, axes = _rank1_case(256, 10.0, out_axis, sign, freq=freq)
+    expected = dense_fourier(vals, g, axes, sign)
+    got = fourier_at(vals, g, axes, sign)
+    assert got.shape == expected.shape
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("sign", [-1, +1])
+def test_fourier_at_matches_dense_native_4096(sign):
+    dual = RadialGrid(1, 12.0, 4096).dual()
+    vals, g, axes = _rank1_case(4096, 12.0, dual.axis, sign)
+    expected = dense_fourier(vals, g, axes, sign)
+    got = fourier_at(vals, g, axes, sign)
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("sign", [-1, +1])
+def test_fourier_at_matches_dense_rank2(sign):
+    g = RadialGrid(2, 9.0, 96)
+    x, y = g.meshes()
+    vals = np.exp(-(x - 0.3)**2 - 0.7 * (y + 0.2)**2) * (x + 0.5j)
+    for axes in ([np.linspace(-5.0, 5.0, 530)] * 2,
+                 [np.linspace(-5.0, 5.0, 530), np.linspace(-3.0, 8.0, 211)]):
+        expected = dense_fourier(vals, g, axes, sign)
+        got = fourier_at(vals, g, axes, sign)
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_fourier_at_rejects_non_uniform_axis():
+    g = RadialGrid(1, 8.0, 64)
+    vals = np.exp(-g.axis**2).astype(complex)
+    with pytest.raises(ValueError, match="uniform"):
+        fourier_at(vals, g, [np.array([0.0, 1.0, 3.0])])
+
+
 def test_fourier_gaussian_reference():
     # FT of e^{-a x^2} is sqrt(pi/a) e^{-xi^2/4a} in this convention
     g = RadialGrid(1, 12.0, 512)

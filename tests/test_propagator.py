@@ -5,9 +5,9 @@ from lsg.errors import (ForcingNotAntisymmetrizable, GridTooSmall,
                         InvalidTime, UnderResolvedPhase)
 from lsg.grids import (BiInvariantField, GridMode, RadialGrid, Representation,
                        l2_norm, relative_l2, weyl_symmetry_residual)
-from lsg.propagator import (calibrate_constant, data_bandwidth, duhamel_solve,
-                            euclidean_propagate, gaussian_profile,
-                            group_propagate_closed_form,
+from lsg.propagator import (_chirp, calibrate_constant, data_bandwidth,
+                            duhamel_solve, euclidean_propagate,
+                            gaussian_profile, group_propagate_closed_form,
                             group_propagate_spectral, suggest_spectral_grid)
 from lsg.spherical import (conjugated_values, denominator_on_grid,
                            spherical_transform, synthesize_conjugated)
@@ -124,6 +124,17 @@ def test_scaled_mode_small_t_recovers_initial_data(a1):
     tg = tiny.field.grid
     target = np.exp(-tg.axis**2) * denominator_on_grid(a1, tg)
     assert relative_l2(tiny.field.values, target.astype(complex), tg) <= 1e-3
+
+
+@pytest.mark.parametrize("sign", [-1, +1])
+@pytest.mark.parametrize("grid, t", [(RadialGrid(1, 12.0, 512), 0.7),
+                                     (RadialGrid(2, 9.0, 96), 1.3)])
+def test_separable_chirp_matches_full_grid_phase(grid, t, sign):
+    expected = np.exp(sign * 1j * np.mod(grid.radius_sq() / (4.0 * t),
+                                         2.0 * np.pi))
+    got = _chirp(grid, t, sign)
+    assert got.shape == grid.shape
+    assert np.abs(got - expected).max() <= 1e-13
 
 
 # --- group propagator ---------------------------------------------------------
