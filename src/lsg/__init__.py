@@ -17,8 +17,8 @@ from .heisenberg import (GeodesicParams, HeisenbergPoint, cutlocus_distance,
                          geodesic, heat_integrand, heat_kernel,
                          projection_residual, schrodinger_integrand,
                          singularities)
-from .propagator import (PropagationResult, calibrate_constant,
-                         duhamel_solve, euclidean_propagate, gaussian_profile,
+from .propagator import (PropagationResult, duhamel_solve,
+                         euclidean_propagate, gaussian_profile,
                          group_propagate_closed_form, group_propagate_spectral,
                          suggest_spectral_grid)
 from .rootsystem import (CartanVector, RootSystemSpec, SpectralVector,

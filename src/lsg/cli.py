@@ -6,7 +6,7 @@ artifact files never contain wall-clock data, so identical config + seed
 reproduces them byte-for-byte (durations go to stdout only).
 
 Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 paper-invariant
-violation (failed acceptance row or calibration cross-check).
+violation (failed acceptance row).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from . import acceptance
 from .config import (InitData, RunConfig, euclidean_dim, load_preset,
                      parse_config, parse_floats, parse_grid, parse_init,
                      parse_times)
-from .errors import CalibrationFailure, ConfigError, LsgError
+from .errors import ConfigError, LsgError
 from .estimates import decay_exponent_fit, strichartz_norm, strichartz_pair
 from .grids import GridMode, RadialGrid
 from .hardy import uniqueness_experiment
@@ -524,7 +524,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(_error_line(exc) + "\n")
         return 2
-    except (_AcceptanceFailure, CalibrationFailure) as exc:
+    except _AcceptanceFailure as exc:
         sys.stderr.write(_error_line(exc) + "\n")
         return 4
     except LsgError as exc:

@@ -40,7 +40,6 @@ class RunConfig:
     seed: int = DEFAULT_SEED
     tolerances: dict = field(default_factory=dict)
     output: str | None = None
-    format: str = "jsonl"                  # csv | jsonl
 
     @property
     def euclidean_dim(self) -> int | None:
@@ -58,7 +57,6 @@ class RunConfig:
             "seed": self.seed,
             "tolerances": dict(sorted(self.tolerances.items())),
             "output": self.output,
-            "format": self.format,
         }
 
 
@@ -139,7 +137,7 @@ def parse_init(text: str) -> InitData:
 
 
 _GROUP_KEYS = {"group", "grid", "spectral_grid", "t", "times", "init", "seed",
-               "output", "format"}
+               "output"}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -181,10 +179,6 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(f"line {lineno}: {exc}") from exc
         elif key == "output":
             cfg = replace(cfg, output=value)
-        elif key == "format":
-            if value not in ("csv", "jsonl"):
-                raise ConfigError(f"line {lineno}: format must be csv|jsonl")
-            cfg = replace(cfg, format=value)
     if tolerances:
         cfg = replace(cfg, tolerances=tolerances)
     return cfg

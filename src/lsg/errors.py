@@ -16,7 +16,7 @@ class ConfigError(LsgError):
 
 # --- root systems ---------------------------------------------------------
 
-class UnsupportedRootSystem(LsgError):
+class UnsupportedRootSystem(ConfigError):
     """Requested root-system identifier is not in the supported whitelist."""
 
 
@@ -50,10 +50,6 @@ class InvalidTime(LsgError):
 
 class UnderResolvedPhase(LsgError):
     """Spectral grid spacing cannot resolve the evolution chirp."""
-
-
-class CalibrationFailure(LsgError):
-    """Closed-form/spectral calibration residual or cross-check out of bounds."""
 
 
 class ForcingNotAntisymmetrizable(LsgError):

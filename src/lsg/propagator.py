@@ -4,14 +4,13 @@ Equation convention: -i u_t = Δu, so u(t) = e^{itΔ}f and a Euclidean
 Gaussian e^{-a|x|²} evolves to (1+4iat)^{-n/2} e^{-a|x|²/(1+4iat)}.
 
 On a complex semi-simple group the conjugated profile does all the work:
-with g = f·φ and R(y) = e^{i|y|²/4t} g(y),
+g = f·φ evolves by the Euclidean propagator, times the phase e^{-it|ρ|²}.
+With R(y) = e^{i|y|²/4t} g(y) that is the chirp–Fourier–chirp sandwich
 
     u(H,t)·φ(H) = C · t^{-l/2} · e^{-i(t|ρ|² - |H|²/4t)} · R̂(H/2t),
 
-a chirp–Fourier–chirp sandwich. The constant C (the paper-side c_l|W|²
-with all measure conventions folded in) is calibrated once per root system
-against the spectral-synthesis oracle and cross-checked against the
-Fresnel value κ|W|²(π/i)^{l/2}.
+with the Euclidean constant C = (4πi)^{-l/2}; there is nothing to fit.
+The spectral-synthesis oracle checks it (acceptance criterion 4).
 
 Output grids: SCALED places nodes at H = 2t·ξ with ξ the FFT-native dual
 frequencies (fast path, tracks dispersive spreading, auto-upsamples when
@@ -28,14 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CalibrationFailure, ForcingNotAntisymmetrizable,
-                     GridTooSmall, InvalidTime, UnderResolvedPhase)
+from .errors import (ForcingNotAntisymmetrizable, GridTooSmall, InvalidTime,
+                     UnderResolvedPhase)
 from .grids import (BiInvariantField, GridMode, Method, RadialGrid,
-                    Representation, fourier_at, fourier_native, l2_norm,
+                    Representation, fourier_at, fourier_native,
                     require_tail, support_radius, weyl_symmetry_residual)
 from .rootsystem import RootSystemSpec
-from .spherical import (conjugated_values, plancherel_constant,
-                        spherical_transform, synthesize_conjugated, to_plain)
+from .spherical import (conjugated_values, spherical_transform,
+                        synthesize_conjugated, to_plain)
 
 _MAX_FFT_NODES = 2**24          # upsampling cap for the SCALED fast path
 _ANTISYMMETRY_TOL = 1e-8
@@ -142,6 +141,11 @@ def _chirp_sandwich(values: np.ndarray, grid: RadialGrid, t: float,
 
 # --- Euclidean propagator -----------------------------------------------------
 
+def _free_constant(rank: int) -> complex:
+    """(4πi)^{-l/2}, the constant of the free kernel on R^l."""
+    return (4.0 * np.pi * 1j) ** (-rank / 2.0)
+
+
 def euclidean_propagate(field: BiInvariantField, t: float,
                         mode: GridMode = GridMode.SCALED,
                         out_grid: RadialGrid | None = None) -> PropagationResult:
@@ -154,23 +158,21 @@ def euclidean_propagate(field: BiInvariantField, t: float,
     if t <= 0:
         raise InvalidTime(f"euclidean propagation needs t > 0, got {t}")
     require_tail(field.values, what="initial profile")
-    n = field.grid.rank
     out, core = _chirp_sandwich(field.values, field.grid, t, mode, out_grid)
-    const = (4.0 * np.pi * 1j) ** (-n / 2.0)
+    const = _free_constant(field.grid.rank)
     result = BiInvariantField(out, const * core, Representation.PLAIN)
     return PropagationResult(result, t, Method.CLOSED_FORM, mode)
 
 
 # --- group propagator: closed form ----------------------------------------------
 
-_CONSTANT_CACHE: dict[tuple[str, float], complex] = {}
-
-_REFERENCE_GRIDS = {
-    1: (512, 12.0),
-    2: (96, 9.0),
-    3: (48, 8.0),
-    4: (32, 7.0),
-}
+def _group_sandwich(rs: RootSystemSpec, g: np.ndarray, grid: RadialGrid,
+                    t: float, mode: GridMode, out_grid: RadialGrid | None
+                    ) -> tuple[RadialGrid, np.ndarray]:
+    """e^{-it|ρ|²} times the Euclidean evolution of the conjugated values g."""
+    out, core = _chirp_sandwich(g, grid, t, mode, out_grid)
+    rho_sq = float(rs.rho @ rs.rho)
+    return out, _free_constant(rs.rank) * np.exp(-1j * t * rho_sq) * core
 
 
 def group_propagate_closed_form(rs: RootSystemSpec, field: BiInvariantField,
@@ -182,10 +184,7 @@ def group_propagate_closed_form(rs: RootSystemSpec, field: BiInvariantField,
         raise InvalidTime(f"closed-form propagation needs t > 0, got {t}")
     g = conjugated_values(rs, field)
     require_tail(g, what="conjugated profile")
-    const = calibrate_constant(rs)
-    out, core = _chirp_sandwich(g, field.grid, t, mode, out_grid)
-    rho_sq = float(rs.rho @ rs.rho)
-    vals = const * np.exp(-1j * t * rho_sq) * core
+    out, vals = _group_sandwich(rs, g, field.grid, t, mode, out_grid)
     result = BiInvariantField(out, vals, Representation.CONJUGATED)
     return PropagationResult(result, t, Method.CLOSED_FORM, mode)
 
@@ -257,54 +256,6 @@ def group_propagate_spectral(rs: RootSystemSpec, field: BiInvariantField,
     return PropagationResult(result, t, Method.SPECTRAL, mode)
 
 
-def calibrate_constant(rs: RootSystemSpec,
-                       field: BiInvariantField | None = None,
-                       t: float = 1.0) -> complex:
-    """The closed-form constant, fit against the spectral oracle and cached.
-
-    Least-squares complex scalar matching the unnormalized chirp sandwich
-    to the synthesis oracle on a reference Gaussian. Two cross-checks are
-    enforced: fit residual ≤ 1e-6, and agreement to 1e-8 with the Fresnel
-    candidate κ·|W|²·(π/i)^{l/2} built from the Plancherel constant.
-    """
-    key = (rs.name, rs.normalization)
-    canonical = field is None and t == 1.0
-    if canonical and key in _CONSTANT_CACHE:
-        return _CONSTANT_CACHE[key]
-    if field is None:
-        if rs.rank not in _REFERENCE_GRIDS:
-            raise CalibrationFailure(f"no reference grid for rank {rs.rank}")
-        n, box = _REFERENCE_GRIDS[rs.rank]
-        field = gaussian_profile(RadialGrid(rs.rank, box, n), rate=1.0)
-    if t <= 0:
-        raise InvalidTime("calibration needs t > 0")
-
-    g = conjugated_values(rs, field)
-    require_tail(g, what="calibration profile")
-    out, core = _chirp_sandwich(g, field.grid, t, GridMode.FIXED, None)
-    rho_sq = float(rs.rho @ rs.rho)
-    unnormalized = np.exp(-1j * t * rho_sq) * core
-    oracle = group_propagate_spectral(rs, field, t, out_grid=out)
-    target = oracle.field.values
-    const = complex(np.vdot(unnormalized, target)
-                    / np.vdot(unnormalized, unnormalized))
-    residual = l2_norm(const * unnormalized - target, out) / l2_norm(target, out)
-    if residual > 1e-6:
-        raise CalibrationFailure(
-            f"closed-form/spectral residual {residual:.2e} after calibration")
-    kappa = plancherel_constant(rs)
-    candidate = (kappa * rs.weyl_order**2
-                 * (np.pi ** (rs.rank / 2.0))
-                 * np.exp(-1j * np.pi * rs.rank / 4.0))
-    if abs(const - candidate) > 1e-8 * abs(candidate):
-        raise CalibrationFailure(
-            f"calibrated constant {const} disagrees with Fresnel candidate "
-            f"{candidate}")
-    if canonical:
-        _CONSTANT_CACHE[key] = const
-    return const
-
-
 # --- forced equation (Duhamel) -----------------------------------------------------
 
 def duhamel_solve(rs: RootSystemSpec, field: BiInvariantField,
@@ -338,9 +289,7 @@ def duhamel_solve(rs: RootSystemSpec, field: BiInvariantField,
     def propagate(values: np.ndarray, tau: float) -> np.ndarray:
         if tau == 0.0:
             return values
-        out, core = _chirp_sandwich(values, grid, tau, GridMode.FIXED, None)
-        rho_sq = float(rs.rho @ rs.rho)
-        return calibrate_constant(rs) * np.exp(-1j * tau * rho_sq) * core
+        return _group_sandwich(rs, values, grid, tau, GridMode.FIXED, None)[1]
 
     homogeneous = propagate(conjugated_values(rs, field), t)
     ds = t / steps

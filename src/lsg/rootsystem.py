@@ -75,9 +75,8 @@ class WeylElement:
 class RootSystemSpec:
     """Immutable description of a (possibly reducible) root system.
 
-    `gram` realizes the Killing-form restriction in the chosen orthonormal
-    coordinates (the identity matrix); it is kept explicit so pairing code
-    reads as the bilinear form it implements.
+    Coordinates are orthonormal for the Killing-form restriction, so every
+    pairing is the plain dot product.
     """
 
     name: str
@@ -85,14 +84,12 @@ class RootSystemSpec:
     roots: np.ndarray            # (n_roots, rank)
     positive_roots: np.ndarray   # (n_roots // 2, rank)
     simple_roots: np.ndarray     # (rank, rank)
-    gram: np.ndarray             # (rank, rank), SPD
     rho: np.ndarray              # (rank,)
     weyl_group: tuple[WeylElement, ...] = field(repr=False)
-    normalization: float = 1.0
 
     def __post_init__(self):
         for arr in (self.roots, self.positive_roots, self.simple_roots,
-                    self.gram, self.rho):
+                    self.rho):
             arr.setflags(write=False)
 
     @property
@@ -212,10 +209,8 @@ def build_root_system(name: str, normalization: float = 1.0) -> RootSystemSpec:
         roots=roots,
         positive_roots=positive_all,
         simple_roots=simple_all,
-        gram=np.eye(rank),
         rho=rho,
         weyl_group=tuple(group),
-        normalization=float(normalization),
     )
     _validate(rs)
     return rs
@@ -228,13 +223,13 @@ def _validate(rs: RootSystemSpec) -> None:
         if tuple(np.round(-r, 9)) not in root_keys:
             raise ClosureOverflow("root set not closed under negation")
     for w in rs.weyl_group:
-        residual = np.abs(w.matrix.T @ rs.gram @ w.matrix - rs.gram).max()
+        residual = np.abs(w.matrix.T @ w.matrix - np.eye(rs.rank)).max()
         if residual > 1e-12:
             raise ClosureOverflow(f"non-orthogonal Weyl matrix ({residual:.2e})")
         for r in rs.roots:
             if tuple(np.round(w.matrix @ r, 9)) not in root_keys:
                 raise ClosureOverflow("Weyl element does not permute the roots")
-    if not np.all(rs.positive_roots @ rs.gram @ rs.rho > 0):
+    if not np.all(rs.positive_roots @ rs.rho > 0):
         raise ClosureOverflow("rho is not strictly dominant")
 
 
@@ -251,13 +246,13 @@ def pairing(rs: RootSystemSpec, h1: np.ndarray, h2: np.ndarray) -> float:
         raise DimensionError(
             f"expected vectors of length {rs.rank}, "
             f"got {h1.shape} and {h2.shape}")
-    return float(h1 @ rs.gram @ h2)
+    return float(h1 @ h2)
 
 
 def is_dominant(rs: RootSystemSpec, h: np.ndarray, tol: float = 1e-12) -> bool:
     """Closed positive chamber membership, tested against the simple roots."""
     h = np.asarray(h, dtype=float)
-    return bool(np.all(rs.simple_roots @ rs.gram @ h >= -tol))
+    return bool(np.all(rs.simple_roots @ h >= -tol))
 
 
 def dominant_representative(

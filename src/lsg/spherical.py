@@ -12,16 +12,16 @@ ordinary Fourier transform of the antisymmetric conjugate g = f·φ:
 
     f̂(λ) = |W| · c(-λ) · ĝ(λ).
 
-Synthesis against the Plancherel density |c(λ)|⁻² dλ likewise collapses, up
-to one global constant that is calibrated once per root system from the
-round-trip identity and cached.
+Synthesis against the Plancherel density |c(λ)|⁻² dλ likewise collapses,
+with the global constant κ = (2π)^{-l}/|W|² of the Euclidean inverse
+Fourier transform on the rank-l Cartan subalgebra.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import (CalibrationFailure, ChamberWallEvaluation, GridTooSmall,
+from .errors import (ChamberWallEvaluation, GridTooSmall,
                      SingularSpectralParameter)
 from .grids import (BiInvariantField, RadialGrid, Representation,
                     SpectralField, fourier_at, l2_norm, require_tail)
@@ -49,15 +49,6 @@ def weyl_denominator(rs: RootSystemSpec, h) -> np.ndarray | float:
     return float(val) if scalar else val
 
 
-def denominator_scale(rs: RootSystemSpec, h) -> np.ndarray | float:
-    """Σ_s e^{⟨sρ,H⟩}: the cancellation scale of the denominator sum at H."""
-    orbit, _ = _rho_orbit(rs)
-    h = np.asarray(h, dtype=float)
-    scalar = h.ndim == 1
-    val = np.exp(h @ orbit.T).sum(axis=-1)
-    return float(val) if scalar else val
-
-
 def density(rs: RootSystemSpec, h) -> np.ndarray | float:
     """Radial Haar density φ(H)² ≥ 0."""
     phi = weyl_denominator(rs, h)
@@ -69,10 +60,25 @@ def denominator_on_grid(rs: RootSystemSpec, grid: RadialGrid) -> np.ndarray:
         weyl_denominator(rs, grid.nodes())).reshape(grid.shape)
 
 
+def _scaled_denominator(rs: RootSystemSpec, h
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(e^{-m}·φ(H), m, wall) for stacked H (..., rank), m = max_s ⟨sρ,H⟩.
+
+    The scaled sum never overflows. `wall` is the chamber-wall rule:
+    |φ(H)| < 1e-8 · Σ_s e^{⟨sρ,H⟩}, where the sum's cancellation eats more
+    than ~8 digits and division by φ is unsafe.
+    """
+    orbit, signs = _rho_orbit(rs)
+    expo = np.asarray(h, dtype=float) @ orbit.T
+    m = expo.max(axis=-1)
+    terms = np.exp(expo - m[..., None])
+    phi = terms @ signs
+    return phi, m, np.abs(phi) < WALL_RTOL * terms.sum(axis=-1)
+
+
 def wall_mask(rs: RootSystemSpec, grid: RadialGrid) -> np.ndarray:
-    """Nodes where |φ| < 1e-8 · max_grid |φ|; division by φ is unsafe there."""
-    phi = denominator_on_grid(rs, grid)
-    return np.abs(phi) < WALL_RTOL * np.abs(phi).max()
+    """Grid nodes on the chamber-wall band (see _scaled_denominator)."""
+    return _scaled_denominator(rs, grid.nodes())[2].reshape(grid.shape)
 
 
 # --- c-function ---------------------------------------------------------------
@@ -137,17 +143,15 @@ def spherical_function(rs: RootSystemSpec, lam, h) -> np.ndarray | complex:
     h = np.asarray(h, dtype=float)
     scalar = h.ndim == 1
     hh = h[None, :] if scalar else h
-    phi = np.asarray(weyl_denominator(rs, hh))
-    scale = np.asarray(denominator_scale(rs, hh))
+    phi, m, wall = _scaled_denominator(rs, hh)
     at_origin = np.einsum("...i,...i->...", hh, hh) < 1e-28
-    wall = ~at_origin & (np.abs(phi) < WALL_RTOL * scale)
-    if np.any(wall):
+    if np.any(wall & ~at_origin):
         raise ChamberWallEvaluation(
             "H within the chamber-wall band; no stable quotient there")
     num = np.asarray(spherical_numerator(rs, lam, hh))
     out = np.ones(hh.shape[:-1], dtype=complex)
     ok = ~at_origin
-    out[ok] = c * num[ok] / phi[ok]
+    out[ok] = c * num[ok] * np.exp(-m[ok]) / phi[ok]
     return complex(out[0]) if scalar else out
 
 
@@ -162,14 +166,14 @@ def to_conjugated(rs: RootSystemSpec, field: BiInvariantField) -> BiInvariantFie
 
 
 def to_plain(rs: RootSystemSpec, field: BiInvariantField) -> BiInvariantField:
-    """Divide by φ; wall nodes (grid-global rule) become NaN."""
+    """Divide by φ, as e^{-m}·(u·φ) over e^{-m}·φ; wall nodes become NaN."""
     if field.representation is Representation.PLAIN:
         return field
-    phi = denominator_on_grid(rs, field.grid)
-    mask = wall_mask(rs, field.grid)
-    vals = np.empty(field.grid.shape, dtype=complex)
-    vals[~mask] = field.values[~mask] / phi[~mask]
-    vals[mask] = np.nan
+    phi, m, wall = (a.reshape(field.grid.shape)
+                    for a in _scaled_denominator(rs, field.grid.nodes()))
+    keep = ~wall
+    vals = np.full(field.grid.shape, np.nan, dtype=complex)
+    vals[keep] = field.values[keep] * np.exp(-m[keep]) / phi[keep]
     return field.with_values(vals, Representation.PLAIN)
 
 
@@ -238,29 +242,16 @@ def spherical_transform_direct(rs: RootSystemSpec, field: BiInvariantField,
 
 # --- synthesis -------------------------------------------------------------------
 
-_PLANCHEREL_CACHE: dict[tuple[str, float], float] = {}
-
-_CALIBRATION_GRIDS = {
-    1: (512, 12.0, 512, 12.0),
-    2: (96, 9.0, 128, 10.0),
-    3: (48, 8.0, 64, 9.0),
-    4: (32, 7.0, 48, 8.0),
-}
-
-
 def synthesize_conjugated(rs: RootSystemSpec, spectral: SpectralField,
                           out_axes: list[np.ndarray],
-                          extra_phase: np.ndarray | None = None,
-                          constant: float | None = None) -> np.ndarray:
+                          extra_phase: np.ndarray | None = None) -> np.ndarray:
     """u·φ from spectral data: κ·∫ A_λ(H)·c(λ)|c(λ)|⁻²·F(λ) dλ, collapsed.
 
     With G(λ) = π(λ)F(λ) (antisymmetric for Weyl-invariant F) the Weyl sum
     collapses to κ·(-i)^m·|W|/π(ρ) times a single inverse-kernel Fourier
-    sum. `extra_phase` multiplies F nodewise (used for evolution factors);
-    `constant` overrides the calibrated Plancherel constant (calibration
-    itself passes 1).
+    sum. `extra_phase` multiplies F nodewise (used for evolution factors).
     """
-    kappa = plancherel_constant(rs) if constant is None else constant
+    kappa = plancherel_constant(rs)
     m = rs.n_positive
     pi_vals = np.asarray(
         pi_product(rs, spectral.grid.nodes())).reshape(spectral.grid.shape)
@@ -285,34 +276,8 @@ def inverse_spherical_transform(rs: RootSystemSpec, spectral: SpectralField,
 
 
 def plancherel_constant(rs: RootSystemSpec) -> float:
-    """Global synthesis constant, calibrated once per root system.
-
-    Enforces inverse(transform(f)) = f on a reference Gaussian in least
-    squares on the conjugated profiles, then cached. Raises
-    CalibrationFailure if the residual after scaling exceeds 1e-8.
-    """
-    key = (rs.name, rs.normalization)
-    if key in _PLANCHEREL_CACHE:
-        return _PLANCHEREL_CACHE[key]
-    if rs.rank not in _CALIBRATION_GRIDS:
-        raise CalibrationFailure(f"no calibration grid for rank {rs.rank}")
-    n, box, ns, sbox = _CALIBRATION_GRIDS[rs.rank]
-    grid = RadialGrid(rs.rank, box, n)
-    sgrid = RadialGrid(rs.rank, sbox, ns)
-    f = BiInvariantField(grid, np.exp(-grid.radius_sq()).astype(complex),
-                         Representation.PLAIN)
-    g = conjugated_values(rs, f)
-    spec = spherical_transform(rs, f, sgrid)
-    raw = synthesize_conjugated(rs, spec, [grid.axis] * rs.rank, constant=1.0)
-    kappa = np.vdot(raw, g) / np.vdot(raw, raw)
-    if abs(kappa.imag) > 1e-10 * abs(kappa.real) or kappa.real <= 0:
-        raise CalibrationFailure(f"non-real Plancherel constant {kappa}")
-    residual = l2_norm(kappa.real * raw - g, grid) / l2_norm(g, grid)
-    if residual > 1e-8:
-        raise CalibrationFailure(
-            f"round-trip residual {residual:.2e} after calibration")
-    _PLANCHEREL_CACHE[key] = float(kappa.real)
-    return _PLANCHEREL_CACHE[key]
+    """Global synthesis constant κ = (2π)^{-l}/|W|²."""
+    return (2.0 * np.pi) ** (-rs.rank) / rs.weyl_order ** 2
 
 
 def roundtrip_error(rs: RootSystemSpec, field: BiInvariantField,
@@ -357,7 +322,7 @@ def radial_laplacian(rs: RootSystemSpec, field: BiInvariantField,
                    for a in range(rs.rank))
         acc += g[lo] + g[hi] - 2.0 * g[core]
     lap[core] = acc / (h * h)
-    rho_sq = float(rs.rho @ rs.gram @ rs.rho)
+    rho_sq = float(rs.rho @ rs.rho)
     out = np.full(field.grid.shape, np.nan, dtype=complex)
     mask = wall_mask(rs, field.grid)
     keep = ~mask
@@ -376,11 +341,8 @@ def spherical_function_field(rs: RootSystemSpec, lam: np.ndarray,
     c = c_function(rs, lam)
     num = np.asarray(
         spherical_numerator(rs, lam, grid.nodes())).reshape(grid.shape)
-    phi = denominator_on_grid(rs, grid)
-    mask = wall_mask(rs, grid)
-    plain = np.full(grid.shape, np.nan, dtype=complex)
-    plain[~mask] = c * num[~mask] / phi[~mask]
-    return BiInvariantField(grid, plain, Representation.PLAIN)
+    return to_plain(rs, BiInvariantField(grid, c * num,
+                                         Representation.CONJUGATED))
 
 
 def eigen_residual_field(rs: RootSystemSpec, lam: np.ndarray,

@@ -61,9 +61,10 @@ def test_tolerance_map():
 
 
 def test_format_validation():
-    assert parse_config("format = csv").format == "csv"
-    with pytest.raises(ConfigError):
-        parse_config("format = xml")
+    # output format follows the subcommand; there is no format key
+    for text in ("format = csv", "format = xml"):
+        with pytest.raises(ConfigError, match="unknown key 'format'"):
+            parse_config(text)
 
 
 def test_init_descriptor_parsing():
@@ -143,6 +144,39 @@ def test_cli_lambda_of_wrong_length_is_a_config_error():
     assert out.returncode == 2
     assert "Traceback" not in out.stderr
     assert json.loads(out.stderr.strip())["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("argv", [
+    ("evolve", "--group", "Z9", "--t", "1"),
+    ("rootsys", "info", "Z9"),
+], ids=["evolve", "rootsys-info"])
+def test_cli_misspelt_root_system_is_a_config_error(argv):
+    out = run_cli(*argv)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert json.loads(out.stderr.strip())["error"] == "UnsupportedRootSystem"
+
+
+@pytest.mark.parametrize("group", ["A1xA2", "A1xA1xA1"])
+def test_cli_evolve_rank3_product(group):
+    out = run_cli("evolve", "--group", group, "--t", "1", "--grid", "48,8")
+    assert out.returncode == 0, out.stderr
+    assert "Traceback" not in out.stderr
+    assert json.loads(out.stdout.splitlines()[0])["config"]["group"] == group
+
+
+def test_cli_evolve_large_t_writes_finite_plain_values(tmp_path):
+    # φ ~ e^{|ρ||H|} overflows on this output grid unless it is scaled
+    path = tmp_path / "o.csv"
+    out = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "lsg.cli",
+         "evolve", "--group", "A1", "--t", "1e3", "--grid", "512,12",
+         "--out", str(path)], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    blank = [float(r[0]) for r in rows if r[3] == ""]
+    assert blank == [0.0]
+    assert all(r[3] == "" or float(r[3]) >= 0.0 for r in rows)
 
 
 def test_cli_numerical_error_exit_code():

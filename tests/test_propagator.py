@@ -5,10 +5,11 @@ from lsg.errors import (ForcingNotAntisymmetrizable, GridTooSmall,
                         InvalidTime, UnderResolvedPhase)
 from lsg.grids import (BiInvariantField, GridMode, RadialGrid, Representation,
                        l2_norm, relative_l2, weyl_symmetry_residual)
-from lsg.propagator import (_chirp, calibrate_constant, data_bandwidth,
+from lsg.propagator import (_chirp, _chirp_sandwich, data_bandwidth,
                             duhamel_solve, euclidean_propagate,
                             gaussian_profile, group_propagate_closed_form,
                             group_propagate_spectral, suggest_spectral_grid)
+from lsg.rootsystem import build_root_system
 from lsg.spherical import (conjugated_values, denominator_on_grid,
                            spherical_transform, synthesize_conjugated)
 
@@ -251,26 +252,72 @@ def test_time_reversal(a1):
     assert relative_l2(np.conj(back.field.values), g, grid) <= 1e-6
 
 
-# --- calibration ----------------------------------------------------------------
+# --- the closed form's constant, fitted against the spectral oracle ---------------
+
+_FIT_GRIDS = {1: (512, 12.0), 2: (96, 9.0)}
+
+
+def oracle_fitted_constant(rs, t=1.0):
+    """Least-squares scalar taking the constant-free closed form onto the
+    spectral-synthesis oracle, for e^{-|H|^2} on a reference grid."""
+    n, box = _FIT_GRIDS[rs.rank]
+    f = gaussian_profile(RadialGrid(rs.rank, box, n), 1.0)
+    g = conjugated_values(rs, f)
+    out, core = _chirp_sandwich(g, f.grid, t, GridMode.FIXED, None)
+    unnormalized = np.exp(-1j * t * float(rs.rho @ rs.rho)) * core
+    target = group_propagate_spectral(rs, f, t, out_grid=out).field.values
+    const = complex(np.vdot(unnormalized, target)
+                    / np.vdot(unnormalized, unnormalized))
+    assert relative_l2(const * unnormalized, target, out) <= 1e-6
+    return const
+
+
+@pytest.mark.parametrize("name,normalization", [
+    ("A1", 1.0), ("A2", 1.0), ("A1xA1", 1.0), ("A1", 0.5), ("A1", 2.0)])
+def test_oracle_fit_reproduces_free_constant(name, normalization):
+    rs = build_root_system(name, normalization=normalization)
+    free = (4.0 * np.pi * 1j) ** (-rs.rank / 2.0)
+    assert abs(oracle_fitted_constant(rs) - free) <= 1e-8 * abs(free)
+
 
 def test_calibration_t_independence(a1):
-    c1 = calibrate_constant(a1, t=0.5)
-    c2 = calibrate_constant(a1, t=2.0)
+    c1 = oracle_fitted_constant(a1, t=0.5)
+    c2 = oracle_fitted_constant(a1, t=2.0)
     assert abs(c1 - c2) <= 1e-8 * abs(c1)
 
 
 def test_calibration_fresnel_modulus(a1):
     from lsg.spherical import plancherel_constant
-    c = calibrate_constant(a1)
+    c = oracle_fitted_constant(a1)
     kappa = plancherel_constant(a1)
     assert abs(c) == pytest.approx(kappa * 4 * np.sqrt(np.pi), rel=1e-8)
 
 
 def test_calibration_tensorizes_on_products():
-    from lsg.rootsystem import build_root_system
-    c1 = calibrate_constant(build_root_system("A1"))
-    c11 = calibrate_constant(build_root_system("A1xA1"))
+    c1 = oracle_fitted_constant(build_root_system("A1"))
+    c11 = oracle_fitted_constant(build_root_system("A1xA1"))
     assert abs(c11 - c1 * c1) <= 1e-8 * abs(c11)
+
+
+# --- rank-3 products: the closed form tensorizes -----------------------------------
+
+@pytest.mark.parametrize("mode", [GridMode.FIXED, GridMode.SCALED],
+                         ids=["fixed", "scaled"])
+@pytest.mark.parametrize("name", ["A1xA1xA1", "A1xA2"])
+def test_closed_form_tensorizes_on_rank3_products(name, mode):
+    def evolve(group):
+        rs = build_root_system(group)
+        f = gaussian_profile(RadialGrid(rs.rank, 8.0, 48), 1.0)
+        return group_propagate_closed_form(rs, f, 1.0, mode).field
+    product = evolve(name)
+    parts = [evolve(factor) for factor in name.split("x")]
+    expected = parts[0].values
+    for part in parts[1:]:
+        expected = np.multiply.outer(expected, part.values)
+    assert product.grid.half_width == parts[0].grid.half_width
+    assert product.values.shape == expected.shape
+    err = np.abs(product.values - expected).max() / np.abs(expected).max()
+    assert err <= 1e-12
 
 
 # --- Duhamel ---------------------------------------------------------------------

@@ -6,14 +6,16 @@ from lsg.errors import (ChamberWallEvaluation, GridTooSmall,
 from lsg.grids import (BiInvariantField, RadialGrid, Representation,
                        SpectralField)
 from lsg.propagator import gaussian_profile
-from lsg.spherical import (c_function, denominator_on_grid, density,
+from lsg.spherical import (c_function, conjugated_values,
+                           denominator_on_grid, density,
                            eigen_residual_field, inverse_spherical_transform,
                            pi_product, plancherel_constant,
                            plancherel_density, radial_laplacian,
                            roundtrip_error, spherical_function,
-                           spherical_numerator, spherical_transform,
-                           spherical_transform_direct, synthesize_conjugated,
-                           wall_mask, weyl_denominator)
+                           spherical_function_field, spherical_numerator,
+                           spherical_transform, spherical_transform_direct,
+                           synthesize_conjugated, to_plain, wall_mask,
+                           weyl_denominator)
 
 RHO1 = np.sqrt(2.0) / 2.0   # A1 rho as a number
 
@@ -263,14 +265,39 @@ def test_single_mode_synthesis_matches_spherical_function(a1, a1_grid):
     assert np.abs(uphi - scale * target).max() <= 1e-10 * np.abs(uphi).max()
 
 
+def fitted_plancherel_constant(rs):
+    """κ fitted from the round trip of a Gaussian, blind to the closed form."""
+    n, box, ns, sbox = {1: (512, 12.0, 512, 12.0),
+                        2: (96, 9.0, 128, 10.0)}[rs.rank]
+    grid = RadialGrid(rs.rank, box, n)
+    f = gaussian_profile(grid, 1.0)
+    spec = spherical_transform(rs, f, RadialGrid(rs.rank, sbox, ns))
+    # synthesis with unit constant
+    raw = (synthesize_conjugated(rs, spec, [grid.axis] * rs.rank)
+           / plancherel_constant(rs))
+    g = conjugated_values(rs, f)
+    kappa = np.vdot(raw, g) / np.vdot(raw, raw)
+    assert np.linalg.norm(kappa * raw - g) <= 1e-8 * np.linalg.norm(g)
+    assert abs(kappa.imag) <= 1e-10 * abs(kappa.real)
+    return kappa.real
+
+
 @pytest.mark.parametrize("name,expected_l", [("A1", 1), ("A2", 2),
                                              ("A1xA1", 2)])
 def test_plancherel_constant_matches_theory(name, expected_l):
     from lsg.rootsystem import build_root_system
     rs = build_root_system(name)
-    kappa = plancherel_constant(rs)
     theory = (2.0 * np.pi) ** (-expected_l) / rs.weyl_order**2
-    assert kappa == pytest.approx(theory, rel=1e-10)
+    assert fitted_plancherel_constant(rs) == pytest.approx(theory, rel=1e-10)
+    assert plancherel_constant(rs) == pytest.approx(theory, rel=1e-15)
+
+
+@pytest.mark.parametrize("normalization", [0.5, 2.0])
+def test_plancherel_constant_ignores_normalization(normalization):
+    from lsg.rootsystem import build_root_system
+    rs = build_root_system("A1", normalization=normalization)
+    assert fitted_plancherel_constant(rs) == pytest.approx(
+        plancherel_constant(rs), rel=1e-10)
 
 
 # --- radial Laplacian ------------------------------------------------------------
@@ -343,3 +370,31 @@ def test_denominator_grid_consistency(a2, a2_grid):
     assert phi.shape == a2_grid.shape
     mask = wall_mask(a2, a2_grid)
     assert mask.any() and not mask.all()
+
+
+def test_wall_mask_uses_the_local_scale(g2):
+    """|φ| < 1e-8·Σ_s e^{⟨sρ,H⟩} node by node, not 1e-8 of the grid max."""
+    grid = RadialGrid(2, 9.0, 96)
+    nodes = grid.nodes()
+    scale = np.exp(nodes @ g2.orbit(g2.rho).T).sum(axis=-1)
+    phi = np.abs(np.asarray(weyl_denominator(g2, nodes)))
+    mask = wall_mask(g2, grid)
+    assert np.array_equal(mask.ravel(), phi < 1e-8 * scale)
+    assert mask.mean() < 0.05        # the grid-max rule blanked 23%
+
+
+def test_to_plain_does_not_overflow_on_wide_grids(a1):
+    """φ ~ e^{|ρ||H|} overflows past |H| ≈ 1000; u·φ/φ stays finite."""
+    grid = RadialGrid(1, 2000.0, 64)
+    h = grid.axis
+    u = np.exp(-1e-3 * h * h)
+    # u·2sinh(ρh) with each exponent summed first, so no factor overflows
+    uphi = np.exp(-1e-3 * h * h + RHO1 * h) - np.exp(-1e-3 * h * h - RHO1 * h)
+    field = BiInvariantField(grid, uphi.astype(complex),
+                             Representation.CONJUGATED)
+    plain = to_plain(a1, field).values
+    assert np.isnan(plain[h == 0.0]).all()
+    assert np.allclose(plain[h != 0.0], u[h != 0.0], rtol=1e-12, atol=0.0)
+    # φ_λ on the same grid divides through to_plain as well
+    phi_lam = spherical_function_field(a1, np.array([1.0]), grid).values
+    assert np.isfinite(phi_lam[h != 0.0]).all()
