@@ -42,11 +42,10 @@ def weyl_denominator(rs: RootSystemSpec, h) -> np.ndarray | float:
 
     Accepts a single vector (rank,) or a stack (..., rank).
     """
-    orbit, signs = _rho_orbit(rs)
     h = np.asarray(h, dtype=float)
-    scalar = h.ndim == 1
-    val = np.exp(h @ orbit.T) @ signs
-    return float(val) if scalar else val
+    phi, m, _ = _scaled_denominator(rs, h)
+    val = phi * np.exp(m)
+    return float(val) if h.ndim == 1 else val
 
 
 def density(rs: RootSystemSpec, h) -> np.ndarray | float:
