@@ -129,9 +129,8 @@ def strichartz_norm(rs: RootSystemSpec, field: BiInvariantField, t_max: float,
         return cache[t]
 
     edges = [t_max / 2.0**j for j in range(dyadic_levels + 1)][::-1]
-    # below the finest dyadic scale the integrand is at its t->0 plateau;
-    # close that head with a fixed trapezoid instead of refining toward 0
-    # (where chirp resolution costs diverge)
+    # below the finest dyadic scale the integrand is at its t->0 plateau,
+    # so one fixed trapezoid closes that head at every refinement level
     t_head = edges[0]
     head = 0.5 * t_head * (integrand(0.0) + integrand(t_head))
 

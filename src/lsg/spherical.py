@@ -300,7 +300,8 @@ def radial_laplacian(rs: RootSystemSpec, field: BiInvariantField,
 
     Second-order centered differences on the conjugated profile; the
     one-node border and wall nodes come back NaN (not-a-value), everything
-    else is defined at interior regular nodes.
+    else is defined at interior regular nodes. g is differenced in units of
+    e^{m(H)} at each node, so φ = e^m·(e^{-m}φ) is never formed whole.
     """
     if field.representation is not Representation.PLAIN:
         raise ValueError("radial_laplacian expects a PLAIN field")
@@ -309,7 +310,8 @@ def radial_laplacian(rs: RootSystemSpec, field: BiInvariantField,
         raise ValueError("spacing override does not match the field's grid")
     if field.grid.points_per_axis < 5:
         raise ValueError("need at least 3 interior points per axis")
-    phi = denominator_on_grid(rs, field.grid)
+    phi, m, wall = (a.reshape(field.grid.shape)
+                    for a in _scaled_denominator(rs, field.grid.nodes()))
     g = field.values * phi
     lap = np.full(field.grid.shape, np.nan, dtype=complex)
     core = (slice(1, -1),) * rs.rank
@@ -319,13 +321,13 @@ def radial_laplacian(rs: RootSystemSpec, field: BiInvariantField,
                    for a in range(rs.rank))
         hi = tuple(slice(2, None) if a == ax else slice(1, -1)
                    for a in range(rs.rank))
-        acc += g[lo] + g[hi] - 2.0 * g[core]
+        acc += (g[lo] * np.exp(m[lo] - m[core])
+                + g[hi] * np.exp(m[hi] - m[core]) - 2.0 * g[core])
     lap[core] = acc / (h * h)
     rho_sq = float(rs.rho @ rs.rho)
     out = np.full(field.grid.shape, np.nan, dtype=complex)
-    mask = wall_mask(rs, field.grid)
-    keep = ~mask
-    out[keep] = (lap[keep] - rho_sq * g[keep]) / phi[keep]
+    keep = ~wall
+    out[keep] = lap[keep] / phi[keep] - rho_sq * field.values[keep]
     return field.with_values(out, Representation.PLAIN)
 
 

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -105,7 +106,9 @@ def test_config_echo_is_json_ready():
 # --- CLI ---------------------------------------------------------------------------
 
 def run_cli(*args, cwd=None):
-    return subprocess.run([sys.executable, "-m", "lsg.cli", *args],
+    # the warning policy of the in-process tests (pyproject filterwarnings)
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           "-m", "lsg.cli", *args],
                           capture_output=True, text=True, cwd=cwd)
 
 
@@ -165,18 +168,36 @@ def test_cli_evolve_rank3_product(group):
     assert json.loads(out.stdout.splitlines()[0])["config"]["group"] == group
 
 
+@pytest.mark.parametrize("group", ["A2xA2", "A1xA1xA1xA1"])
+def test_cli_evolve_rank4_product_at_small_t(group):
+    # h·y_sup/t is 7π-8π here, so SCALED runs the multiplier
+    out = run_cli("evolve", "--group", group, "--t", "0.1", "--grid", "32,7")
+    assert out.returncode == 0, out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_cli_evolve_large_t_writes_finite_plain_values(tmp_path):
     # φ ~ e^{|ρ||H|} overflows on this output grid unless it is scaled
     path = tmp_path / "o.csv"
-    out = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "lsg.cli",
-         "evolve", "--group", "A1", "--t", "1e3", "--grid", "512,12",
-         "--out", str(path)], capture_output=True, text=True)
+    out = run_cli("evolve", "--group", "A1", "--t", "1e3", "--grid", "512,12",
+                  "--out", str(path))
     assert out.returncode == 0, out.stderr
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     blank = [float(r[0]) for r in rows if r[3] == ""]
     assert blank == [0.0]
     assert all(r[3] == "" or float(r[3]) >= 0.0 for r in rows)
+
+
+def test_cli_evolve_tiny_t_returns_the_initial_data(tmp_path):
+    # SCALED at t = 1e-6 runs the Fourier multiplier on the input grid
+    path = tmp_path / "o.csv"
+    out = run_cli("evolve", "--group", "A1", "--t", "1e-6", "--out", str(path))
+    assert out.returncode == 0, out.stderr
+    rows = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 1, 2))
+    h, uphi = rows[:, 0], rows[:, 1] + 1j * rows[:, 2]
+    rho = np.sqrt(2.0) / 2.0
+    fphi = np.exp(-h * h) * 2.0 * np.sinh(rho * h)
+    assert np.linalg.norm(uphi - fphi) <= 1e-5 * np.linalg.norm(fphi)
 
 
 def test_cli_numerical_error_exit_code():

@@ -26,6 +26,25 @@ def gaussian_exact_evolution(x, a, c, t):
     return den ** -0.5 * np.exp(-w * x**2 / den)
 
 
+def gaussian_chirp_conjugated(rs, axis, a, c, t):
+    """Exact u·φ at time t for f = e^{-(a - ic)|H|^2}, on the tensor grid of axis.
+
+    Each Weyl term of f·φ = Σ_s det(s) e^{|ρ|²/4w} e^{-w|H - sρ/2w|²},
+    w = a - ic, is a shifted complex Gaussian: it evolves like the one above,
+    one factor per axis, and the whole sum picks up e^{-it|ρ|²}.
+    """
+    w = a - 1j * c
+    den = 1.0 + 4j * w * t
+    rho_sq = float(rs.rho @ rs.rho)
+    total = 0.0
+    for s_rho, sign in zip(rs.orbit(rs.rho), rs.weyl_signs()):
+        term = sign * np.exp(rho_sq / (4.0 * w))
+        for centre in s_rho / (2.0 * w):
+            term = np.multiply.outer(term, np.exp(-w * (axis - centre)**2 / den))
+        total = total + term
+    return np.exp(-1j * t * rho_sq) * den ** (-rs.rank / 2.0) * total
+
+
 # --- Euclidean propagator ----------------------------------------------------
 
 def test_euclidean_gaussian_matches_quadrature_oracle():
@@ -102,7 +121,7 @@ def test_euclidean_tail_guard():
 
 
 def test_scaled_mode_small_t_recovers_initial_data(a1):
-    """The t -> 0+ limit through the auto-upsampled SCALED path.
+    """The t -> 0+ limit through SCALED's Fourier-multiplier regime.
 
     The residual against the initial data is the genuine first-order
     deviation t*||(lap - |rho|^2) g|| (constant ~ 4 for the rate-1
@@ -125,6 +144,51 @@ def test_scaled_mode_small_t_recovers_initial_data(a1):
     tg = tiny.field.grid
     target = np.exp(-tg.axis**2) * denominator_on_grid(a1, tg)
     assert relative_l2(tiny.field.values, target.astype(complex), tg) <= 1e-3
+
+
+@pytest.mark.parametrize("name,n,box", [
+    ("A1", 512, 12.0), ("A1", 2048, 12.0), ("A2", 96, 9.0), ("B2", 96, 9.0),
+    ("G2", 96, 9.0), ("A1xA1", 96, 9.0), ("A2", 128, 10.0)])
+def test_scaled_closed_form_matches_exact_evolution_across_regimes(name, n,
+                                                                   box):
+    """41 times spanning both SCALED regimes, around t* = h·L/2π."""
+    rs = build_root_system(name)
+    grid = RadialGrid(rs.rank, box, n)
+    t_star = grid.spacing * box / (2.0 * np.pi)
+    for a, c in [(1.0, 0.0), (0.8, 0.25), (1.2, -0.25)]:
+        f = gaussian_profile(grid, a, c)
+        for t in np.geomspace(t_star / 30.0, 30.0 * t_star, 41):
+            res = group_propagate_closed_form(rs, f, t, GridMode.SCALED)
+            out = res.field.grid
+            want = gaussian_chirp_conjugated(rs, out.axis, a, c, t)
+            assert relative_l2(res.field.values, want, out) <= 1e-10
+            if out.points_per_axis != n:   # the padded multiplier grid
+                assert out.spacing == pytest.approx(grid.spacing, rel=1e-12)
+                assert out.half_width <= 3.0 * box
+
+
+@pytest.mark.parametrize("name,n,box,times,tol", [
+    ("A1xA2", 48, 8.0, np.geomspace(0.014, 13.0, 9), 1e-6),
+    ("A1xA1xA1", 48, 8.0, np.geomspace(0.014, 13.0, 9), 1e-6),
+    # 32 nodes on [-7, 7) resolve the spectrum only to about 1e-6
+    ("A1xA1xA1xA1", 32, 7.0, [0.1], 1e-4)], ids=["A1xA2", "A1xA1xA1",
+                                                "A1xA1xA1xA1"])
+def test_scaled_products_match_exact_evolution(name, n, box, times, tol):
+    rs = build_root_system(name)
+    f = gaussian_profile(RadialGrid(rs.rank, box, n), 0.8, 0.25)
+    for t in times:
+        res = group_propagate_closed_form(rs, f, t, GridMode.SCALED)
+        out = res.field.grid
+        want = gaussian_chirp_conjugated(rs, out.axis, 0.8, 0.25, t)
+        assert relative_l2(res.field.values, want, out) <= tol
+
+
+def test_scaled_multiplier_grid_is_memory_guarded(a2, monkeypatch):
+    from lsg import propagator
+    f = gaussian_profile(RadialGrid(2, 9.0, 96), 1.0)
+    monkeypatch.setattr(propagator, "_MAX_FFT_NODES", 96 * 96)
+    with pytest.raises(GridTooSmall):
+        group_propagate_closed_form(a2, f, 0.2, GridMode.SCALED)
 
 
 @pytest.mark.parametrize("sign", [-1, +1])

@@ -335,6 +335,25 @@ def test_laplacian_flags_border_and_wall(a1, a1_grid):
     assert np.isnan(lap.values[origin])
 
 
+def test_laplacian_does_not_overflow_on_wide_grids(a1):
+    """φ overflows past |H| ≈ 1000; the differences never form it."""
+    grid = RadialGrid(1, 2000.0, 64)
+    h = grid.spacing
+    interior = np.ones(grid.shape, dtype=bool)
+    interior[[0, -1]] = False
+    # φ_λ is NaN on the wall H = 0, so its two neighbours are too
+    off_wall = interior & (np.abs(grid.axis) > 1.5 * h)
+    resid = eigen_residual_field(a1, np.array([1.0]), grid)
+    assert np.isfinite(resid[off_wall]).all()
+    # Δ_rad 1 = (2cosh(ρh) - 2)/h² - ρ² exactly on the two-term φ of A1
+    ones = BiInvariantField(grid, np.ones(grid.shape, dtype=complex),
+                            Representation.PLAIN)
+    lap = radial_laplacian(a1, ones).values
+    expected = (2.0 * np.cosh(RHO1 * h) - 2.0) / (h * h) - RHO1**2
+    interior[grid.axis == 0.0] = False
+    assert np.allclose(lap[interior], expected, rtol=1e-12, atol=0.0)
+
+
 def test_eigen_residual_second_order(a1, rng):
     lam = np.array([1.7])
     coarse = RadialGrid(1, 12.0, 512)
