@@ -6,7 +6,9 @@ artifact files never contain wall-clock data, so identical config + seed
 reproduces them byte-for-byte (durations go to stdout only).
 
 Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 paper-invariant
-violation (failed acceptance row).
+violation (failed acceptance row), 141 (128 + SIGPIPE, what a shell
+reports for a process SIGPIPE ended) when the reader closes stdout early,
+as in `lsg ... | head -1`; no traceback is printed.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .errors import ConfigError, LsgError
 from .estimates import decay_exponent_fit, strichartz_norm, strichartz_pair
 from .grids import GridMode, RadialGrid
 from .hardy import uniqueness_experiment
-from .heisenberg import (GeodesicParams, geodesic, heat_kernel,
-                         schrodinger_integrand, singularities)
+from .heisenberg import (geodesic_coords, heat_kernel, schrodinger_integrand,
+                         singularities)
 from .propagator import (euclidean_propagate, gaussian_profile,
                          group_propagate_closed_form,
                          group_propagate_spectral, plain_magnitude)
@@ -320,10 +322,11 @@ def _cmd_heisenberg(args) -> ResultRecord:
     scalars: dict = {}
     artifacts: list[str] = []
     if args.action == "geodesic":
-        rows = []
-        for s in np.linspace(0.0, args.smax, args.steps):
-            p = geodesic(GeodesicParams(args.beta, args.tparam, float(s)))
-            rows.append([float(s), p.x, p.u, p.xi])
+        if args.tparam == 0:
+            raise ConfigError("--tparam must be nonzero")
+        s = np.linspace(0.0, args.smax, args.steps)
+        rows = np.column_stack(
+            (s, *geodesic_coords(args.beta, args.tparam, s))).tolist()
         header = ["s", "x", "u", "xi"]
     elif args.action == "integrand":
         rows = []
@@ -521,6 +524,14 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         record = args.func(args)
+        record.duration_s = time.monotonic() - start
+        sys.stdout.write(record.emit() + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered for stdout to
+        # the null device, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ConfigError as exc:
         sys.stderr.write(_error_line(exc) + "\n")
         return 2
@@ -530,8 +541,6 @@ def main(argv=None) -> int:
     except LsgError as exc:
         sys.stderr.write(_error_line(exc) + "\n")
         return 3
-    record.duration_s = time.monotonic() - start
-    sys.stdout.write(record.emit() + "\n")
     return 0
 
 

@@ -17,11 +17,13 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InsufficientTimes, UnsupportedExponent
-from .grids import BiInvariantField, GridMode, RadialGrid, lq_norm
+from .grids import (BiInvariantField, GridMode, RadialGrid, Representation,
+                    lq_norm)
 from .propagator import (PropagationResult, duhamel_solve,
                          group_propagate_closed_form)
 from .rootsystem import RootSystemSpec
-from .spherical import conjugated_values
+from .spherical import (conjugated_values, conjugated_with,
+                        denominator_on_grid)
 
 
 @dataclass(frozen=True)
@@ -105,6 +107,9 @@ def strichartz_norm(rs: RootSystemSpec, field: BiInvariantField, t_max: float,
     2^{r+1} panels per subinterval at refinement level r. The initial data
     is normalized to unit L²(G) mass first. The returned sequence must
     stabilize; the caller checks Cauchy agreement of the last two levels.
+
+    The unit-mass data is conjugated once per call and propagated as a
+    CONJUGATED field, so no time node rebuilds φ.
     """
     _, q_frac = strichartz_pair(rs.rank)
     q = float(q_frac)
@@ -114,6 +119,8 @@ def strichartz_norm(rs: RootSystemSpec, field: BiInvariantField, t_max: float,
         return [0.0] * refinements
     unit = BiInvariantField(field.grid, field.values / mass,
                             field.representation)
+    unit = unit.with_values(conjugated_values(rs, unit),
+                            Representation.CONJUGATED)
     g_unit = g / mass
 
     cache: dict[float, float] = {}
@@ -159,20 +166,22 @@ def strichartz_inhomogeneous_check(rs: RootSystemSpec,
     LHS: (∫₀ᵀ ‖uφ(t)‖_q^q dt)^{1/q} with u from the Duhamel solver.
     RHS: ‖f‖_{L²(G)} + (∫₀ᵀ ‖ψφ(s)‖_p^p ds)^{1/p}.
     The constant in the bound is not pinned down; across a seeded family
-    only uniform boundedness of the ratio is meaningful.
+    only uniform boundedness of the ratio is meaningful. φ on the grid is
+    built once per call, for the mass and every ψ·φ norm.
     """
     p_frac, q_frac = strichartz_pair(rs.rank)
     p, q = float(p_frac), float(q_frac)
     if time_panels % 2 != 0:
         raise ValueError("time_panels must be even")
     grid = field.grid
+    phi = denominator_on_grid(rs, grid)
+    g = conjugated_with(field, phi)
 
     def solution_power(t: float) -> float:
         if t == 0.0:
-            vals = conjugated_values(rs, field)
+            vals = g
         else:
-            vals = conjugated_values(
-                rs, duhamel_solve(rs, field, forcing, t, steps).field)
+            vals = duhamel_solve(rs, field, forcing, t, steps).field.values
         return float((np.abs(vals) ** q).sum() * grid.cell_volume())
 
     ts = np.linspace(0.0, t_max, time_panels + 1)
@@ -182,10 +191,11 @@ def strichartz_inhomogeneous_check(rs: RootSystemSpec,
                   * sum(wi * solution_power(t) for wi, t in zip(w, ts)))
     lhs = lhs_q ** (1.0 / q)
 
-    mass = lq_norm(conjugated_values(rs, field), grid, 2.0)
+    mass = lq_norm(g, grid, 2.0)
     psi_power = []
     for t in ts:
-        psi_phi = conjugated_values(rs, forcing(t))
+        # forcing lives on the data's grid; duhamel_solve checks that
+        psi_phi = conjugated_with(forcing(t), phi)
         psi_power.append(float((np.abs(psi_phi) ** p).sum()
                                * grid.cell_volume()))
     psi_term = (float(t_max / time_panels / 3.0

@@ -314,22 +314,20 @@ def fourier_at(values: np.ndarray, grid: RadialGrid,
 
 # --- lattice-compatible Weyl symmetry checks --------------------------------
 
-def weyl_symmetry_residual(values: np.ndarray, grid: RadialGrid,
-                           matrices: np.ndarray, signs: np.ndarray,
-                           odd: bool) -> float:
-    """Max |v(sH) - (det s)^k v(H)| over lattice-compatible Weyl elements.
+def _weyl_lattice_maps(grid: RadialGrid, matrices: np.ndarray,
+                       signs: np.ndarray) -> list[tuple]:
+    """(det s, source index arrays, valid-node mask) for each Weyl element
+    s that maps the lattice onto itself.
 
-    k = 1 for antisymmetric (odd=True) fields, 0 for invariant ones.
+    v[src] is v(sH) on the valid nodes; a signed permutation matrix is
+    lattice-compatible, except that a reflected axis loses its node -L.
     Elements whose matrices move nodes off the lattice are skipped; every
     supported system keeps at least one nontrivial element (e.g. -1 on a
     rank-1 factor) lattice-compatible.
     """
     n = grid.points_per_axis
-    scale = np.abs(values).max()
-    if scale == 0:
-        return 0.0
-    worst = 0.0
     grids_idx = np.meshgrid(*([np.arange(n)] * grid.rank), indexing="ij")
+    maps = []
     for mat, sgn in zip(matrices, signs):
         rounded = np.round(mat)
         if np.abs(mat - rounded).max() > 1e-12:
@@ -350,11 +348,34 @@ def weyl_symmetry_residual(values: np.ndarray, grid: RadialGrid,
                 idx = (n - grids_idx[src_ax]) % n
                 ok &= grids_idx[src_ax] != 0
             src.append(idx)
-        if ok is None:
-            continue
-        mapped = values[tuple(src)]
+        if ok is not None:
+            maps.append((sgn, tuple(src), ok))
+    return maps
+
+
+def _mapped_residual(values: np.ndarray, maps, odd: bool) -> float:
+    """weyl_symmetry_residual on maps built by `_weyl_lattice_maps`."""
+    scale = np.abs(values).max()
+    if scale == 0:
+        return 0.0
+    worst = 0.0
+    for sgn, src, ok in maps:
+        mapped = values[src]
         target = (sgn if odd else 1.0) * values
         diff = np.abs(mapped - target)[ok]
         if diff.size:
             worst = max(worst, float(diff.max() / scale))
     return worst
+
+
+def weyl_symmetry_residual(values: np.ndarray, grid: RadialGrid,
+                           matrices: np.ndarray, signs: np.ndarray,
+                           odd: bool) -> float:
+    """Max |v(sH) - (det s)^k v(H)| over lattice-compatible Weyl elements.
+
+    k = 1 for antisymmetric (odd=True) fields, 0 for invariant ones.
+    Elements whose matrices move nodes off the lattice are skipped (see
+    `_weyl_lattice_maps`).
+    """
+    return _mapped_residual(
+        values, _weyl_lattice_maps(grid, matrices, signs), odd)

@@ -157,13 +157,23 @@ def schrodinger_integrand(lam: float, x: float, u: float, t: float) -> complex:
             * np.exp(-0.25j * _lam_cot(lam, t) * radial))
 
 
-def geodesic(params: GeodesicParams) -> HeisenbergPoint:
-    """The displayed geodesic through the origin, evaluated literally."""
-    beta, t, s = params.beta, params.t_param, params.s
+def geodesic_coords(beta: float, t_param: float, s):
+    """(x, u, ξ) of the displayed geodesic through the origin at arc
+    parameter s, a scalar or an array; the formula evaluated literally."""
+    if t_param == 0:
+        raise ValueError("t_param must be nonzero")
+    t = t_param
+    ts = t * np.asarray(s, dtype=float)
     cos_b, sin_b = np.cos(beta), np.sin(beta)
-    x = (cos_b * (1.0 - np.cos(t * s)) + sin_b * np.sin(t * s)) / t
-    u = (-sin_b * (1.0 - np.cos(t * s)) + cos_b * np.sin(t * s)) / t
-    xi = 2.0 * (t * s - np.sin(t * s)) / (t * t)
+    x = (cos_b * (1.0 - np.cos(ts)) + sin_b * np.sin(ts)) / t
+    u = (-sin_b * (1.0 - np.cos(ts)) + cos_b * np.sin(ts)) / t
+    xi = 2.0 * (ts - np.sin(ts)) / (t * t)
+    return x, u, xi
+
+
+def geodesic(params: GeodesicParams) -> HeisenbergPoint:
+    """The displayed geodesic through the origin at one arc parameter."""
+    x, u, xi = geodesic_coords(params.beta, params.t_param, params.s)
     return HeisenbergPoint(float(x), float(u), float(xi))
 
 
@@ -172,17 +182,13 @@ def projection_residual(beta: float, t_param: float,
     """Max deviation of the contact-plane projection from its circle.
 
     The projection satisfies (x - cosβ/t)² + (u + sinβ/t)² = 1/t²
-    identically; the residual is pure floating-point noise.
+    identically; the residual is pure floating-point noise. The whole
+    s sweep is one array evaluation of `geodesic_coords`.
     """
-    if t_param == 0:
-        raise ValueError("t_param must be nonzero")
+    x, u, _ = geodesic_coords(beta, t_param, s_samples)
     t = t_param
-    worst = 0.0
-    for s in np.asarray(s_samples, dtype=float):
-        p = geodesic(GeodesicParams(beta=beta, t_param=t, s=float(s)))
-        lhs = (p.x - np.cos(beta) / t) ** 2 + (p.u + np.sin(beta) / t) ** 2
-        worst = max(worst, abs(lhs - 1.0 / (t * t)))
-    return float(worst)
+    lhs = (x - np.cos(beta) / t) ** 2 + (u + np.sin(beta) / t) ** 2
+    return float(np.abs(lhs - 1.0 / (t * t)).max(initial=0.0))
 
 
 def cutlocus_distance(k: int, t_param: float) -> float:

@@ -31,10 +31,11 @@ import numpy as np
 from .errors import (ForcingNotAntisymmetrizable, GridTooSmall, InvalidTime,
                      UnderResolvedPhase)
 from .grids import (BiInvariantField, GridMode, Method, RadialGrid,
-                    Representation, fourier_at, fourier_native,
-                    require_tail, support_radius, weyl_symmetry_residual)
+                    Representation, _mapped_residual, _weyl_lattice_maps,
+                    fourier_at, fourier_native, require_tail, support_radius)
 from .rootsystem import RootSystemSpec
-from .spherical import (conjugated_values, spherical_transform,
+from .spherical import (conjugated_values, conjugated_with,
+                        denominator_on_grid, spherical_transform,
                         synthesize_conjugated, to_plain)
 
 _MAX_FFT_NODES = 2**24          # memory guard on the padded multiplier grid
@@ -271,20 +272,25 @@ def duhamel_solve(rs: RootSystemSpec, field: BiInvariantField,
     The s-integral is composite Simpson (`steps` even panels, ≥ 8), each
     S(t-s) evaluated by the closed form on the fixed grid; S(0) is the
     identity. Fourth-order in the time step.
+
+    φ on the grid and the lattice maps of the Weyl antisymmetry check are
+    built once per call: φ conjugates the data and every forcing sample,
+    and every sample is checked against the same maps.
     """
     if t <= 0:
         raise InvalidTime(f"duhamel_solve needs t > 0, got {t}")
     if steps < 8 or steps % 2 != 0:
         raise ValueError("steps must be an even integer >= 8")
     grid = field.grid
-    mats, sgn = rs.weyl_matrices(), rs.weyl_signs()
+    phi = denominator_on_grid(rs, grid)
+    maps = _weyl_lattice_maps(grid, rs.weyl_matrices(), rs.weyl_signs())
 
     def conjugated_forcing(s: float) -> np.ndarray:
         psi = forcing(s)
         if psi.grid != grid:
             raise ValueError("forcing grid must match the initial grid")
-        psi_phi = conjugated_values(rs, psi)
-        resid = weyl_symmetry_residual(psi_phi, grid, mats, sgn, odd=True)
+        psi_phi = conjugated_with(psi, phi)
+        resid = _mapped_residual(psi_phi, maps, odd=True)
         if resid > _ANTISYMMETRY_TOL:
             raise ForcingNotAntisymmetrizable(
                 f"forcing at s={s:g}: conjugated antisymmetry residual "
@@ -296,7 +302,7 @@ def duhamel_solve(rs: RootSystemSpec, field: BiInvariantField,
             return values
         return _group_evolution(rs, values, grid, tau, GridMode.FIXED, None)[1]
 
-    homogeneous = propagate(conjugated_values(rs, field), t)
+    homogeneous = propagate(conjugated_with(field, phi), t)
     ds = t / steps
     acc = np.zeros(grid.shape, dtype=complex)
     for i in range(steps + 1):

@@ -182,6 +182,14 @@ def conjugated_values(rs: RootSystemSpec, field: BiInvariantField) -> np.ndarray
     return field.values * denominator_on_grid(rs, field.grid)
 
 
+def conjugated_with(field: BiInvariantField, phi: np.ndarray) -> np.ndarray:
+    """conjugated_values with φ = denominator_on_grid(rs, field.grid) given,
+    so that many fields on one grid share one φ."""
+    if field.representation is Representation.CONJUGATED:
+        return field.values
+    return field.values * phi
+
+
 # --- spherical transform --------------------------------------------------------
 
 def _check_oscillation(space: RadialGrid, lam_max: float) -> None:

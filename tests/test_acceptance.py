@@ -6,7 +6,7 @@ import time
 import pytest
 
 from lsg.acceptance import (CRITERIA, PROFILES, AcceptanceRow, core_rows,
-                            serialize_rows)
+                            criterion_eigen_relation, serialize_rows)
 
 SEED = 42
 
@@ -59,3 +59,11 @@ def test_all_rows_serialize_deterministically(suite):
     rows, _ = suite
     assert serialize_rows(rows) == serialize_rows(rows)
     assert len(rows) == 11
+
+
+@pytest.mark.parametrize("seed", range(21))
+def test_eigen_relation_passes_for_every_seed(seed):
+    # criterion 2 draws λ per seed; one with |λ|⁴h²/12 under the rounding
+    # floor ε/h² gave coarse/fine ratios of 2.1-3.3 at seeds 1, 4, 5, 10
+    row = criterion_eigen_relation(PROFILES["full"], seed)
+    assert row.passed, row.details

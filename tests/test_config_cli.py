@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from lsg.config import (RunConfig, load_preset, parse_config, parse_init)
 from lsg.errors import ConfigError
+from lsg.heisenberg import GeodesicParams, geodesic
 
 
 # --- config parsing -------------------------------------------------------------
@@ -240,12 +242,62 @@ def test_cli_spherical_roundtrip_record():
 
 def test_cli_heisenberg_geodesic_csv(tmp_path):
     path = tmp_path / "geo.csv"
-    out = run_cli("heisenberg", "geodesic", "--beta", "0.5", "--tparam",
-                  "1.2", "--smax", "5", "--steps", "50", "--out", str(path))
+    args = ("heisenberg", "geodesic", "--beta", "0.5", "--tparam", "-1.2",
+            "--smax", "5", "--steps", "50")
+    out = run_cli(*args, "--out", str(path))
     assert out.returncode == 0
     lines = path.read_text().splitlines()
     assert lines[0] == "s,x,u,xi"
     assert len(lines) == 51
+    # the rows of one scalar geodesic call per s, formatted as the CLI does
+    rows = []
+    for s in np.linspace(0.0, 5.0, 50):
+        p = geodesic(GeodesicParams(0.5, -1.2, float(s)))
+        rows.append(",".join("%.17g" % v for v in (float(s), p.x, p.u, p.xi)))
+    expected = "s,x,u,xi\n" + "\n".join(rows) + "\n"
+    assert path.read_text() == expected
+    stdout = run_cli(*args).stdout
+    assert stdout[:len(expected)] == expected
+    assert json.loads(stdout[len(expected):])["command"] == \
+        "heisenberg geodesic"
+
+
+def test_cli_heisenberg_zero_tparam_is_config_error():
+    out = run_cli("heisenberg", "geodesic", "--tparam", "0")
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+
+
+def _cli_with_closed_stdout(args, read_first_line, unbuffered):
+    """Run lsg with stdout on a pipe that the reader closes early."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "lsg.cli",
+         *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline() if read_first_line else b""
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return first, err, proc.wait(timeout=120)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_cli_closed_stdout_ends_quietly(unbuffered):
+    # more rows than a pipe holds: the write fails while rows are written
+    first, err, code = _cli_with_closed_stdout(
+        ["spherical", "eval", "--group", "A2", "--grid", "128,10",
+         "--lambda", "0.9,1.4"], read_first_line=True, unbuffered=unbuffered)
+    assert first == b"h0,h1,re,im\n"
+    assert (code, err) == (141, b"")
+    # the pipe closed before anything is written: buffered output fails at
+    # the final flush, unbuffered output at its first write
+    first, err, code = _cli_with_closed_stdout(
+        ["hardy-check", "--euclid", "1", "--grid", "2048,12",
+         "--init", "gaussian:a=1,chirp=-0.25", "--t0", "1"],
+        read_first_line=False, unbuffered=unbuffered)
+    assert (code, err) == (141, b"")
 
 
 def test_cli_decay_fit_summary():

@@ -9,6 +9,7 @@ from lsg.estimates import (decay_exponent_fit, strichartz_inhomogeneous_check,
 from lsg.grids import (BiInvariantField, GridMode, RadialGrid, Representation,
                        l2_norm)
 from lsg.propagator import (gaussian_profile, group_propagate_closed_form)
+from lsg.rootsystem import build_root_system
 from lsg.spherical import conjugated_values, denominator_on_grid
 
 
@@ -91,6 +92,56 @@ def test_strichartz_stabilizes(a1):
     f = gaussian_profile(grid, 1.0)
     seq = strichartz_norm(a1, f, 1.5, refinements=3, dyadic_levels=5)
     assert abs(seq[-1] - seq[-2]) / seq[-1] <= 0.02
+
+
+def _strichartz_norm_conjugating_per_propagation(rs, field, t_max,
+                                                 refinements, dyadic_levels):
+    """strichartz_norm with the unit-mass data passed PLAIN, so every time
+    node conjugates it again inside group_propagate_closed_form."""
+    q = float(strichartz_pair(rs.rank)[1])
+    g = conjugated_values(rs, field)
+    mass = l2_norm(g, field.grid)
+    unit = BiInvariantField(field.grid, field.values / mass,
+                            field.representation)
+    g_unit = g / mass
+    cache = {}
+
+    def integrand(t):
+        if t == 0.0:
+            return float((np.abs(g_unit) ** q).sum()
+                         * field.grid.cell_volume())
+        if t not in cache:
+            res = group_propagate_closed_form(rs, unit, t, GridMode.SCALED)
+            vals = conjugated_values(rs, res.field)
+            cache[t] = float((np.abs(vals) ** q).sum()
+                             * res.field.grid.cell_volume())
+        return cache[t]
+
+    edges = [t_max / 2.0**j for j in range(dyadic_levels + 1)][::-1]
+    head = 0.5 * edges[0] * (integrand(0.0) + integrand(edges[0]))
+
+    def simpson(a, b, panels):
+        xs = np.linspace(a, b, panels + 1)
+        ys = np.array([integrand(x) for x in xs])
+        w = np.ones(panels + 1)
+        w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+        return float((b - a) / panels / 3.0 * (w * ys).sum())
+
+    out = []
+    for r in range(refinements):
+        total = head + sum(simpson(a, b, 2 ** (r + 1))
+                           for a, b in zip(edges[:-1], edges[1:]))
+        out.append(total ** (1.0 / q))
+    return out
+
+
+@pytest.mark.parametrize("name,n,box", [("A1", 256, 12.0), ("A2", 64, 8.0)])
+def test_strichartz_norm_equals_per_propagation_conjugation(name, n, box):
+    rs = build_root_system(name)
+    f = gaussian_profile(RadialGrid(rs.rank, box, n), 1.1, 0.2)
+    got = strichartz_norm(rs, f, 1.0, refinements=2, dyadic_levels=4)
+    ref = _strichartz_norm_conjugating_per_propagation(rs, f, 1.0, 2, 4)
+    assert got == ref
 
 
 def test_inhomogeneous_scaling_invariance(a1):

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from lsg.errors import GridTooSmall
-from lsg.grids import (RadialGrid, boundary_tail, fourier_at, fourier_native,
-                       lq_norm, require_tail, support_radius,
-                       weyl_symmetry_residual)
+from lsg.grids import (BiInvariantField, RadialGrid, Representation,
+                       _mapped_residual, _weyl_lattice_maps, boundary_tail,
+                       fourier_at, fourier_native, lq_norm, require_tail,
+                       support_radius, weyl_symmetry_residual)
+from lsg.rootsystem import build_root_system
+from lsg.spherical import conjugated_values
 
 
 def test_grid_basic_properties():
@@ -169,3 +172,51 @@ def test_weyl_symmetry_residual_b2(b2):
     mats, signs = b2.weyl_matrices(), b2.weyl_signs()
     assert weyl_symmetry_residual(invariant, grid, mats, signs,
                                   odd=False) <= 1e-13
+
+
+def _residual_by_node_lookup(values, grid, matrices, signs, odd):
+    """Oracle for weyl_symmetry_residual: map every node H to sH, keep the
+    elements that send all nodes onto the lattice, look v(sH) up by index."""
+    n, h, half = grid.points_per_axis, grid.spacing, grid.half_width
+    nodes = grid.nodes()
+    flat = values.ravel()
+    scale = np.abs(flat).max()
+    worst = 0.0
+    for mat, sgn in zip(matrices, signs):
+        k = (nodes @ mat.T + half) / h
+        idx = np.rint(k)
+        if np.abs(k - idx).max() > 1e-9:
+            continue
+        inside = np.all((idx >= 0) & (idx < n), axis=1)
+        mapped = values[tuple(idx[inside].astype(int).T)]
+        target = (sgn if odd else 1.0) * flat[inside]
+        worst = max(worst, float(np.abs(mapped - target).max() / scale))
+    return worst
+
+
+@pytest.mark.parametrize("name,n,box", [("A1", 64, 8.0), ("A2", 48, 7.0),
+                                        ("B2", 48, 7.0), ("G2", 48, 7.0),
+                                        ("A1xA1", 32, 6.0)])
+def test_weyl_symmetry_residual_prebuilt_maps_match_fresh(name, n, box):
+    rs = build_root_system(name)
+    grid = RadialGrid(rs.rank, box, n)
+    mats, signs = rs.weyl_matrices(), rs.weyl_signs()
+    maps = _weyl_lattice_maps(grid, mats, signs)
+    assert len(maps) >= 2           # identity and a nontrivial element
+    rsq = grid.radius_sq()
+    even = np.exp(-rsq).astype(complex)
+    odd = conjugated_values(
+        rs, BiInvariantField(grid, even, Representation.PLAIN))
+    shifted = np.exp(-sum((m - 0.7) ** 2 for m in grid.meshes()))
+    residuals = {}
+    for label, v in (("even", even), ("odd", odd), ("shifted", shifted)):
+        for parity in (False, True):
+            fresh = weyl_symmetry_residual(v, grid, mats, signs, odd=parity)
+            assert _mapped_residual(v, maps, parity) == fresh
+            assert fresh == _residual_by_node_lookup(v, grid, mats, signs,
+                                                     parity)
+            residuals[label, parity] = fresh
+    assert residuals["even", False] <= 1e-13
+    assert residuals["odd", True] <= 1e-13
+    assert residuals["even", True] > 0.5 and residuals["odd", False] > 0.5
+    assert min(residuals["shifted", False], residuals["shifted", True]) > 0.1

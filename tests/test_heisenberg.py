@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lsg.errors import EvaluationAtSingularity
 from lsg.heisenberg import (GeodesicParams, cutlocus_distance, geodesic,
-                            heat_integrand, heat_kernel, projection_residual,
-                            schrodinger_integrand, singularities)
+                            geodesic_coords, heat_integrand, heat_kernel,
+                            projection_residual, schrodinger_integrand,
+                            singularities)
 
 
 # --- heat integrand -----------------------------------------------------------
@@ -149,6 +150,42 @@ def test_projection_radius_is_inverse_t():
     dists = [np.hypot(p.x - center[0], p.u - center[1]) for p in pts]
     assert np.ptp(dists) <= 1e-12
     assert dists[0] == pytest.approx(1.0 / t)
+
+
+def _scalar_loop_residual(beta, t, s_samples, square):
+    """The circle residual from one scalar `geodesic` call per sample."""
+    worst = 0.0
+    for s in s_samples:
+        p = geodesic(GeodesicParams(beta, t, float(s)))
+        lhs = (square(p.x - np.cos(beta) / t)
+               + square(p.u + np.sin(beta) / t))
+        worst = max(worst, abs(lhs - 1.0 / (t * t)))
+    return float(worst)
+
+
+@given(st.floats(0, 2 * np.pi), st.floats(0.2, 4.0), st.booleans())
+@example(0.9, 1e6, False)        # the large-t conditioning case
+@example(0.9, 1e6, True)
+def test_projection_residual_matches_scalar_loop(beta, t_mag, flip):
+    t = -t_mag if flip else t_mag
+    s = np.linspace(0.0, 10.0, 200)
+    got = projection_residual(beta, t, s)
+    assert got == _scalar_loop_residual(beta, t, s, lambda v: v * v)
+    # a scalar loop squaring by pow(v, 2) may differ from v*v in the
+    # last bit of a square, so by at most a few ulp of 1/t²
+    by_pow = _scalar_loop_residual(beta, t, s, lambda v: v ** 2)
+    assert abs(got - by_pow) <= 4.0 * np.finfo(float).eps / (t * t)
+
+
+def test_geodesic_coords_match_scalar_geodesic():
+    s = np.linspace(-3.0, 12.0, 301)
+    for beta, t in ((0.0, 1.0), (2.2, -0.7), (5.9, 1e6), (1.1, 1e-3)):
+        x, u, xi = geodesic_coords(beta, t, s)
+        for i, si in enumerate(s):
+            p = geodesic(GeodesicParams(beta, t, float(si)))
+            assert (p.x, p.u, p.xi) == (x[i], u[i], xi[i])
+    with pytest.raises(ValueError):
+        geodesic_coords(0.3, 0.0, s)
 
 
 def test_projection_conditioning_at_large_t():

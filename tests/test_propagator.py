@@ -455,6 +455,71 @@ def test_duhamel_manufactured_solution_fourth_order(a1):
     assert 10.0 <= ratio <= 26.0
 
 
+def _duhamel_conjugating_per_propagation(rs, field, forcing, t, steps):
+    """duhamel_solve's composite Simpson with φ and the Weyl lattice maps
+    rebuilt for every sample: the data and each forcing sample go through
+    conjugated_values and weyl_symmetry_residual on their own."""
+    grid = field.grid
+    mats, sgn = rs.weyl_matrices(), rs.weyl_signs()
+
+    def propagate(values, tau):
+        if tau == 0.0:
+            return values
+        g = BiInvariantField(grid, values, Representation.CONJUGATED)
+        return group_propagate_closed_form(rs, g, tau, GridMode.FIXED
+                                           ).field.values
+
+    def conjugated_forcing(s):
+        psi_phi = conjugated_values(rs, forcing(s))
+        assert weyl_symmetry_residual(psi_phi, grid, mats, sgn,
+                                      odd=True) <= 1e-8
+        return psi_phi
+
+    homogeneous = propagate(conjugated_values(rs, field), t)
+    ds = t / steps
+    acc = np.zeros(grid.shape, dtype=complex)
+    for i in range(steps + 1):
+        s = i * ds
+        w = 1.0 if i in (0, steps) else (4.0 if i % 2 == 1 else 2.0)
+        acc += w * propagate(conjugated_forcing(s), t - s)
+    return homogeneous + 1j * (acc * (ds / 3.0))
+
+
+@pytest.mark.parametrize("name,n,box", [("A1", 256, 8.0), ("A2", 96, 8.0)])
+def test_duhamel_equals_per_propagation_conjugation(name, n, box):
+    rs = build_root_system(name)
+    grid = RadialGrid(rs.rank, box, n)
+    f = gaussian_profile(grid, 1.2)
+    base = gaussian_profile(grid, 2.0, 0.3)
+
+    def forcing(s):
+        return base.with_values(0.8 * np.exp(0.9j * s) * base.values)
+
+    got = duhamel_solve(rs, f, forcing, 1.0, steps=8).field.values
+    ref = _duhamel_conjugating_per_propagation(rs, f, forcing, 1.0, 8)
+    assert np.array_equal(got, ref)
+
+
+def test_duhamel_builds_phi_and_lattice_maps_once(a1, monkeypatch):
+    import lsg.propagator as prop
+    calls = {"phi": 0, "maps": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(prop, "denominator_on_grid",
+                        counted("phi", prop.denominator_on_grid))
+    monkeypatch.setattr(prop, "_weyl_lattice_maps",
+                        counted("maps", prop._weyl_lattice_maps))
+    grid = RadialGrid(1, 8.0, 256)
+    f = gaussian_profile(grid, 1.0)
+    duhamel_solve(a1, f, lambda s: f, 1.0, steps=16)
+    assert calls == {"phi": 1, "maps": 1}
+
+
 def test_duhamel_rejects_non_antisymmetrizable_forcing(a1):
     grid = RadialGrid(1, 12.0, 1024)
     f = gaussian_profile(grid, 1.0)
