@@ -40,6 +40,7 @@ from .spherical import (roundtrip_error, spherical_function_field,
                         spherical_transform)
 
 _FLOAT_FMT = "%.17g"
+_CSV_BLOCK = 1 << 16      # rows per block of column-wise CSV formatting
 
 
 @dataclass
@@ -59,18 +60,31 @@ class ResultRecord:
             sort_keys=True)
 
 
-def _fmt(x) -> str:
-    if x is None or (isinstance(x, float) and not np.isfinite(x)):
-        return ""
-    return _FLOAT_FMT % x
+def _cells(column) -> list[str]:
+    """A column's CSV cells: %.17g, empty for a non-finite value; an array
+    of strings passes through as formatted already."""
+    column = np.asarray(column)
+    if column.dtype.kind == "U":
+        return column.tolist()
+    cells = list(map(_FLOAT_FMT.__mod__, column.tolist()))
+    if column.dtype.kind == "f":
+        for i in np.flatnonzero(~np.isfinite(column)):
+            cells[i] = ""
+    return cells
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _emit_csv(stream, header: list[str], blocks) -> None:
+    """The header line, then each block (a list of equal-length columns)
+    formatted a column at a time and written as rows."""
+    stream.write(",".join(header) + "\n")
+    for block in blocks:
+        cells = [_cells(c) for c in block]
+        stream.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+
+
+def _write_csv(path: str, header: list[str], blocks) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, (int, float))
-                              else str(v) for v in row) + "\n")
+        _emit_csv(fh, header, blocks)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -124,10 +138,15 @@ def _cmd_rootsys(args) -> ResultRecord:
 
 
 def _field_csv_rows(grid: RadialGrid, *columns):
-    nodes = grid.nodes()
+    """CSV blocks of a field: the node coordinates, then `columns` raveled
+    in C order, _CSV_BLOCK rows at a time. The axis is formatted once."""
+    axis = np.array(_cells(grid.axis))
     cols = [np.asarray(c).ravel() for c in columns]
-    for i in range(len(nodes)):
-        yield [*(float(x) for x in nodes[i]), *(c[i] for c in cols)]
+    size = grid.points_per_axis ** grid.rank
+    for lo in range(0, size, _CSV_BLOCK):
+        rows = np.arange(lo, min(lo + _CSV_BLOCK, size))
+        yield ([axis[i] for i in np.unravel_index(rows, grid.shape)]
+               + [c[rows] for c in cols])
 
 
 def _cmd_spherical(args) -> ResultRecord:
@@ -171,9 +190,7 @@ def _cmd_spherical(args) -> ResultRecord:
         _write_csv(args.out, header, rows)
         artifacts.append(args.out)
     elif header:
-        sys.stdout.write(",".join(header) + "\n")
-        for row in rows:
-            sys.stdout.write(",".join(_fmt(v) for v in row) + "\n")
+        _emit_csv(sys.stdout, header, rows)
     return ResultRecord(f"spherical {args.action}",
                         {"group": rs.name, "grid": [n, box]},
                         scalars, artifacts)
@@ -286,7 +303,8 @@ def _cmd_decay_fit(args) -> ResultRecord:
     artifacts = []
     if args.out:
         _write_csv(args.out, ["t", "weighted_norm"],
-                   [[r.t, r.weighted_norm] for r in reports])
+                   [([r.t for r in reports],
+                     [r.weighted_norm for r in reports])])
         artifacts.append(args.out)
     summary = {"slope": float(slope), "target": float(target),
                "tolerance": tol, "passed": bool(passed), "p": args.p}
@@ -309,7 +327,7 @@ def _cmd_strichartz(args) -> ResultRecord:
     artifacts = []
     if args.out:
         _write_csv(args.out, ["level", "spacetime_norm"],
-                   [[i, v] for i, v in enumerate(seq)])
+                   [(np.arange(len(seq)), seq)])
         artifacts.append(args.out)
     summary = {"p": f"{p_adm}", "q": f"{q_adm}", "levels": [float(v) for v in seq],
                "cauchy": float(cauchy), "passed": bool(passed)}
@@ -318,28 +336,41 @@ def _cmd_strichartz(args) -> ResultRecord:
                         summary, artifacts)
 
 
+def _require_positive(value: float, flag: str) -> None:
+    if not (np.isfinite(value) and value > 0):
+        raise ConfigError(f"{flag} must be positive and finite, got {value}")
+
+
 def _cmd_heisenberg(args) -> ResultRecord:
     scalars: dict = {}
     artifacts: list[str] = []
+    if args.steps < 0:
+        raise ConfigError(f"--steps must be >= 0, got {args.steps}")
+    if args.action != "geodesic":
+        _require_positive(args.t, "--t")
     if args.action == "geodesic":
         if args.tparam == 0:
             raise ConfigError("--tparam must be nonzero")
         s = np.linspace(0.0, args.smax, args.steps)
-        rows = np.column_stack(
-            (s, *geodesic_coords(args.beta, args.tparam, s))).tolist()
+        rows = [(s, *geodesic_coords(args.beta, args.tparam, s))]
         header = ["s", "x", "u", "xi"]
     elif args.action == "integrand":
-        rows = []
+        if not np.isfinite(args.lmax):
+            raise ConfigError(f"--lmax must be finite, got {args.lmax}")
         k_max = max(1, int(args.lmax * args.t / np.pi))
-        for lam in np.linspace(-args.lmax, args.lmax, args.steps):
+        lams = np.linspace(-args.lmax, args.lmax, args.steps)
+        vals = np.full(lams.shape, complex(np.nan, np.nan))
+        for i, lam in enumerate(lams):
             try:
-                v = schrodinger_integrand(float(lam), args.x, args.u, args.t)
-                rows.append([float(lam), v.real, v.imag, abs(v)])
+                vals[i] = schrodinger_integrand(float(lam), args.x, args.u,
+                                                args.t)
             except LsgError:
-                rows.append([float(lam), np.nan, np.nan, np.nan])
+                pass
+        rows = [(lams, vals.real, vals.imag, [abs(v) for v in vals])]
         header = ["lambda", "re", "im", "abs"]
         scalars["singularities"] = singularities(args.t, k_max)
     else:  # heat
+        _require_positive(args.tol, "--tol")
         v = heat_kernel(args.x, args.u, args.xi, args.t, args.tol)
         scalars.update({"re": float(v.real), "im": float(v.imag),
                         "tol": args.tol})
@@ -348,9 +379,7 @@ def _cmd_heisenberg(args) -> ResultRecord:
         _write_csv(args.out, header, rows)
         artifacts.append(args.out)
     elif header:
-        sys.stdout.write(",".join(header) + "\n")
-        for row in rows:
-            sys.stdout.write(",".join(_fmt(v) for v in row) + "\n")
+        _emit_csv(sys.stdout, header, rows)
     if scalars:
         sys.stdout.write(json.dumps(scalars, sort_keys=True) + "\n")
     return ResultRecord(f"heisenberg {args.action}", {}, scalars, artifacts)

@@ -73,6 +73,12 @@ class RadialGrid:
     def meshes(self) -> list[np.ndarray]:
         return list(np.meshgrid(*([self.axis] * self.rank), indexing="ij"))
 
+    def broadcast_axes(self) -> list[np.ndarray]:
+        """The axis once per dimension, the d-th shaped to vary along axis
+        d only; sums and products of them broadcast to the grid's shape."""
+        return [self.axis.reshape((-1,) + (1,) * (self.rank - 1 - d))
+                for d in range(self.rank)]
+
     def nodes(self) -> np.ndarray:
         """All nodes as an (N^rank, rank) array, C-ordered."""
         return np.stack([m.ravel() for m in self.meshes()], axis=-1)
@@ -80,8 +86,8 @@ class RadialGrid:
     def radius_sq(self) -> np.ndarray:
         """|x|^2 at every node, shape = self.shape."""
         out = np.zeros(self.shape)
-        for m in self.meshes():
-            out += m * m
+        for x in self.broadcast_axes():
+            out += x * x
         return out
 
     def cell_volume(self) -> float:

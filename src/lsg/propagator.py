@@ -62,16 +62,22 @@ def gaussian_profile(grid: RadialGrid, rate: float,
     return BiInvariantField(grid, vals.astype(complex), Representation.PLAIN)
 
 
+def _outer_power(factor: np.ndarray, rank: int) -> np.ndarray:
+    """f(x_1)·…·f(x_l) on a rank-l grid from the 1-D samples f(axis)."""
+    out = factor
+    for _ in range(rank - 1):
+        out = np.multiply.outer(out, factor)
+    return out
+
+
 def _chirp(grid: RadialGrid, t: float, sign: int = +1) -> np.ndarray:
     """e^{±i|H|²/4t} on the grid, the outer product of rank 1-D chirps.
 
     The per-axis angle x²/4t is reduced mod 2π before exponentiation.
     """
-    axis = np.exp(sign * 1j * np.mod(grid.axis**2 / (4.0 * t), 2.0 * np.pi))
-    out = axis
-    for _ in range(grid.rank - 1):
-        out = np.multiply.outer(out, axis)
-    return out
+    return _outer_power(
+        np.exp(sign * 1j * np.mod(grid.axis**2 / (4.0 * t), 2.0 * np.pi)),
+        grid.rank)
 
 
 def _chirp_sandwich(values: np.ndarray, grid: RadialGrid, t: float,
@@ -253,9 +259,9 @@ def group_propagate_spectral(rs: RootSystemSpec, field: BiInvariantField,
                 f"spectral spacing {spectral_grid.spacing:.3g} exceeds "
                 f"pi/(4 t lambda_max) = {limit:.3g}")
     spec = spherical_transform(rs, field, spectral_grid)
-    rho_sq = float(rs.rho @ rs.rho)
-    lam_sq = spectral_grid.radius_sq()
-    phase = np.exp(-1j * t * (lam_sq + rho_sq))
+    # e^{-it(|λ|²+|ρ|²)} as an outer product of 1-D phases
+    phase = _outer_power(np.exp(-1j * t * spectral_grid.axis**2), rs.rank)
+    phase *= np.exp(-1j * t * float(rs.rho @ rs.rho))
     uphi = synthesize_conjugated(rs, spec, [out_grid.axis] * rs.rank,
                                  extra_phase=phase)
     result = BiInvariantField(out_grid, uphi, Representation.CONJUGATED)

@@ -15,6 +15,16 @@ ordinary Fourier transform of the antisymmetric conjugate g = f·φ:
 Synthesis against the Plancherel density |c(λ)|⁻² dλ likewise collapses,
 with the global constant κ = (2π)^{-l}/|W|² of the Euclidean inverse
 Fourier transform on the rank-l Cartan subalgebra.
+
+Weyl's denominator identity turns the |W| sum into a product over the
+positive roots,
+
+    φ(H) = Π_{α>0} 2·sinh(α(H)/2),
+
+so φ, π(λ) and both wall masks (chamber walls in H, Weyl walls in λ) come
+from the root pairings ⟨α,H⟩ alone; on a grid each pairing is a sum of
+1-D axes. Only the numerator A_λ of φ_λ keeps the Weyl sum: it has no
+product form. The tests keep the sum as the oracle for φ.
 """
 
 from __future__ import annotations
@@ -27,14 +37,68 @@ from .grids import (BiInvariantField, RadialGrid, Representation,
                     SpectralField, fourier_at, l2_norm, require_tail)
 from .rootsystem import RootSystemSpec
 
-WALL_RTOL = 1e-8          # |φ| below this fraction of its scale counts as wall
+WALL_RTOL = 1e-8          # |φ| below this fraction of its scale e^m is wall
 _SPECTRAL_WALL_TOL = 1e-9
 
 
-# --- denominator and density -------------------------------------------------
+# --- root pairings: φ, π and both wall masks ----------------------------------
 
-def _rho_orbit(rs: RootSystemSpec) -> tuple[np.ndarray, np.ndarray]:
-    return rs.orbit(rs.rho), rs.weyl_signs()
+def _root_pairings(rs: RootSystemSpec, h) -> list[np.ndarray]:
+    """⟨α, H⟩ for each positive root α, at stacked H (..., rank) or at
+    every node of a RadialGrid.
+
+    On a grid each pairing is Σ_d α_d·x_d over the axes α touches, 1-D
+    axes broadcast against each other, so a product system's roots touch
+    only their own factor's axes and nothing grows to N^l × |Σ₊|.
+    """
+    if isinstance(h, RadialGrid):
+        axes = h.broadcast_axes()
+        return [sum(a[d] * axes[d] for d in np.flatnonzero(a))
+                for a in rs.positive_roots]
+    h = np.asarray(h, dtype=float)
+    return [h @ a for a in rs.positive_roots]
+
+
+def _pi_of(pairs: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+    """Π of the pairings, accumulated in place in one array of `shape`."""
+    out = np.ones(shape)
+    for pair in pairs:
+        out *= pair
+    return out
+
+
+def _spectral_wall(rs: RootSystemSpec, pairs: list[np.ndarray],
+                   lam_norm: np.ndarray) -> np.ndarray:
+    """True where some |⟨λ,α⟩| < 1e-9·max(1, |λ||α|)."""
+    norms = np.linalg.norm(rs.positive_roots, axis=-1)
+    wall = np.zeros(np.shape(lam_norm), dtype=bool)
+    for pair, r in zip(pairs, norms):
+        scale = np.maximum(1.0, lam_norm * r)
+        wall |= np.abs(pair) < _SPECTRAL_WALL_TOL * scale
+    return wall
+
+
+def _scaled_denominator(rs: RootSystemSpec, h
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(e^{-m}·φ(H), m, wall) at stacked H (..., rank) or on a RadialGrid.
+
+    Weyl's denominator identity φ(H) = Π_{α>0} 2·sinh(α(H)/2) gives, with
+    m = ½·Σ_{α>0}|α(H)| = max_s ⟨sρ,H⟩,
+
+        e^{-m}·φ(H) = Π_{α>0} sgn(α(H))·(1 − e^{−|α(H)|}),
+
+    which neither cancels nor overflows. `wall` is the chamber-wall rule
+    |e^{-m}·φ(H)| < 1e-8: there the Weyl sum's cancellation eats more
+    than ~8 digits of its scale e^m, and division by φ is unsafe.
+    """
+    shape = h.shape if isinstance(h, RadialGrid) else np.shape(h)[:-1]
+    phi, m = np.ones(shape), np.zeros(shape)
+    for pair in _root_pairings(rs, h):
+        size = np.abs(pair)
+        m += size
+        phi *= -np.expm1(-size) * np.sign(pair)
+    m *= 0.5
+    return phi, m, np.abs(phi) < WALL_RTOL
 
 
 def weyl_denominator(rs: RootSystemSpec, h) -> np.ndarray | float:
@@ -55,29 +119,14 @@ def density(rs: RootSystemSpec, h) -> np.ndarray | float:
 
 
 def denominator_on_grid(rs: RootSystemSpec, grid: RadialGrid) -> np.ndarray:
-    return np.asarray(
-        weyl_denominator(rs, grid.nodes())).reshape(grid.shape)
-
-
-def _scaled_denominator(rs: RootSystemSpec, h
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(e^{-m}·φ(H), m, wall) for stacked H (..., rank), m = max_s ⟨sρ,H⟩.
-
-    The scaled sum never overflows. `wall` is the chamber-wall rule:
-    |φ(H)| < 1e-8 · Σ_s e^{⟨sρ,H⟩}, where the sum's cancellation eats more
-    than ~8 digits and division by φ is unsafe.
-    """
-    orbit, signs = _rho_orbit(rs)
-    expo = np.asarray(h, dtype=float) @ orbit.T
-    m = expo.max(axis=-1)
-    terms = np.exp(expo - m[..., None])
-    phi = terms @ signs
-    return phi, m, np.abs(phi) < WALL_RTOL * terms.sum(axis=-1)
+    phi, m, _ = _scaled_denominator(rs, grid)
+    phi *= np.exp(m, out=m)
+    return phi
 
 
 def wall_mask(rs: RootSystemSpec, grid: RadialGrid) -> np.ndarray:
     """Grid nodes on the chamber-wall band (see _scaled_denominator)."""
-    return _scaled_denominator(rs, grid.nodes())[2].reshape(grid.shape)
+    return _scaled_denominator(rs, grid)[2]
 
 
 # --- c-function ---------------------------------------------------------------
@@ -85,19 +134,15 @@ def wall_mask(rs: RootSystemSpec, grid: RadialGrid) -> np.ndarray:
 def pi_product(rs: RootSystemSpec, mu) -> np.ndarray | float:
     """π(μ) = Π_{α∈Σ₊} ⟨μ, α⟩, vectorized over stacked μ."""
     mu = np.asarray(mu, dtype=float)
-    scalar = mu.ndim == 1
-    val = np.prod(mu @ rs.positive_roots.T, axis=-1)
-    return float(val) if scalar else val
+    val = _pi_of(_root_pairings(rs, mu), mu.shape[:-1])
+    return float(val) if mu.ndim == 1 else val
 
 
 def _is_spectral_singular(rs: RootSystemSpec, lam: np.ndarray) -> np.ndarray:
     """True where some ⟨λ,α⟩ vanishes to tolerance (λ on a Weyl wall)."""
     lam = np.asarray(lam, dtype=float)
-    pair = lam @ rs.positive_roots.T                      # (..., m)
-    scale = np.maximum(
-        1.0, np.linalg.norm(lam, axis=-1, keepdims=True)
-        * np.linalg.norm(rs.positive_roots, axis=-1))
-    return np.any(np.abs(pair) < _SPECTRAL_WALL_TOL * scale, axis=-1)
+    return _spectral_wall(rs, _root_pairings(rs, lam),
+                          np.linalg.norm(lam, axis=-1))
 
 
 def c_function(rs: RootSystemSpec, lam) -> complex:
@@ -136,7 +181,7 @@ def spherical_function(rs: RootSystemSpec, lam, h) -> np.ndarray | complex:
 
     Raises ChamberWallEvaluation when a nonzero H sits so close to a
     chamber wall that the quotient's cancellation would eat more than
-    ~8 digits (|φ(H)| below 1e-8 times the local term scale).
+    ~8 digits (|φ(H)| below 1e-8·e^m, m = max_s ⟨sρ,H⟩).
     """
     c = c_function(rs, lam)
     h = np.asarray(h, dtype=float)
@@ -168,11 +213,11 @@ def to_plain(rs: RootSystemSpec, field: BiInvariantField) -> BiInvariantField:
     """Divide by φ, as e^{-m}·(u·φ) over e^{-m}·φ; wall nodes become NaN."""
     if field.representation is Representation.PLAIN:
         return field
-    phi, m, wall = (a.reshape(field.grid.shape)
-                    for a in _scaled_denominator(rs, field.grid.nodes()))
-    keep = ~wall
-    vals = np.full(field.grid.shape, np.nan, dtype=complex)
-    vals[keep] = field.values[keep] * np.exp(-m[keep]) / phi[keep]
+    phi, m, wall = _scaled_denominator(rs, field.grid)
+    phi[wall] = 1.0
+    vals = field.values * np.exp(-m)
+    vals /= phi
+    vals[wall] = np.nan
     return field.with_values(vals, Representation.PLAIN)
 
 
@@ -216,9 +261,9 @@ def spherical_transform(rs: RootSystemSpec, field: BiInvariantField,
     _check_oscillation(field.grid, spectral_grid.half_width)
 
     ghat = fourier_at(g, field.grid, [spectral_grid.axis] * rs.rank, sign=-1)
-    lam_nodes = spectral_grid.nodes()
-    singular = _is_spectral_singular(rs, lam_nodes).reshape(spectral_grid.shape)
-    pi_vals = np.asarray(pi_product(rs, lam_nodes)).reshape(spectral_grid.shape)
+    pairs = _root_pairings(rs, spectral_grid)
+    singular = _spectral_wall(rs, pairs, np.sqrt(spectral_grid.radius_sq()))
+    pi_vals = _pi_of(pairs, spectral_grid.shape)
     m = rs.n_positive
     # c(-λ) = π(ρ)·i^m / π(λ) for real λ
     coef = np.zeros(spectral_grid.shape, dtype=complex)
@@ -260,8 +305,7 @@ def synthesize_conjugated(rs: RootSystemSpec, spectral: SpectralField,
     """
     kappa = plancherel_constant(rs)
     m = rs.n_positive
-    pi_vals = np.asarray(
-        pi_product(rs, spectral.grid.nodes())).reshape(spectral.grid.shape)
+    pi_vals = _pi_of(_root_pairings(rs, spectral.grid), spectral.grid.shape)
     integrand = pi_vals * spectral.values
     if extra_phase is not None:
         integrand = integrand * extra_phase
@@ -318,8 +362,7 @@ def radial_laplacian(rs: RootSystemSpec, field: BiInvariantField,
         raise ValueError("spacing override does not match the field's grid")
     if field.grid.points_per_axis < 5:
         raise ValueError("need at least 3 interior points per axis")
-    phi, m, wall = (a.reshape(field.grid.shape)
-                    for a in _scaled_denominator(rs, field.grid.nodes()))
+    phi, m, wall = _scaled_denominator(rs, field.grid)
     g = field.values * phi
     lap = np.full(field.grid.shape, np.nan, dtype=complex)
     core = (slice(1, -1),) * rs.rank

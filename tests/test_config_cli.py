@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from lsg.config import (RunConfig, load_preset, parse_config, parse_init)
 from lsg.errors import ConfigError
+from lsg.grids import RadialGrid
 from lsg.heisenberg import GeodesicParams, geodesic
 
 
@@ -359,3 +360,53 @@ def test_programmatic_run_reproduce(tmp_path):
                  profile="quick")
     assert record.scalars["failed"] == 0
     assert (tmp_path / "rows" / "acceptance.jsonl").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ("geodesic", "--steps", "-1"),
+    ("integrand", "--t", "0"),
+    ("heat", "--t", "0"),
+    ("heat", "--tol", "0"),
+    ("integrand", "--lmax", "nan"),
+])
+def test_cli_heisenberg_bad_numbers_are_config_errors(args):
+    out = run_cli("heisenberg", *args)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert json.loads(out.stderr.strip())["error"] == "ConfigError"
+
+
+def _row_wise_csv(header, rows):
+    """The per-value CSV formatter the column-wise writer replaces."""
+    def cell(x):
+        if isinstance(x, float) and not np.isfinite(x):
+            return ""
+        return "%.17g" % x
+    return ",".join(header) + "\n" + "".join(
+        ",".join(map(cell, row)) + "\n" for row in rows)
+
+
+def test_field_csv_is_byte_identical_to_row_wise(tmp_path, monkeypatch):
+    from lsg import cli
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 7)   # rows span several blocks
+    grid = RadialGrid(2, 3.0, 6)
+    vals = np.exp(-grid.radius_sq()) * (1.0 + 0.3j) / 3.0
+    vals[0, 1] = np.nan
+    vals[2, 3] = complex(np.inf, -0.0)
+    vals[4, 4] = complex(-0.0, -np.inf)
+    mask = (grid.radius_sq() < 1.0).astype(int)
+    header = ["h0", "h1", "re", "im", "singular"]
+    path = tmp_path / "field.csv"
+    cli._write_csv(str(path), header, cli._field_csv_rows(
+        grid, vals.real, vals.imag, mask))
+    nodes = grid.nodes()
+    rows = [(*map(float, nodes[i]), vals.real.ravel()[i],
+             vals.imag.ravel()[i], int(mask.ravel()[i]))
+            for i in range(len(nodes))]
+    assert path.read_text() == _row_wise_csv(header, rows)
+    # the stdout path writes the same text
+    import io
+    buf = io.StringIO()
+    cli._emit_csv(buf, header, cli._field_csv_rows(
+        grid, vals.real, vals.imag, mask))
+    assert buf.getvalue() == path.read_text()

@@ -417,3 +417,116 @@ def test_to_plain_does_not_overflow_on_wide_grids(a1):
     # φ_λ on the same grid divides through to_plain as well
     phi_lam = spherical_function_field(a1, np.array([1.0]), grid).values
     assert np.isfinite(phi_lam[h != 0.0]).all()
+
+
+# --- product form of φ and π against the Weyl sums ----------------------------
+
+def weyl_sum_scaled(rs, nodes):
+    """Test-side oracle: (Σ_s det(s)e^{⟨sρ,H⟩−M}, Σ_s e^{⟨sρ,H⟩−M}, M) with
+    M = max_s⟨sρ,H⟩, the |W| sum the product form replaces."""
+    expo = nodes @ rs.orbit(rs.rho).T
+    top = expo.max(axis=-1)
+    terms = np.exp(expo - top[:, None])
+    return terms @ rs.weyl_signs(), terms.sum(axis=-1), top
+
+
+def sum_rule_wall(rs, grid, chunk=1 << 15):
+    """The sum-based chamber-wall rule |φ| < 1e-8·Σ_s e^{⟨sρ,H⟩}, node by
+    node, in chunks so the N^l × |W| terms stay small."""
+    nodes = grid.nodes()
+    out = np.empty(len(nodes), dtype=bool)
+    for lo in range(0, len(nodes), chunk):
+        phi, scale, _ = weyl_sum_scaled(rs, nodes[lo:lo + chunk])
+        out[lo:lo + chunk] = np.abs(phi) < 1e-8 * scale
+    return out.reshape(grid.shape)
+
+
+PRODUCT_SYSTEMS = ["A1", "A2", "B2", "G2", "A1xA1", "A1xA2", "A2xA2",
+                   "A1xA1xA1"]
+
+
+@pytest.mark.parametrize("normalization", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("name", PRODUCT_SYSTEMS)
+def test_product_denominator_matches_weyl_sum(name, normalization):
+    from lsg.rootsystem import build_root_system
+    from lsg.spherical import _scaled_denominator
+    rs = build_root_system(name, normalization=normalization)
+    rng = np.random.default_rng(7)
+    nodes = rng.uniform(-4.0, 4.0, (400, rs.rank))
+    phi_sum, scale, top = weyl_sum_scaled(rs, nodes)
+    phi, m, _ = _scaled_denominator(rs, nodes)
+    assert np.abs(m - top).max() <= 1e-13 * max(1.0, np.abs(top).max())
+    assert np.all(np.abs(phi * np.exp(m - top) - phi_sum) <= 1e-13 * scale)
+    # the unscaled value and the grid path agree with the same sum
+    plain = np.asarray(weyl_denominator(rs, nodes))
+    assert np.all(np.abs(plain * np.exp(-top) - phi_sum) <= 1e-13 * scale)
+    grid = RadialGrid(rs.rank, 3.0, 8 if rs.rank > 2 else 24)
+    phi_sum, scale, top = weyl_sum_scaled(rs, grid.nodes())
+    on_grid = denominator_on_grid(rs, grid).ravel()
+    assert np.all(np.abs(on_grid * np.exp(-top) - phi_sum) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("name,n,box", [
+    ("A1", 512, 12.0), ("A1", 2048, 12.0), ("A1", 4096, 12.0),
+    ("A2", 128, 10.0), ("A2", 256, 10.0), ("B2", 96, 9.0), ("G2", 96, 9.0),
+    ("G2", 192, 9.0), ("A1xA1", 128, 10.0), ("A1xA2", 48, 8.0),
+    ("A2xA2", 32, 7.0)])
+def test_wall_mask_equals_the_sum_rule(name, n, box):
+    from lsg.rootsystem import build_root_system
+    rs = build_root_system(name)
+    grid = RadialGrid(rs.rank, box, n)
+    mask = wall_mask(rs, grid)
+    assert mask.shape == grid.shape
+    assert np.array_equal(mask, sum_rule_wall(rs, grid))
+    # every wall node on these lattices is an exact zero of φ
+    assert np.all(denominator_on_grid(rs, grid)[mask] == 0.0)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A1xA1"])
+def test_separable_pi_and_spectral_mask_match_stacked(name):
+    from lsg.rootsystem import build_root_system
+    from lsg.spherical import (_is_spectral_singular, _pi_of,
+                               _root_pairings, _spectral_wall)
+    rs = build_root_system(name)
+    sgrid = RadialGrid(rs.rank, 10.0, 512 if rs.rank == 1 else 96)
+    nodes = sgrid.nodes()
+    pairs = _root_pairings(rs, sgrid)
+    stacked = np.asarray(pi_product(rs, nodes)).reshape(sgrid.shape)
+    separable = _pi_of(pairs, sgrid.shape)
+    bound = np.prod(np.linalg.norm(rs.positive_roots, axis=-1)) \
+        * (np.sqrt(sgrid.radius_sq()) + 1.0) ** rs.n_positive
+    assert np.all(np.abs(separable - stacked) <= 1e-14 * bound)
+    singular = _spectral_wall(rs, pairs, np.sqrt(sgrid.radius_sq()))
+    expected = _is_spectral_singular(rs, nodes).reshape(sgrid.shape)
+    assert singular.any() and np.array_equal(singular, expected)
+    # the transform's singular_mask is the same separable mask
+    field = gaussian_profile(RadialGrid(rs.rank, 9.0, 96 if rs.rank == 2
+                                        else 512), 1.0)
+    spec = spherical_transform(rs, field, RadialGrid(rs.rank, 5.0, 32))
+    assert np.array_equal(
+        spec.singular_mask,
+        _is_spectral_singular(rs, spec.grid.nodes()).reshape(spec.grid.shape))
+
+
+def test_phi_paths_keep_memory_per_node_small():
+    """φ, the wall mask and to_plain on A2xA2 never hold N^l × |W| (36) or
+    N^l × |Σ₊| (6) arrays: their peak stays a few complex fields."""
+    import tracemalloc
+    from lsg.rootsystem import build_root_system
+    rs = build_root_system("A2xA2")
+    grid = RadialGrid(4, 7.0, 20)
+    field_bytes = 16 * 20**4
+    uphi = BiInvariantField(grid, np.ones(grid.shape, dtype=complex),
+                            Representation.CONJUGATED)
+    tracemalloc.start()
+    try:
+        for run in (lambda: denominator_on_grid(rs, grid),
+                    lambda: wall_mask(rs, grid),
+                    lambda: to_plain(rs, uphi)):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            peak = tracemalloc.get_traced_memory()[1] - base
+            assert peak <= 3 * field_bytes, (run, peak / field_bytes)
+    finally:
+        tracemalloc.stop()
