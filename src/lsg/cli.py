@@ -41,6 +41,7 @@ from .spherical import (roundtrip_error, spherical_function_field,
 
 _FLOAT_FMT = "%.17g"
 _CSV_BLOCK = 1 << 16      # rows per block of column-wise CSV formatting
+_SINGULARITIES_SHOWN = 16   # kπ/t values in a heisenberg integrand record
 
 
 @dataclass
@@ -357,7 +358,11 @@ def _cmd_heisenberg(args) -> ResultRecord:
     elif args.action == "integrand":
         if not np.isfinite(args.lmax):
             raise ConfigError(f"--lmax must be finite, got {args.lmax}")
-        k_max = max(1, int(args.lmax * args.t / np.pi))
+        reach = args.lmax * args.t / np.pi
+        if not np.isfinite(reach):
+            raise ConfigError(f"--lmax {args.lmax:g} times --t {args.t:g} "
+                              "overflows")
+        k_max = max(1, int(reach))
         lams = np.linspace(-args.lmax, args.lmax, args.steps)
         vals = np.full(lams.shape, complex(np.nan, np.nan))
         for i, lam in enumerate(lams):
@@ -368,7 +373,11 @@ def _cmd_heisenberg(args) -> ResultRecord:
                 pass
         rows = [(lams, vals.real, vals.imag, [abs(v) for v in vals])]
         header = ["lambda", "re", "im", "abs"]
-        scalars["singularities"] = singularities(args.t, k_max)
+        # the first few kπ/t; past them only their count, never the list
+        scalars["singularities"] = singularities(
+            args.t, min(k_max, _SINGULARITIES_SHOWN))
+        if k_max > _SINGULARITIES_SHOWN:
+            scalars["singularity_count"] = k_max
     else:  # heat
         _require_positive(args.tol, "--tol")
         v = heat_kernel(args.x, args.u, args.xi, args.t, args.tol)

@@ -63,6 +63,8 @@ def decay_exponent_fit(rs: RootSystemSpec, field: BiInvariantField, p: float,
 
     Needs at least five times spanning a decade, all in the asymptotic
     regime (t ≥ 1 by default convention). Returns (slope, target, reports).
+    The data is conjugated once and propagated as a CONJUGATED field, so
+    no time rebuilds φ.
     """
     times = sorted(float(t) for t in times)
     if len(times) < 5 or times[-1] < 10.0 * times[0]:
@@ -71,9 +73,11 @@ def decay_exponent_fit(rs: RootSystemSpec, field: BiInvariantField, p: float,
     if not 1 <= p <= 2:
         raise UnsupportedExponent(f"decay estimate covers 1 <= p <= 2, got {p}")
     q = conjugate_exponent(p)
+    g = field.with_values(conjugated_values(rs, field),
+                          Representation.CONJUGATED)
     reports = []
     for t in times:
-        result = group_propagate_closed_form(rs, field, t, mode=GridMode.SCALED)
+        result = group_propagate_closed_form(rs, g, t, mode=GridMode.SCALED)
         value = weighted_norm(rs, result, q)
         reports.append(NormReport(t, p, q, value,
                                   _grid_descriptor(result.field.grid)))
@@ -163,11 +167,14 @@ def strichartz_inhomogeneous_check(rs: RootSystemSpec,
                                    time_panels: int = 4) -> dict:
     """Ratio of the forced solution's space-time norm to the data norm.
 
-    LHS: (∫₀ᵀ ‖uφ(t)‖_q^q dt)^{1/q} with u from the Duhamel solver.
+    LHS: (∫₀ᵀ ‖uφ(t)‖_q^q dt)^{1/q}, composite Simpson over `time_panels`
+    panels, with u at every nonzero node from one multi-time call of the
+    Duhamel solver (each node keeps its own `steps`-panel s-integral).
     RHS: ‖f‖_{L²(G)} + (∫₀ᵀ ‖ψφ(s)‖_p^p ds)^{1/p}.
     The constant in the bound is not pinned down; across a seeded family
     only uniform boundedness of the ratio is meaningful. φ on the grid is
-    built once per call, for the mass and every ψ·φ norm.
+    built once here, for the mass and every ψ·φ norm, and once in the
+    solver.
     """
     p_frac, q_frac = strichartz_pair(rs.rank)
     p, q = float(p_frac), float(q_frac)
@@ -177,18 +184,16 @@ def strichartz_inhomogeneous_check(rs: RootSystemSpec,
     phi = denominator_on_grid(rs, grid)
     g = conjugated_with(field, phi)
 
-    def solution_power(t: float) -> float:
-        if t == 0.0:
-            vals = g
-        else:
-            vals = duhamel_solve(rs, field, forcing, t, steps).field.values
+    def power(vals: np.ndarray) -> float:
         return float((np.abs(vals) ** q).sum() * grid.cell_volume())
 
     ts = np.linspace(0.0, t_max, time_panels + 1)
     w = np.ones(time_panels + 1)
     w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+    solutions = [g] + [r.field.values for r in
+                       duhamel_solve(rs, field, forcing, ts[1:], steps)]
     lhs_q = float(t_max / time_panels / 3.0
-                  * sum(wi * solution_power(t) for wi, t in zip(w, ts)))
+                  * sum(wi * power(v) for wi, v in zip(w, solutions)))
     lhs = lhs_q ** (1.0 / q)
 
     mass = lq_norm(g, grid, 2.0)

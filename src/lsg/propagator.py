@@ -19,6 +19,14 @@ multiplier e^{itΔ}g = ifft(e^{-it|ξ|²}·fft(g)) on the input grid,
 zero-padded to hold u(t) (at most about 3× the box per axis). FIXED always
 runs the sandwich, evaluated at the caller's uniform output grid by
 chirp-z, O((N+M) log(N+M)) per axis, grid-aligned for time series.
+
+Duhamel's formula u(t) = S(t)f + i∫₀ᵗ S(t-s)ψ(s) ds needs S(τ) only on
+the input grid. There the FIXED sandwich's chirps multiply out,
+e^{i|x_j|²/4τ}·e^{-i⟨x_j,x_k⟩/2τ}·e^{i|x_k|²/4τ} = e^{i|x_j - x_k|²/4τ},
+so S(τ) is a linear convolution with the sampled free kernel: the same
+trapezoid sum, computed by a zero-padded FFT. Being linear, every
+Simpson node of every output time is summed in the frequency domain
+before one inverse FFT per time (`duhamel_solve`).
 """
 
 from __future__ import annotations
@@ -31,8 +39,9 @@ import numpy as np
 from .errors import (ForcingNotAntisymmetrizable, GridTooSmall, InvalidTime,
                      UnderResolvedPhase)
 from .grids import (BiInvariantField, GridMode, Method, RadialGrid,
-                    Representation, _mapped_residual, _weyl_lattice_maps,
-                    fourier_at, fourier_native, require_tail, support_radius)
+                    Representation, _fast_fft_length, _mapped_residual,
+                    _weyl_lattice_maps, fourier_at, fourier_native,
+                    require_tail, support_radius)
 from .rootsystem import RootSystemSpec
 from .spherical import (conjugated_values, conjugated_with,
                         denominator_on_grid, spherical_transform,
@@ -133,15 +142,21 @@ def _free_evolution(values: np.ndarray, grid: RadialGrid, t: float,
     the data's edge, picks the regime: SCALED runs the sandwich up to π and
     the multiplier beyond it; FIXED refuses beyond 2π."""
     y_sup = max(support_radius(values, grid), grid.spacing)
-    step = grid.spacing * y_sup / t
-    if mode is GridMode.SCALED and step > np.pi:
+    if mode is GridMode.SCALED and grid.spacing * y_sup / t > np.pi:
         return _multiplier(values, grid, t, y_sup)
-    if mode is GridMode.FIXED and step > 2.0 * np.pi:
+    if mode is GridMode.FIXED:
+        _fixed_chirp_guard(grid, y_sup, t)
+    out, core = _chirp_sandwich(values, grid, t, mode, out_grid)
+    return out, _free_constant(grid.rank) * core
+
+
+def _fixed_chirp_guard(grid: RadialGrid, y_sup: float, t: float) -> None:
+    """GridTooSmall where h·y_sup/t > 2π: the FIXED sandwich's chirp is not
+    resolved on data supported within y_sup."""
+    if grid.spacing * y_sup / t > 2.0 * np.pi:
         raise GridTooSmall(
             f"grid spacing {grid.spacing:.3g} cannot resolve the t={t:g} "
             "chirp on the data support; use SCALED mode or refine")
-    out, core = _chirp_sandwich(values, grid, t, mode, out_grid)
-    return out, _free_constant(grid.rank) * core
 
 
 # --- Euclidean propagator -----------------------------------------------------
@@ -270,55 +285,131 @@ def group_propagate_spectral(rs: RootSystemSpec, field: BiInvariantField,
 
 # --- forced equation (Duhamel) -----------------------------------------------------
 
-def duhamel_solve(rs: RootSystemSpec, field: BiInvariantField,
-                  forcing, t: float, steps: int) -> PropagationResult:
+def _free_kernel_spectrum(grid: RadialGrid, t: float, size: int) -> np.ndarray:
+    """FFT of the sampled free kernel e^{i(h·m)²/4t}, |m| < N, wrapped onto
+    `size` ≥ 2N − 1 points, so that a product with the spectrum of data
+    zero-padded to `size` is their linear convolution on the input grid.
+
+    The angle (h·m)²/4t is reduced mod 2π before exponentiation.
+    """
+    n = grid.points_per_axis
+    half = np.exp(1j * np.mod((grid.spacing * np.arange(n)) ** 2 / (4.0 * t),
+                              2.0 * np.pi))
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:n] = half
+    kernel[size - n + 1:] = half[:0:-1]
+    return np.fft.fft(kernel)
+
+
+def duhamel_solve(rs: RootSystemSpec, field: BiInvariantField, forcing,
+                  t, steps: int) -> PropagationResult | list[PropagationResult]:
     """Solve -i u_t - Δu = ψ via u(t) = S(t)f + i ∫₀ᵗ S(t-s) ψ(s) ds.
 
-    `forcing` maps a time s to a BiInvariantField on the initial grid.
-    The s-integral is composite Simpson (`steps` even panels, ≥ 8), each
-    S(t-s) evaluated by the closed form on the fixed grid; S(0) is the
-    identity. Fourth-order in the time step.
+    `forcing` maps a time s to a BiInvariantField on the initial grid, and
+    is called once per distinct s. `t` is one time, giving one result, or
+    a 1-D sequence of times, giving one result per time in order. Each
+    time's s-integral is its own composite Simpson rule (`steps` even
+    panels, ≥ 8, on [0, t]); S(0) is the identity. Fourth-order in the
+    time step.
+
+    On its own input grid the FIXED closed form of S(τ) is the trapezoid
+    sum τ^{-l/2}·h^l·e^{-iτ|ρ|²}·(4πi)^{-l/2}·Σ_k e^{i|x_j - x_k|²/4τ}·g_k,
+    the chirp–Fourier–chirp sandwich with its chirps multiplied out: a
+    linear convolution with the sampled free kernel, separable per axis.
+    With the data zero-padded to a length ≥ 2N − 1 per axis the whole
+    solve is one pass in the frequency domain: one forward FFT per
+    distinct sample (the data and each ψ(s)), one kernel spectrum per
+    distinct τ, and per output time a weighted sum of kernel-times-sample
+    spectra and one inverse FFT. The τ = 0 endpoint is added in space.
 
     φ on the grid and the lattice maps of the Weyl antisymmetry check are
-    built once per call: φ conjugates the data and every forcing sample,
-    and every sample is checked against the same maps.
+    built once per call. Every sample is checked for antisymmetry and
+    every (sample, τ) pair against the FIXED chirp-resolution guard, in
+    the order a separate solve per time would meet them.
     """
-    if t <= 0:
-        raise InvalidTime(f"duhamel_solve needs t > 0, got {t}")
+    single = np.ndim(t) == 0
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("t must be a time or a non-empty 1-D sequence")
+    times = [float(x) for x in times]
+    for tk in times:
+        if not tk > 0:
+            raise InvalidTime(f"duhamel_solve needs t > 0, got {tk}")
     if steps < 8 or steps % 2 != 0:
         raise ValueError("steps must be an even integer >= 8")
     grid = field.grid
     phi = denominator_on_grid(rs, grid)
     maps = _weyl_lattice_maps(grid, rs.weyl_matrices(), rs.weyl_signs())
+    size = _fast_fft_length(2 * grid.points_per_axis - 1)
+    padded, axes = (size,) * grid.rank, tuple(range(grid.rank))
+    rho_sq = float(rs.rho @ rs.rho)
+    free = _free_constant(grid.rank) * grid.cell_volume()
 
-    def conjugated_forcing(s: float) -> np.ndarray:
-        psi = forcing(s)
-        if psi.grid != grid:
-            raise ValueError("forcing grid must match the initial grid")
-        psi_phi = conjugated_with(psi, phi)
-        resid = _mapped_residual(psi_phi, maps, odd=True)
-        if resid > _ANTISYMMETRY_TOL:
-            raise ForcingNotAntisymmetrizable(
-                f"forcing at s={s:g}: conjugated antisymmetry residual "
-                f"{resid:.2e}")
-        return psi_phi
+    # per time, its Simpson nodes s; per distinct s, the (time index,
+    # i·w·ds/3, τ = t - s) of every node at s
+    schedule = [[i * (tk / steps) for i in range(steps + 1)] for tk in times]
+    uses: dict[float, list[tuple[int, complex, float]]] = {}
+    for k, (tk, nodes) in enumerate(zip(times, schedule)):
+        for i, s in enumerate(nodes):
+            w = 1.0 if i in (0, steps) else (4.0 if i % 2 == 1 else 2.0)
+            uses.setdefault(s, []).append((k, 1j * w * (tk / steps) / 3.0,
+                                           tk - s))
 
-    def propagate(values: np.ndarray, tau: float) -> np.ndarray:
-        if tau == 0.0:
-            return values
-        return _group_evolution(rs, values, grid, tau, GridMode.FIXED, None)[1]
+    acc = np.zeros((len(times),) + padded, dtype=complex)
+    endpoint = np.zeros((len(times),) + grid.shape, dtype=complex)
+    kernels: dict[float, np.ndarray] = {}
 
-    homogeneous = propagate(conjugated_with(field, phi), t)
-    ds = t / steps
-    acc = np.zeros(grid.shape, dtype=complex)
-    for i in range(steps + 1):
-        s = i * ds
-        w = 1.0 if i in (0, steps) else (4.0 if i % 2 == 1 else 2.0)
-        acc += w * propagate(conjugated_forcing(s), t - s)
-    integral = acc * (ds / 3.0)
-    total = homogeneous + 1j * integral
-    result = BiInvariantField(grid, total, Representation.CONJUGATED)
-    return PropagationResult(result, t, Method.CLOSED_FORM, GridMode.FIXED)
+    def add(spec: np.ndarray, k: int, w: complex, tau: float) -> None:
+        if tau not in kernels:
+            kernels[tau] = _free_kernel_spectrum(grid, tau, size)
+        coef = w * free * tau ** (-grid.rank / 2.0) * np.exp(-1j * tau * rho_sq)
+        acc[k] += (coef * _outer_power(kernels[tau], grid.rank)) * spec
+
+    g = conjugated_with(field, phi)
+    g_sup = max(support_radius(g, grid), grid.spacing)
+    g_spec = np.fft.fftn(g, s=padded, axes=axes)
+    for k, tk in enumerate(times):
+        add(g_spec, k, 1.0, tk)
+    del g_spec
+    y_sup: dict[float, float] = {}
+    for k, tk in enumerate(times):
+        _fixed_chirp_guard(grid, g_sup, tk)
+        for s in schedule[k]:
+            if s not in y_sup:
+                psi_phi = _checked_forcing(forcing, s, grid, phi, maps)
+                y_sup[s] = max(support_radius(psi_phi, grid), grid.spacing)
+                spec = np.fft.fftn(psi_phi, s=padded, axes=axes)
+                for kk, w, tt in uses[s]:
+                    if tt == 0.0:
+                        endpoint[kk] += w * psi_phi
+                    else:
+                        add(spec, kk, w, tt)
+                del spec
+            if s != tk:
+                _fixed_chirp_guard(grid, y_sup[s], tk - s)
+    crop = (slice(0, grid.points_per_axis),) * grid.rank
+    results = []
+    for k, tk in enumerate(times):
+        total = np.fft.ifftn(acc[k])[crop] + endpoint[k]
+        out = BiInvariantField(grid, total, Representation.CONJUGATED)
+        results.append(PropagationResult(out, tk, Method.CLOSED_FORM,
+                                         GridMode.FIXED))
+    return results[0] if single else results
+
+
+def _checked_forcing(forcing, s: float, grid: RadialGrid, phi: np.ndarray,
+                     maps) -> np.ndarray:
+    """ψ(s)·φ, after checking its grid and its Weyl antisymmetry."""
+    psi = forcing(s)
+    if psi.grid != grid:
+        raise ValueError("forcing grid must match the initial grid")
+    psi_phi = conjugated_with(psi, phi)
+    resid = _mapped_residual(psi_phi, maps, odd=True)
+    if resid > _ANTISYMMETRY_TOL:
+        raise ForcingNotAntisymmetrizable(
+            f"forcing at s={s:g}: conjugated antisymmetry residual "
+            f"{resid:.2e}")
+    return psi_phi
 
 
 def plain_magnitude(rs: RootSystemSpec, result: PropagationResult) -> np.ndarray:

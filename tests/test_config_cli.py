@@ -376,6 +376,42 @@ def test_cli_heisenberg_bad_numbers_are_config_errors(args):
     assert json.loads(out.stderr.strip())["error"] == "ConfigError"
 
 
+def _integrand_scalars(*args):
+    out = run_cli("heisenberg", "integrand", "--steps", "3", *args)
+    assert out.returncode == 0, out.stderr
+    line, record = out.stdout.splitlines()[-2:]
+    assert json.loads(record)["scalars"] == json.loads(line)
+    return line, len(out.stdout.encode())
+
+
+@pytest.mark.parametrize("t", ["1", "6"])
+def test_cli_heisenberg_integrand_record_lists_few_singularities(t):
+    # --lmax 8: k_max = 2 and 15, every value shown as before
+    line, _ = _integrand_scalars("--t", t)
+    k_max = int(8.0 * float(t) / np.pi)
+    assert line == json.dumps(
+        {"singularities": [k * np.pi / float(t) for k in range(1, k_max + 1)]},
+        sort_keys=True)
+
+
+@pytest.mark.parametrize("t", ["1e5", "1e12"])
+def test_cli_heisenberg_integrand_record_is_bounded(t):
+    line, size = _integrand_scalars("--t", t)
+    assert size < 4096
+    scalars = json.loads(line)
+    assert scalars["singularity_count"] == int(8.0 * float(t) / np.pi)
+    assert scalars["singularities"] == [k * np.pi / float(t)
+                                        for k in range(1, 17)]
+
+
+def test_cli_heisenberg_integrand_overflow_is_config_error():
+    out = run_cli("heisenberg", "integrand", "--t", "1e300", "--lmax",
+                  "1e300", "--steps", "3")
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert json.loads(out.stderr.strip())["error"] == "ConfigError"
+
+
 def _row_wise_csv(header, rows):
     """The per-value CSV formatter the column-wise writer replaces."""
     def cell(x):

@@ -62,6 +62,28 @@ def test_decay_fit_rank1(a1):
     assert abs(slope2) <= 0.02
 
 
+def test_decay_fit_conjugates_once(a2, monkeypatch):
+    import lsg.spherical as spherical
+    grid = RadialGrid(2, 8.0, 48)
+    f = gaussian_profile(grid, 1.0)
+    times = list(np.geomspace(1.0, 10.0, 5))
+    q = np.inf
+    per_time = [weighted_norm(a2, group_propagate_closed_form(
+        a2, f, t, GridMode.SCALED), q) for t in times]
+    calls = []
+    real = spherical.denominator_on_grid
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(spherical, "denominator_on_grid", counted)
+    _, _, reports = decay_exponent_fit(a2, f, 1.0, times)
+    assert len(calls) == 1
+    # propagating the CONJUGATED field reads the same bits per time
+    assert [r.weighted_norm for r in reports] == per_time
+
+
 def test_decay_fit_needs_decade(a1, a1_grid):
     f = gaussian_profile(a1_grid, 1.0)
     with pytest.raises(InsufficientTimes):
@@ -157,6 +179,22 @@ def test_inhomogeneous_scaling_invariance(a1):
     out2 = strichartz_inhomogeneous_check(a1, doubled, zero, 1.0)
     assert out1["forcing_norm"] == 0.0
     assert out2["ratio"] == pytest.approx(out1["ratio"], rel=1e-8)
+
+
+def test_inhomogeneous_check_solves_once(a1, monkeypatch):
+    import lsg.estimates as estimates
+    times = []
+    real = estimates.duhamel_solve
+
+    def counted(rs, field, forcing, t, steps):
+        times.append(list(t))
+        return real(rs, field, forcing, t, steps)
+
+    monkeypatch.setattr(estimates, "duhamel_solve", counted)
+    grid = RadialGrid(1, 8.0, 512)
+    f = gaussian_profile(grid, 1.0)
+    strichartz_inhomogeneous_check(a1, f, lambda s: f, 1.5, time_panels=4)
+    assert times == [[0.375, 0.75, 1.125, 1.5]]
 
 
 def test_inhomogeneous_stable_under_grid_refinement(a1):

@@ -497,7 +497,89 @@ def test_duhamel_equals_per_propagation_conjugation(name, n, box):
 
     got = duhamel_solve(rs, f, forcing, 1.0, steps=8).field.values
     ref = _duhamel_conjugating_per_propagation(rs, f, forcing, 1.0, 8)
-    assert np.array_equal(got, ref)
+    # the solver convolves with the sampled kernel in one Fourier pass,
+    # the oracle runs a chirp-z sandwich per propagation: the same sums
+    assert relative_l2(got, ref, grid) <= 1e-13
+
+
+@pytest.mark.parametrize("name,n,box,times", [
+    ("A1", 256, 8.0, (0.5, 1.0, 1.5, 2.0)),
+    ("G2", 96, 8.0, (1.5, 2.0)),
+    ("A1xA1", 64, 6.0, (1.0, 2.0)),
+])
+def test_duhamel_multi_time_matches_oracle_and_single_calls(name, n, box,
+                                                            times):
+    rs = build_root_system(name)
+    grid = RadialGrid(rs.rank, box, n)
+    f = gaussian_profile(grid, 1.2)
+    base = gaussian_profile(grid, 2.0, 0.3)
+
+    def forcing(s):
+        return base.with_values(0.8 * np.exp(0.9j * s) * base.values)
+
+    results = duhamel_solve(rs, f, forcing, list(times), steps=8)
+    assert [r.t for r in results] == list(times)
+    for t, result in zip(times, results):
+        single = duhamel_solve(rs, f, forcing, t, steps=8).field.values
+        ref = _duhamel_conjugating_per_propagation(rs, f, forcing, t, 8)
+        assert relative_l2(result.field.values, single, grid) <= 1e-14
+        assert relative_l2(result.field.values, ref, grid) <= 1e-13
+
+
+def test_duhamel_calls_forcing_once_per_distinct_time(a1):
+    grid = RadialGrid(1, 8.0, 256)
+    f = gaussian_profile(grid, 1.0)
+    calls: dict[float, int] = {}
+
+    def forcing(s):
+        calls[s] = calls.get(s, 0) + 1
+        return f
+
+    times = (0.5, 1.0, 1.5)
+    duhamel_solve(a1, f, forcing, times, steps=8)
+    expected = {i * (t / 8) for t in times for i in range(9)}
+    assert set(calls) == expected
+    assert set(calls.values()) == {1}
+    assert len(expected) < 27     # the three rules share nodes
+
+
+def _widening_forcing(grid):
+    """Conjugated forcing whose support grows with s, so that only late
+    samples meet the FIXED chirp guard at small τ."""
+    def forcing(s):
+        rate = 4.0 / (1.0 + 1.5 * s) ** 2
+        vals = grid.axis * np.exp(-rate * grid.axis ** 2)
+        return BiInvariantField(grid, vals.astype(complex),
+                                Representation.CONJUGATED)
+    return forcing
+
+
+def _first_oracle_error(rs, f, forcing, times, steps):
+    for t in times:
+        try:
+            _duhamel_conjugating_per_propagation(rs, f, forcing, t, steps)
+        except GridTooSmall as err:
+            return str(err)
+    return None
+
+
+# (1.75, 0.8, 0.25): the node s = 0.21875 of t = 1.75 is unresolved only
+# as a node of t = 0.25, and t = 0.8 fails first
+@pytest.mark.parametrize("times", [(0.1,), (0.3,), (0.8,), (1.2,), (3.0,),
+                                   (0.3, 0.6, 1.2), (1.2, 0.3),
+                                   (2.0, 0.8, 0.4), (1.75, 0.8, 0.25),
+                                   (1.2, 2.0, 3.0)])
+def test_duhamel_chirp_guard_raises_where_per_propagation_does(a1, times):
+    grid = RadialGrid(1, 16.0, 256)
+    f = gaussian_profile(grid, 4.0)
+    forcing = _widening_forcing(grid)
+    expected = _first_oracle_error(a1, f, forcing, times, 8)
+    if expected is None:
+        duhamel_solve(a1, f, forcing, times, steps=8)
+    else:
+        with pytest.raises(GridTooSmall) as err:
+            duhamel_solve(a1, f, forcing, times, steps=8)
+        assert str(err.value) == expected
 
 
 def test_duhamel_builds_phi_and_lattice_maps_once(a1, monkeypatch):
@@ -518,6 +600,8 @@ def test_duhamel_builds_phi_and_lattice_maps_once(a1, monkeypatch):
     f = gaussian_profile(grid, 1.0)
     duhamel_solve(a1, f, lambda s: f, 1.0, steps=16)
     assert calls == {"phi": 1, "maps": 1}
+    duhamel_solve(a1, f, lambda s: f, [1.0, 1.5, 2.0], steps=16)
+    assert calls == {"phi": 2, "maps": 2}
 
 
 def test_duhamel_rejects_non_antisymmetrizable_forcing(a1):
@@ -532,6 +616,14 @@ def test_duhamel_rejects_non_antisymmetrizable_forcing(a1):
         duhamel_solve(a1, f, lopsided, 1.0, steps=8)
 
 
+def test_duhamel_rejects_forcing_on_another_grid(a1):
+    grid = RadialGrid(1, 12.0, 1024)
+    f = gaussian_profile(grid, 1.0)
+    other = gaussian_profile(RadialGrid(1, 12.0, 512), 1.0)
+    with pytest.raises(ValueError, match="forcing grid"):
+        duhamel_solve(a1, f, lambda s: other, [1.0, 2.0], steps=8)
+
+
 def test_duhamel_step_validation(a1):
     grid = RadialGrid(1, 12.0, 1024)
     f = gaussian_profile(grid, 1.0)
@@ -539,3 +631,8 @@ def test_duhamel_step_validation(a1):
         duhamel_solve(a1, f, lambda s: f, 1.0, steps=4)
     with pytest.raises(InvalidTime):
         duhamel_solve(a1, f, lambda s: f, -1.0, steps=8)
+    with pytest.raises(InvalidTime):
+        duhamel_solve(a1, f, lambda s: f, [1.0, 0.0], steps=8)
+    for bad in ([], [[1.0, 2.0]]):
+        with pytest.raises(ValueError):
+            duhamel_solve(a1, f, lambda s: f, bad, steps=8)
