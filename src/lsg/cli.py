@@ -362,7 +362,7 @@ def _cmd_heisenberg(args) -> ResultRecord:
         if not np.isfinite(reach):
             raise ConfigError(f"--lmax {args.lmax:g} times --t {args.t:g} "
                               "overflows")
-        k_max = max(1, int(reach))
+        k_max = int(reach)      # kπ/t within [-λ_max, λ_max]
         lams = np.linspace(-args.lmax, args.lmax, args.steps)
         vals = np.full(lams.shape, complex(np.nan, np.nan))
         for i, lam in enumerate(lams):
@@ -375,7 +375,7 @@ def _cmd_heisenberg(args) -> ResultRecord:
         header = ["lambda", "re", "im", "abs"]
         # the first few kπ/t; past them only their count, never the list
         scalars["singularities"] = singularities(
-            args.t, min(k_max, _SINGULARITIES_SHOWN))
+            args.t, min(k_max, _SINGULARITIES_SHOWN)) if k_max else []
         if k_max > _SINGULARITIES_SHOWN:
             scalars["singularity_count"] = k_max
     else:  # heat

@@ -10,6 +10,10 @@ Two transform paths share one convention  F(xi) = h^l * sum_k e^{sign*i<xi,x_k>}
 * `fourier_native`  - FFT, output on the dual grid xi_j = (j - N/2)*2pi/(N h)
 * `fourier_at`      - chirp-z (Bluestein), any uniform output axis per axis,
                       O((N+M) log(N+M)) per axis for M output nodes
+
+`fourier_at` runs every FFT along a contiguous last axis: the pre-chirp
+multiply writes each axis last into a zero-padded buffer, both FFTs run in
+place there, and the post-chirp multiply moves the axis back.
 """
 
 from __future__ import annotations
@@ -299,6 +303,13 @@ def fourier_at(values: np.ndarray, grid: RadialGrid,
     three FFTs of a 5-smooth length >= N + M - 1 (Bluestein's chirp-z
     algorithm), O((N+M) log(N+M)); axes with equal (length, first, last)
     share one plan.
+
+    Axis layout: the pre-chirp multiply writes its product, with the
+    transformed axis last, into a C-ordered buffer zero-padded to the FFT
+    length, and both FFTs transform that buffer in place along contiguous
+    memory; the post-chirp multiply puts the axis back in place, C-ordered,
+    for the next axis. The result is C-contiguous and the same to the bit
+    as transforming each axis along its own stride.
     """
     out = np.asarray(values, dtype=complex)
     plans: dict[tuple[int, float, float], tuple] = {}
@@ -309,12 +320,17 @@ def fourier_at(values: np.ndarray, grid: RadialGrid,
         if key not in plans:
             plans[key] = _chirp_z_plan(grid, xi, step, sign)
         pre, kernel_hat, post = plans[key]
+        moved = np.moveaxis(out, ax, -1)
+        spec = np.empty(moved.shape[:-1] + kernel_hat.shape, dtype=complex)
+        np.multiply(moved, pre, out=spec[..., :pre.size])
+        spec[..., pre.size:] = 0.0
+        np.fft.fft(spec, axis=-1, out=spec)
+        spec *= kernel_hat
+        conv = np.fft.ifft(spec, axis=-1, out=spec)[..., :xi.size]
         shape = [1] * out.ndim
         shape[ax] = -1
-        spec = np.fft.fft(out * pre.reshape(shape), n=kernel_hat.size, axis=ax)
-        conv = np.fft.ifft(spec * kernel_hat.reshape(shape), axis=ax)
-        head = (slice(None),) * ax + (slice(0, xi.size),)
-        out = conv[head] * post.reshape(shape)
+        out = np.multiply(np.moveaxis(conv, -1, ax), post.reshape(shape),
+                          order="C")
     return out
 
 

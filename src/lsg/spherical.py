@@ -25,9 +25,17 @@ so φ, π(λ) and both wall masks (chamber walls in H, Weyl walls in λ) come
 from the root pairings ⟨α,H⟩ alone; on a grid each pairing is a sum of
 1-D axes. Only the numerator A_λ of φ_λ keeps the Weyl sum: it has no
 product form. The tests keep the sum as the oracle for φ.
+
+On a spectral grid the transform takes π(λ) and the Weyl-wall mask from
+one pass over the positive roots, with each multi-axis pairing written
+into one reused buffer. The wall rule needs |λ|, which is formed only at
+the wall candidates: nodes where |⟨λ,α⟩| is below the rule's bound at the
+grid's largest |λ|.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -43,23 +51,37 @@ _SPECTRAL_WALL_TOL = 1e-9
 
 # --- root pairings: φ, π and both wall masks ----------------------------------
 
-def _root_pairings(rs: RootSystemSpec, h) -> list[np.ndarray]:
-    """⟨α, H⟩ for each positive root α, at stacked H (..., rank) or at
-    every node of a RadialGrid.
+def _root_pairings(rs: RootSystemSpec, h) -> Iterator[np.ndarray]:
+    """⟨α, H⟩ for each positive root α in turn, at stacked H (..., rank) or
+    at every node of a RadialGrid.
 
     On a grid each pairing is Σ_d α_d·x_d over the axes α touches, 1-D
     axes broadcast against each other, so a product system's roots touch
-    only their own factor's axes and nothing grows to N^l × |Σ₊|.
+    only their own factor's axes and nothing grows to N^l × |Σ₊|. A
+    pairing over one axis stays a broadcast 1-D vector; one over several
+    axes is written into a float buffer shared by every root of that
+    broadcast shape. Each yielded array is scratch: the consumer may
+    overwrite it, and must be done with it before drawing the next.
     """
-    if isinstance(h, RadialGrid):
-        axes = h.broadcast_axes()
-        return [sum(a[d] * axes[d] for d in np.flatnonzero(a))
-                for a in rs.positive_roots]
-    h = np.asarray(h, dtype=float)
-    return [h @ a for a in rs.positive_roots]
+    if not isinstance(h, RadialGrid):
+        h = np.asarray(h, dtype=float)
+        yield from (h @ a for a in rs.positive_roots)
+        return
+    axes = h.broadcast_axes()
+    buffers: dict[tuple[int, ...], np.ndarray] = {}
+    for a in rs.positive_roots:
+        terms = [a[d] * axes[d] for d in np.flatnonzero(a)]
+        if len(terms) == 1:
+            yield sum(terms)
+            continue
+        shape = np.broadcast_shapes(*(t.shape for t in terms))
+        if shape not in buffers:
+            buffers[shape] = np.empty(shape)
+        # the same sum, in the same order, as sum(terms)
+        yield np.add(sum(terms[:-1]), terms[-1], out=buffers[shape])
 
 
-def _pi_of(pairs: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+def _pi_of(pairs: Iterable[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
     """Π of the pairings, accumulated in place in one array of `shape`."""
     out = np.ones(shape)
     for pair in pairs:
@@ -67,7 +89,7 @@ def _pi_of(pairs: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _spectral_wall(rs: RootSystemSpec, pairs: list[np.ndarray],
+def _spectral_wall(rs: RootSystemSpec, pairs: Iterable[np.ndarray],
                    lam_norm: np.ndarray) -> np.ndarray:
     """True where some |⟨λ,α⟩| < 1e-9·max(1, |λ||α|)."""
     norms = np.linalg.norm(rs.positive_roots, axis=-1)
@@ -76,6 +98,41 @@ def _spectral_wall(rs: RootSystemSpec, pairs: list[np.ndarray],
         scale = np.maximum(1.0, lam_norm * r)
         wall |= np.abs(pair) < _SPECTRAL_WALL_TOL * scale
     return wall
+
+
+def _pi_and_spectral_wall(rs: RootSystemSpec, grid: RadialGrid
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """(π(λ), Weyl-wall mask) at every node of a spectral grid, in one pass
+    over the positive roots.
+
+    The mask is `_spectral_wall`'s rule, tested exactly, but only at the
+    nodes where |⟨λ,α⟩| is below the rule's bound at the grid's largest
+    |λ|; |λ| is formed at those candidates alone, summed in the order
+    `RadialGrid.radius_sq` sums it, so the mask is the same to the bit.
+    """
+    shape = grid.shape
+    axis = grid.axis
+    sq = axis * axis
+    # the largest |λ| of any node, rounded as radius_sq rounds that node
+    lam_sup = float(np.sqrt(sum(sq.max() for _ in range(grid.rank))))
+    norms = np.linalg.norm(rs.positive_roots, axis=-1)
+    pi_vals = np.ones(shape)
+    wall = np.zeros(shape, dtype=bool)
+    for pair, r in zip(_root_pairings(rs, grid), norms):
+        pi_vals *= pair
+        size = np.abs(pair, out=pair)
+        near = size < _SPECTRAL_WALL_TOL * max(1.0, lam_sup * r)
+        flat = np.flatnonzero(np.broadcast_to(near, shape))
+        if not flat.size:
+            continue
+        idx = np.unravel_index(flat, shape)
+        lam_sq = np.zeros(idx[0].size)
+        for i in idx:
+            lam_sq += sq[i]
+        scale = np.maximum(1.0, np.sqrt(lam_sq) * r)
+        wall[idx] |= (np.broadcast_to(size, shape)[idx]
+                      < _SPECTRAL_WALL_TOL * scale)
+    return pi_vals, wall
 
 
 def _scaled_denominator(rs: RootSystemSpec, h
@@ -261,15 +318,16 @@ def spherical_transform(rs: RootSystemSpec, field: BiInvariantField,
     _check_oscillation(field.grid, spectral_grid.half_width)
 
     ghat = fourier_at(g, field.grid, [spectral_grid.axis] * rs.rank, sign=-1)
-    pairs = _root_pairings(rs, spectral_grid)
-    singular = _spectral_wall(rs, pairs, np.sqrt(spectral_grid.radius_sq()))
-    pi_vals = _pi_of(pairs, spectral_grid.shape)
+    pi_vals, singular = _pi_and_spectral_wall(rs, spectral_grid)
+    regular = ~singular
     m = rs.n_positive
-    # c(-λ) = π(ρ)·i^m / π(λ) for real λ
-    coef = np.zeros(spectral_grid.shape, dtype=complex)
-    coef[~singular] = (pi_product(rs, rs.rho) * (1j) ** m) / pi_vals[~singular]
-    values = rs.weyl_order * coef * ghat
-    values[singular] = 0.0
+    # c(-λ) = π(ρ)·i^m / π(λ) for real λ; values = |W|·c(-λ)·ĝ, built in
+    # place and left 0 on the walls
+    values = np.zeros(spectral_grid.shape, dtype=complex)
+    np.divide(pi_product(rs, rs.rho) * (1j) ** m, pi_vals, out=values,
+              where=regular)
+    np.multiply(rs.weyl_order, values, out=values)
+    np.multiply(values, ghat, out=values, where=regular)
     return SpectralField(spectral_grid, values, singular)
 
 
@@ -305,13 +363,13 @@ def synthesize_conjugated(rs: RootSystemSpec, spectral: SpectralField,
     """
     kappa = plancherel_constant(rs)
     m = rs.n_positive
-    pi_vals = _pi_of(_root_pairings(rs, spectral.grid), spectral.grid.shape)
-    integrand = pi_vals * spectral.values
+    integrand = (_pi_of(_root_pairings(rs, spectral.grid), spectral.grid.shape)
+                 * spectral.values)
     if extra_phase is not None:
-        integrand = integrand * extra_phase
+        integrand *= extra_phase
     ft = fourier_at(integrand, spectral.grid, out_axes, sign=+1)
     pref = kappa * (-1j) ** m * rs.weyl_order / pi_product(rs, rs.rho)
-    return pref * ft
+    return np.multiply(pref, ft, out=ft)
 
 
 def inverse_spherical_transform(rs: RootSystemSpec, spectral: SpectralField,

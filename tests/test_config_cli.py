@@ -394,6 +394,17 @@ def test_cli_heisenberg_integrand_record_lists_few_singularities(t):
         sort_keys=True)
 
 
+@pytest.mark.parametrize("t, expected", [
+    ("0.1", []),                        # π/t = 31.4 lies past --lmax 8
+    ("0.3926", []),                     # π/t = 8.0021, just outside
+    ("0.3928", [np.pi / 0.3928]),       # π/t = 7.9980, just inside
+])
+def test_cli_heisenberg_integrand_lists_only_sampled_singularities(t,
+                                                                   expected):
+    line, _ = _integrand_scalars("--t", t)
+    assert line == json.dumps({"singularities": expected}, sort_keys=True)
+
+
 @pytest.mark.parametrize("t", ["1e5", "1e12"])
 def test_cli_heisenberg_integrand_record_is_bounded(t):
     line, size = _integrand_scalars("--t", t)

@@ -3,9 +3,10 @@ import pytest
 
 from lsg.errors import GridTooSmall
 from lsg.grids import (BiInvariantField, RadialGrid, Representation,
-                       _mapped_residual, _weyl_lattice_maps, boundary_tail,
-                       fourier_at, fourier_native, lq_norm, require_tail,
-                       support_radius, weyl_symmetry_residual)
+                       _chirp_z_plan, _mapped_residual, _uniform_step,
+                       _weyl_lattice_maps, boundary_tail, fourier_at,
+                       fourier_native, lq_norm, require_tail, support_radius,
+                       weyl_symmetry_residual)
 from lsg.rootsystem import build_root_system
 from lsg.spherical import conjugated_values
 
@@ -100,6 +101,56 @@ def test_fourier_at_matches_dense_rank2(sign):
         got = fourier_at(vals, g, axes, sign)
         assert got.shape == expected.shape
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("sign", [-1, +1])
+def test_fourier_at_matches_dense_rank3(sign):
+    g = RadialGrid(3, 7.0, 24)
+    x, y, z = g.meshes()
+    vals = (np.exp(-(x - 0.4)**2 - 0.6 * y**2 - 1.3 * (z + 0.3)**2)
+            * (1.0 + 0.4j * y - 0.2 * x * z))
+    # M != N on every axis; the middle axis is off-centre, odd and longer
+    axes = [np.linspace(-3.0, 3.0, 17), np.linspace(-1.5, 4.0, 41),
+            np.linspace(-2.0, 2.0, 30)]
+    expected = dense_fourier(vals, g, axes, sign)
+    got = fourier_at(vals, g, axes, sign)
+    assert got.shape == expected.shape == (17, 41, 30)
+    assert got.flags.c_contiguous
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def strided_fourier_at(values, grid, out_axes, sign):
+    """Reference for fourier_at's axis layout: every axis transformed in
+    place along its own, possibly strided, axis."""
+    out = np.asarray(values, dtype=complex)
+    for ax, xi in enumerate(out_axes):
+        xi = np.asarray(xi, dtype=float)
+        pre, kernel_hat, post = _chirp_z_plan(grid, xi, _uniform_step(xi),
+                                              sign)
+        shape = [1] * out.ndim
+        shape[ax] = -1
+        spec = np.fft.fft(out * pre.reshape(shape), n=kernel_hat.size, axis=ax)
+        conv = np.fft.ifft(spec * kernel_hat.reshape(shape), axis=ax)
+        head = (slice(None),) * ax + (slice(0, xi.size),)
+        out = conv[head] * post.reshape(shape)
+    return out
+
+
+@pytest.mark.parametrize("sign", [-1, +1])
+@pytest.mark.parametrize("rank, n, sizes", [
+    (1, 256, (700,)), (1, 256, (201,)), (2, 96, (530, 211)),
+    (2, 96, (564, 564)), (3, 24, (17, 41, 30))])
+def test_fourier_at_equals_strided_axis_loop(sign, rank, n, sizes):
+    rng = np.random.default_rng(rank * 1000 + n)
+    g = RadialGrid(rank, 8.0, n)
+    vals = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    axes = [np.linspace(-5.0 + d, 6.0 - 0.5 * d, m)
+            for d, m in enumerate(sizes)]
+    assert np.array_equal(fourier_at(vals, g, axes, sign),
+                          strided_fourier_at(vals, g, axes, sign))
+    # real input goes through the same complex arithmetic
+    assert np.array_equal(fourier_at(vals.real, g, axes, sign),
+                          strided_fourier_at(vals.real, g, axes, sign))
 
 
 def test_fourier_at_rejects_non_uniform_axis():

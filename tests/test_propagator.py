@@ -235,6 +235,25 @@ def test_spectral_t_zero_is_plain_synthesis(a1):
         <= 1e-12 * np.abs(direct).max()
 
 
+@pytest.mark.parametrize("name", ["A2", "A1xA1"])
+def test_spectral_propagation_is_the_public_composition(name):
+    """group_propagate_spectral is transform, the evolution phase, then
+    synthesis, to the bit."""
+    rs = build_root_system(name)
+    f = gaussian_profile(RadialGrid(2, 9.0, 96), 1.0, 0.1)
+    out = RadialGrid(2, 14.0, 96)
+    t = 0.4
+    sgrid = suggest_spectral_grid(rs, f, t, out.half_width)
+    res = group_propagate_spectral(rs, f, t, out_grid=out)
+    spec = spherical_transform(rs, f, sgrid)
+    phase_1d = np.exp(-1j * t * sgrid.axis**2)
+    phase = np.multiply.outer(phase_1d, phase_1d)
+    phase *= np.exp(-1j * t * float(rs.rho @ rs.rho))
+    composed = synthesize_conjugated(rs, spec, [out.axis] * 2,
+                                     extra_phase=phase)
+    assert np.array_equal(res.field.values, composed)
+
+
 def test_single_mode_phase_factor(a1):
     """Evolution of a single-mode spectrum is the global phase
     e^{-it(|lam0|^2+|rho|^2)}; the |rho|^2 part separates from the

@@ -482,30 +482,63 @@ def test_wall_mask_equals_the_sum_rule(name, n, box):
     assert np.all(denominator_on_grid(rs, grid)[mask] == 0.0)
 
 
-@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A1xA1"])
-def test_separable_pi_and_spectral_mask_match_stacked(name):
+@pytest.mark.parametrize("name, n, half", [
+    pytest.param("A1", 512, 10.0, id="A1"),
+    pytest.param("A2", 96, 10.0, id="A2"),
+    pytest.param("B2", 96, 10.0, id="B2"),
+    pytest.param("G2", 96, 10.0, id="G2"),
+    pytest.param("A1xA1", 96, 10.0, id="A1xA1"),
+    pytest.param("A1xA2", 48, 10.0, id="A1xA2"),
+    # oracle-sized spectral grids: for 96² data on box 9 the oracles draw
+    # about 260-630 nodes per axis at half-widths 12.3-13.8
+    pytest.param("G2", 564, 13.06, id="G2-564"),
+    pytest.param("A2", 808, 12.44, id="A2-808")])
+def test_separable_pi_and_spectral_mask_match_stacked(name, n, half):
     from lsg.rootsystem import build_root_system
-    from lsg.spherical import (_is_spectral_singular, _pi_of,
-                               _root_pairings, _spectral_wall)
+    from lsg.spherical import (_is_spectral_singular, _pi_and_spectral_wall,
+                               _pi_of, _root_pairings)
     rs = build_root_system(name)
-    sgrid = RadialGrid(rs.rank, 10.0, 512 if rs.rank == 1 else 96)
+    sgrid = RadialGrid(rs.rank, half, n)
     nodes = sgrid.nodes()
-    pairs = _root_pairings(rs, sgrid)
+    separable, singular = _pi_and_spectral_wall(rs, sgrid)
     stacked = np.asarray(pi_product(rs, nodes)).reshape(sgrid.shape)
-    separable = _pi_of(pairs, sgrid.shape)
     bound = np.prod(np.linalg.norm(rs.positive_roots, axis=-1)) \
         * (np.sqrt(sgrid.radius_sq()) + 1.0) ** rs.n_positive
     assert np.all(np.abs(separable - stacked) <= 1e-14 * bound)
-    singular = _spectral_wall(rs, pairs, np.sqrt(sgrid.radius_sq()))
+    # synthesis forms π alone from the same pairings
+    assert np.array_equal(_pi_of(_root_pairings(rs, sgrid), sgrid.shape),
+                          separable)
     expected = _is_spectral_singular(rs, nodes).reshape(sgrid.shape)
     assert singular.any() and np.array_equal(singular, expected)
     # the transform's singular_mask is the same separable mask
-    field = gaussian_profile(RadialGrid(rs.rank, 9.0, 96 if rs.rank == 2
-                                        else 512), 1.0)
+    field = gaussian_profile(
+        RadialGrid(rs.rank, 9.0, {1: 512, 2: 96, 3: 40}[rs.rank]), 1.0)
     spec = spherical_transform(rs, field, RadialGrid(rs.rank, 5.0, 32))
     assert np.array_equal(
         spec.singular_mask,
         _is_spectral_singular(rs, spec.grid.nodes()).reshape(spec.grid.shape))
+
+
+@pytest.mark.parametrize("tilt", [3e-9, 5e-10])
+def test_spectral_wall_prefilter_keeps_the_exact_rule(tilt):
+    """The wall rule |⟨λ,α⟩| < 1e-9·max(1, |λ||α|) holds exactly behind the
+    grid-wide candidate bound 1e-9·max(1, λ_sup|α|). No root system's
+    lattice puts a node between the two, so a made-up root (1, tilt) does:
+    on the x = 0 column its pairing is tilt·y. With tilt 3e-9 only
+    |y| < 1/3 is wall, though the whole column passes the bound; with
+    tilt 5e-10 the whole column is wall, out to the box's edge."""
+    from types import SimpleNamespace
+    from lsg.spherical import (_pi_and_spectral_wall, _root_pairings,
+                               _spectral_wall)
+    rs = SimpleNamespace(positive_roots=np.array([[1.0, tilt], [0.0, 1.0]]))
+    sgrid = RadialGrid(2, 12.0, 96)
+    singular = _pi_and_spectral_wall(rs, sgrid)[1]
+    expected = _spectral_wall(rs, _root_pairings(rs, sgrid.nodes()),
+                              np.sqrt(sgrid.radius_sq()).ravel())
+    assert np.array_equal(singular, expected.reshape(sgrid.shape))
+    column = singular[48]               # x = 0
+    y = np.abs(sgrid.axis)
+    assert np.array_equal(column, y < 0.4) if tilt == 3e-9 else column.all()
 
 
 def test_phi_paths_keep_memory_per_node_small():
@@ -523,6 +556,33 @@ def test_phi_paths_keep_memory_per_node_small():
         for run in (lambda: denominator_on_grid(rs, grid),
                     lambda: wall_mask(rs, grid),
                     lambda: to_plain(rs, uphi)):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            peak = tracemalloc.get_traced_memory()[1] - base
+            assert peak <= 3 * field_bytes, (run, peak / field_bytes)
+    finally:
+        tracemalloc.stop()
+
+
+def test_spectral_pair_keeps_memory_per_node_small(g2):
+    """The G2 oracle's transform 96² → 564² and synthesis 564² → 96²
+    peak at a few complex 564² fields: the chirp-z passes, π and the wall
+    mask build no throwaway grid per step."""
+    import tracemalloc
+    field = gaussian_profile(RadialGrid(2, 9.0, 96), 1.0, 0.1)
+    sgrid = RadialGrid(2, 13.06, 564)
+    field_bytes = 16 * 564**2
+    spec = spherical_transform(g2, field, sgrid)
+    phase = np.exp(-0.4j * sgrid.radius_sq())
+    tracemalloc.start()
+    try:
+        for run in (lambda: spherical_transform(g2, field, sgrid),
+                    lambda: synthesize_conjugated(g2, spec,
+                                                  [field.grid.axis] * 2),
+                    lambda: synthesize_conjugated(g2, spec,
+                                                  [field.grid.axis] * 2,
+                                                  extra_phase=phase)):
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             run()
