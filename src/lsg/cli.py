@@ -362,7 +362,7 @@ def _cmd_heisenberg(args) -> ResultRecord:
         if not np.isfinite(reach):
             raise ConfigError(f"--lmax {args.lmax:g} times --t {args.t:g} "
                               "overflows")
-        k_max = int(reach)      # kπ/t within [-λ_max, λ_max]
+        k_max = int(abs(reach))     # kπ/t within [-|λ_max|, |λ_max|]
         lams = np.linspace(-args.lmax, args.lmax, args.steps)
         vals = np.full(lams.shape, complex(np.nan, np.nan))
         for i, lam in enumerate(lams):

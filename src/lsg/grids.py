@@ -324,6 +324,7 @@ def fourier_at(values: np.ndarray, grid: RadialGrid,
         spec = np.empty(moved.shape[:-1] + kernel_hat.shape, dtype=complex)
         np.multiply(moved, pre, out=spec[..., :pre.size])
         spec[..., pre.size:] = 0.0
+        # numpy.fft takes out= from NumPy 2.0 on (pyproject's floor)
         np.fft.fft(spec, axis=-1, out=spec)
         spec *= kernel_hat
         conv = np.fft.ifft(spec, axis=-1, out=spec)[..., :xi.size]

@@ -27,10 +27,8 @@ from the root pairings ⟨α,H⟩ alone; on a grid each pairing is a sum of
 product form. The tests keep the sum as the oracle for φ.
 
 On a spectral grid the transform takes π(λ) and the Weyl-wall mask from
-one pass over the positive roots, with each multi-axis pairing written
-into one reused buffer. The wall rule needs |λ|, which is formed only at
-the wall candidates: nodes where |⟨λ,α⟩| is below the rule's bound at the
-grid's largest |λ|.
+one pass over the positive roots, drawing each pairing once; |λ| is one
+float field, formed before the pass.
 """
 
 from __future__ import annotations
@@ -57,28 +55,15 @@ def _root_pairings(rs: RootSystemSpec, h) -> Iterator[np.ndarray]:
 
     On a grid each pairing is Σ_d α_d·x_d over the axes α touches, 1-D
     axes broadcast against each other, so a product system's roots touch
-    only their own factor's axes and nothing grows to N^l × |Σ₊|. A
-    pairing over one axis stays a broadcast 1-D vector; one over several
-    axes is written into a float buffer shared by every root of that
-    broadcast shape. Each yielded array is scratch: the consumer may
-    overwrite it, and must be done with it before drawing the next.
+    only their own factor's axes and nothing grows to N^l × |Σ₊|. The
+    pairings are formed one root at a time, as the consumer draws them.
     """
-    if not isinstance(h, RadialGrid):
-        h = np.asarray(h, dtype=float)
-        yield from (h @ a for a in rs.positive_roots)
-        return
-    axes = h.broadcast_axes()
-    buffers: dict[tuple[int, ...], np.ndarray] = {}
-    for a in rs.positive_roots:
-        terms = [a[d] * axes[d] for d in np.flatnonzero(a)]
-        if len(terms) == 1:
-            yield sum(terms)
-            continue
-        shape = np.broadcast_shapes(*(t.shape for t in terms))
-        if shape not in buffers:
-            buffers[shape] = np.empty(shape)
-        # the same sum, in the same order, as sum(terms)
-        yield np.add(sum(terms[:-1]), terms[-1], out=buffers[shape])
+    if isinstance(h, RadialGrid):
+        axes = h.broadcast_axes()
+        return (sum(a[d] * axes[d] for d in np.flatnonzero(a))
+                for a in rs.positive_roots)
+    h = np.asarray(h, dtype=float)
+    return (h @ a for a in rs.positive_roots)
 
 
 def _pi_of(pairs: Iterable[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
@@ -89,49 +74,18 @@ def _pi_of(pairs: Iterable[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _spectral_wall(rs: RootSystemSpec, pairs: Iterable[np.ndarray],
-                   lam_norm: np.ndarray) -> np.ndarray:
-    """True where some |⟨λ,α⟩| < 1e-9·max(1, |λ||α|)."""
+def _pi_and_spectral_wall(rs: RootSystemSpec, pairs: Iterable[np.ndarray],
+                          lam_norm: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """(π(λ), wall) in one pass over the pairings ⟨λ,α⟩: their product,
+    and True where some |⟨λ,α⟩| < 1e-9·max(1, |λ||α|)."""
     norms = np.linalg.norm(rs.positive_roots, axis=-1)
+    pi_vals = np.ones(np.shape(lam_norm))
     wall = np.zeros(np.shape(lam_norm), dtype=bool)
     for pair, r in zip(pairs, norms):
+        pi_vals *= pair
         scale = np.maximum(1.0, lam_norm * r)
         wall |= np.abs(pair) < _SPECTRAL_WALL_TOL * scale
-    return wall
-
-
-def _pi_and_spectral_wall(rs: RootSystemSpec, grid: RadialGrid
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """(π(λ), Weyl-wall mask) at every node of a spectral grid, in one pass
-    over the positive roots.
-
-    The mask is `_spectral_wall`'s rule, tested exactly, but only at the
-    nodes where |⟨λ,α⟩| is below the rule's bound at the grid's largest
-    |λ|; |λ| is formed at those candidates alone, summed in the order
-    `RadialGrid.radius_sq` sums it, so the mask is the same to the bit.
-    """
-    shape = grid.shape
-    axis = grid.axis
-    sq = axis * axis
-    # the largest |λ| of any node, rounded as radius_sq rounds that node
-    lam_sup = float(np.sqrt(sum(sq.max() for _ in range(grid.rank))))
-    norms = np.linalg.norm(rs.positive_roots, axis=-1)
-    pi_vals = np.ones(shape)
-    wall = np.zeros(shape, dtype=bool)
-    for pair, r in zip(_root_pairings(rs, grid), norms):
-        pi_vals *= pair
-        size = np.abs(pair, out=pair)
-        near = size < _SPECTRAL_WALL_TOL * max(1.0, lam_sup * r)
-        flat = np.flatnonzero(np.broadcast_to(near, shape))
-        if not flat.size:
-            continue
-        idx = np.unravel_index(flat, shape)
-        lam_sq = np.zeros(idx[0].size)
-        for i in idx:
-            lam_sq += sq[i]
-        scale = np.maximum(1.0, np.sqrt(lam_sq) * r)
-        wall[idx] |= (np.broadcast_to(size, shape)[idx]
-                      < _SPECTRAL_WALL_TOL * scale)
     return pi_vals, wall
 
 
@@ -198,8 +152,8 @@ def pi_product(rs: RootSystemSpec, mu) -> np.ndarray | float:
 def _is_spectral_singular(rs: RootSystemSpec, lam: np.ndarray) -> np.ndarray:
     """True where some ⟨λ,α⟩ vanishes to tolerance (λ on a Weyl wall)."""
     lam = np.asarray(lam, dtype=float)
-    return _spectral_wall(rs, _root_pairings(rs, lam),
-                          np.linalg.norm(lam, axis=-1))
+    return _pi_and_spectral_wall(rs, _root_pairings(rs, lam),
+                                 np.linalg.norm(lam, axis=-1))[1]
 
 
 def c_function(rs: RootSystemSpec, lam) -> complex:
@@ -317,8 +271,10 @@ def spherical_transform(rs: RootSystemSpec, field: BiInvariantField,
     require_tail(g, what="conjugated profile")
     _check_oscillation(field.grid, spectral_grid.half_width)
 
+    pi_vals, singular = _pi_and_spectral_wall(
+        rs, _root_pairings(rs, spectral_grid),
+        np.sqrt(spectral_grid.radius_sq()))
     ghat = fourier_at(g, field.grid, [spectral_grid.axis] * rs.rank, sign=-1)
-    pi_vals, singular = _pi_and_spectral_wall(rs, spectral_grid)
     regular = ~singular
     m = rs.n_positive
     # c(-λ) = π(ρ)·i^m / π(λ) for real λ; values = |W|·c(-λ)·ĝ, built in

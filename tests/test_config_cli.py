@@ -394,14 +394,17 @@ def test_cli_heisenberg_integrand_record_lists_few_singularities(t):
         sort_keys=True)
 
 
-@pytest.mark.parametrize("t, expected", [
-    ("0.1", []),                        # π/t = 31.4 lies past --lmax 8
-    ("0.3926", []),                     # π/t = 8.0021, just outside
-    ("0.3928", [np.pi / 0.3928]),       # π/t = 7.9980, just inside
+@pytest.mark.parametrize("t, lmax, expected", [
+    ("0.1", "8", []),                   # π/t = 31.4 lies past --lmax 8
+    ("0.3926", "8", []),                # π/t = 8.0021, just outside
+    ("0.3928", "8", [np.pi / 0.3928]),  # π/t = 7.9980, just inside
+    # a negative --lmax samples the same interval [-8, 8]
+    ("1", "-8", [np.pi, 2 * np.pi]),
+    ("0.1", "-8", []),
 ])
-def test_cli_heisenberg_integrand_lists_only_sampled_singularities(t,
+def test_cli_heisenberg_integrand_lists_only_sampled_singularities(t, lmax,
                                                                    expected):
-    line, _ = _integrand_scalars("--t", t)
+    line, _ = _integrand_scalars("--t", t, "--lmax", lmax)
     assert line == json.dumps({"singularities": expected}, sort_keys=True)
 
 
