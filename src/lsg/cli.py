@@ -202,8 +202,7 @@ def _cmd_evolve(args) -> ResultRecord:
     n, box = _resolve_grid(args, cfg)
     init = _resolve_init(args, cfg)
     t = args.t if args.t is not None else cfg.times[0]
-    if t <= 0:
-        raise ConfigError(f"--t must be positive, got {t}")
+    _require_positive(t, "--t")
     group = args.group or cfg.group
     mode = GridMode.SCALED if args.mode == "scaled" else GridMode.FIXED
 

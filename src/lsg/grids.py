@@ -11,9 +11,7 @@ Two transform paths share one convention  F(xi) = h^l * sum_k e^{sign*i<xi,x_k>}
 * `fourier_at`      - chirp-z (Bluestein), any uniform output axis per axis,
                       O((N+M) log(N+M)) per axis for M output nodes
 
-`fourier_at` runs every FFT along a contiguous last axis: the pre-chirp
-multiply writes each axis last into a zero-padded buffer, both FFTs run in
-place there, and the post-chirp multiply moves the axis back.
+Both apply their 1-D factors per axis and run their FFTs in place.
 """
 
 from __future__ import annotations
@@ -213,30 +211,37 @@ def support_radius(values: np.ndarray, grid: RadialGrid,
 
 # --- Fourier kernels --------------------------------------------------------
 
+def _times_axes(values: np.ndarray, factor: np.ndarray, scale: complex = 1.0,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """values·scale·f(x_1)·…·f(x_l) into `out` (new if None), one axis at a
+    time: a grid-sized outer product costs more to allocate than to fill."""
+    rank = values.ndim
+    first = np.reshape(scale * factor, (-1,) + (1,) * (rank - 1))
+    out = np.multiply(values, first, out=out)
+    for d in range(1, rank):
+        out *= factor.reshape((-1,) + (1,) * (rank - 1 - d))
+    return out
+
+
 def fourier_native(values: np.ndarray, grid: RadialGrid,
                    sign: int = -1) -> tuple[RadialGrid, np.ndarray]:
     """FFT evaluation of h^l Σ_k e^{sign·i⟨ξ,x⟩} v_k on the dual grid.
 
     With x_k = -L + k h and ξ_j = (j - N/2)·2π/(N h), the kernel factors
-    into the standard DFT times (-1)^k and a boundary phase per axis.
+    per axis into the standard DFT between (-1)^k and the boundary phase
+    e^{-sign·iξ_jL} = (-1)^{j-N/2}.
     """
     n = grid.points_per_axis
-    dual = grid.dual()
-    xi = dual.axis
     alt = (-1.0) ** np.arange(n)
-    out = np.asarray(values, dtype=complex)
-    for ax in range(grid.rank):
-        shape = [1] * grid.rank
-        shape[ax] = n
-        out = out * alt.reshape(shape)
-        if sign == -1:
-            out = np.fft.fft(out, axis=ax)
-            phase = np.exp(1j * xi * grid.half_width)
-        else:
-            out = np.fft.ifft(out, axis=ax) * n
-            phase = np.exp(-1j * xi * grid.half_width)
-        out = out * (grid.spacing * phase).reshape(shape)
-    return dual, out
+    out = _times_axes(np.asarray(values, dtype=complex), alt)
+    if sign == -1:
+        np.fft.fftn(out, out=out)
+        scale = grid.spacing ** grid.rank
+    else:
+        np.fft.ifftn(out, out=out)
+        scale = (grid.spacing * n) ** grid.rank
+    return grid.dual(), _times_axes(out, (-1.0) ** (n // 2) * alt, scale,
+                                    out=out)
 
 
 def _fast_fft_length(n: int) -> int:

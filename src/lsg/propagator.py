@@ -16,9 +16,11 @@ Output grids: SCALED runs the sandwich where the input grid resolves the
 chirp on the data support (h·y_sup/t ≤ π), with nodes at H = 2t·ξ on the
 FFT dual grid, tracking dispersive spreading; at smaller t it applies the
 multiplier e^{itΔ}g = ifft(e^{-it|ξ|²}·fft(g)) on the input grid,
-zero-padded to hold u(t) (at most about 3× the box per axis). FIXED always
-runs the sandwich, evaluated at the caller's uniform output grid by
-chirp-z, O((N+M) log(N+M)) per axis, grid-aligned for time series.
+zero-padded to hold u(t) (at most about 3× the box per axis). Either is
+one FFT pass between 1-D factors, applied in place axis by axis, that
+carry every chirp, DFT sign and constant (h^l, t^{-l/2}, C, e^{-it|ρ|²}).
+FIXED always runs the sandwich, evaluated at the caller's uniform output
+grid by chirp-z, O((N+M) log(N+M)) per axis, grid-aligned for time series.
 
 Duhamel's formula u(t) = S(t)f + i∫₀ᵗ S(t-s)ψ(s) ds needs S(τ) only on
 the input grid. There the FIXED sandwich's chirps multiply out,
@@ -40,8 +42,8 @@ from .errors import (ForcingNotAntisymmetrizable, GridTooSmall, InvalidTime,
                      UnderResolvedPhase)
 from .grids import (BiInvariantField, GridMode, Method, RadialGrid,
                     Representation, _fast_fft_length, _mapped_residual,
-                    _weyl_lattice_maps, fourier_at, fourier_native,
-                    require_tail, support_radius)
+                    _times_axes, _weyl_lattice_maps, fourier_at,
+                    fourier_native, require_tail, support_radius)
 from .rootsystem import RootSystemSpec
 from .spherical import (conjugated_values, conjugated_with,
                         denominator_on_grid, spherical_transform,
@@ -71,83 +73,98 @@ def gaussian_profile(grid: RadialGrid, rate: float,
     return BiInvariantField(grid, vals.astype(complex), Representation.PLAIN)
 
 
-def _outer_power(factor: np.ndarray, rank: int) -> np.ndarray:
-    """f(x_1)·…·f(x_l) on a rank-l grid from the 1-D samples f(axis)."""
-    out = factor
-    for _ in range(rank - 1):
-        out = np.multiply.outer(out, factor)
-    return out
-
-
-def _chirp(grid: RadialGrid, t: float, sign: int = +1) -> np.ndarray:
-    """e^{±i|H|²/4t} on the grid, the outer product of rank 1-D chirps.
-
-    The per-axis angle x²/4t is reduced mod 2π before exponentiation.
-    """
-    return _outer_power(
-        np.exp(sign * 1j * np.mod(grid.axis**2 / (4.0 * t), 2.0 * np.pi)),
-        grid.rank)
+def _chirp(axis: np.ndarray, t: float, sign: int = +1) -> np.ndarray:
+    """e^{±ix²/4t} on a 1-D axis, the angle reduced mod 2π beforehand."""
+    return np.exp(sign * 1j * np.mod(axis**2 / (4.0 * t), 2.0 * np.pi))
 
 
 def _chirp_sandwich(values: np.ndarray, grid: RadialGrid, t: float,
-                    mode: GridMode, out_grid: RadialGrid | None
-                    ) -> tuple[RadialGrid, np.ndarray]:
-    """t^{-l/2} e^{i|H'|²/4t} R̂(H'/2t) with R = e^{i|y|²/4t}·values.
+                    mode: GridMode, out_grid: RadialGrid | None,
+                    scale: complex) -> tuple[RadialGrid, np.ndarray]:
+    """scale·t^{-l/2}·e^{i|H'|²/4t}·R̂(H'/2t) with R = e^{i|y|²/4t}·values.
 
-    The unnormalised core of the large-t regime: SCALED places H' = 2t·ξ
-    on the FFT dual grid, FIXED evaluates R̂ at `out_grid` by chirp-z. The
-    caller supplies the constant and any outer phase.
+    SCALED puts H' = 2t·ξ on the dual grid, where R̂ is, per axis,
+    h·(-1)^{j-N/2}·DFT((-1)^k·R)_j (see fourier_native): the input chirp
+    and (-1)^k make the pre-factor, the sign, the output chirp and every
+    constant the post-factor, around one in-place fftn. FIXED evaluates R̂
+    at `out_grid` by chirp-z between the same chirps and constants.
     """
-    r = _chirp(grid, t) * values
+    rank, n = grid.rank, grid.points_per_axis
+    scale = scale * t ** (-rank / 2.0)
+    pre, post_sign = _chirp(grid.axis, t), 1.0
     if mode is GridMode.SCALED:
-        dual, rhat = fourier_native(r, grid, sign=-1)
-        out = dual.scaled(2.0 * t)
+        out = grid.dual().scaled(2.0 * t)
+        alt = (-1.0) ** np.arange(n)
+        pre *= alt
+        post_sign = (-1.0) ** (n // 2) * alt
+        scale *= grid.spacing ** rank
+        rhat = _times_axes(values, pre)
+        np.fft.fftn(rhat, out=rhat)
     else:
         out = out_grid or grid
-        rhat = fourier_at(r, grid, [out.axis / (2.0 * t)] * grid.rank, sign=-1)
-    vals = t ** (-grid.rank / 2.0) * _chirp(out, t) * rhat
-    return out, vals
+        rhat = fourier_at(_times_axes(values, pre), grid,
+                          [out.axis / (2.0 * t)] * rank, sign=-1)
+    return out, _times_axes(rhat, post_sign * _chirp(out.axis, t), scale,
+                            out=rhat)
 
 
 def _multiplier(values: np.ndarray, grid: RadialGrid, t: float,
-                y_sup: float) -> tuple[RadialGrid, np.ndarray]:
-    """e^{itΔ} as the Fourier multiplier e^{-it|ξ|²}, one axis at a time.
+                y_sup: float, scale: complex
+                ) -> tuple[RadialGrid, np.ndarray]:
+    """scale·e^{itΔ} as the Fourier multiplier e^{-it|ξ|²}.
 
     u(t) stays within reach = y_sup + 2t·ξ_sup of the origin, ξ_sup the
     Fourier support of the data, so on the box zero-padded to reach the
     periodic evolution does not wrap around. That box is the output grid.
+    ξ_sup is read from |fftn(values)| shifted onto the dual grid (the
+    Fourier sum's other factors are unimodular), and that spectrum is
+    reused when nothing is padded. The phase and scale multiply it in
+    place, per axis, before one in-place ifftn.
     """
-    dual, spec = fourier_native(values, grid, sign=-1)
-    reach = y_sup + 2.0 * t * support_radius(spec, dual)
+    spec = np.array(values, dtype=complex)
+    np.fft.fftn(spec, out=spec)
+    xi_sup = support_radius(np.fft.fftshift(np.abs(spec)), grid.dual())
+    reach = y_sup + 2.0 * t * xi_sup
     pad = max(0, math.ceil((reach - grid.half_width) / grid.spacing))
     n = grid.points_per_axis + 2 * pad
     if n ** grid.rank > _MAX_FFT_NODES:
         raise GridTooSmall(f"SCALED multiplier needs {n} nodes/axis at t={t:g}")
+    if pad:
+        spec = np.pad(np.asarray(values, dtype=complex), pad)
+        np.fft.fftn(spec, out=spec)
     xi = 2.0 * np.pi * np.fft.fftfreq(n, grid.spacing)
-    phase = np.exp(-1j * np.mod(t * xi**2, 2.0 * np.pi))
-    out = np.pad(np.asarray(values, dtype=complex), pad)
-    for ax in range(grid.rank):
-        axis_phase = phase.reshape((n,) + (1,) * (grid.rank - 1 - ax))
-        out = np.fft.ifft(np.fft.fft(out, axis=ax) * axis_phase, axis=ax)
-    return RadialGrid(grid.rank, grid.half_width + pad * grid.spacing, n), out
+    _times_axes(spec, np.exp(-1j * np.mod(t * xi**2, 2.0 * np.pi)), scale,
+                out=spec)
+    out = RadialGrid(grid.rank, grid.half_width + pad * grid.spacing, n)
+    return out, np.fft.ifftn(spec, out=spec)
 
 
 _refine_fft = _multiplier   # the benchmark traces it by the upsampler's name
 
 
-def _free_evolution(values: np.ndarray, grid: RadialGrid, t: float,
-                    mode: GridMode, out_grid: RadialGrid | None
-                    ) -> tuple[RadialGrid, np.ndarray]:
-    """e^{itΔ}·values. h·y_sup/t, twice the chirp's phase step per node at
-    the data's edge, picks the regime: SCALED runs the sandwich up to π and
-    the multiplier beyond it; FIXED refuses beyond 2π."""
-    y_sup = max(support_radius(values, grid), grid.spacing)
+def _closed_form(values: np.ndarray, grid: RadialGrid, t: float,
+                 mode: GridMode, out_grid: RadialGrid | None, rho_sq: float,
+                 representation: Representation, what: str
+                 ) -> PropagationResult:
+    """e^{-it|ρ|²}·e^{itΔ}·values once 0 < t < ∞ and require_tail(`what`)
+    hold, y_sup read from the same |values|. h·y_sup/t, twice the chirp's
+    phase step per node at the data's edge, picks the regime: SCALED runs
+    the sandwich up to π, the multiplier beyond; FIXED refuses beyond 2π."""
+    if not 0 < t < math.inf:
+        raise InvalidTime(f"closed-form propagation needs 0 < t < inf, got {t}")
+    mag = np.abs(values)
+    require_tail(mag, what=what)
+    y_sup = max(support_radius(mag, grid), grid.spacing)
+    scale = np.exp(-1j * t * rho_sq)
     if mode is GridMode.SCALED and grid.spacing * y_sup / t > np.pi:
-        return _multiplier(values, grid, t, y_sup)
-    if mode is GridMode.FIXED:
-        _fixed_chirp_guard(grid, y_sup, t)
-    out, core = _chirp_sandwich(values, grid, t, mode, out_grid)
-    return out, _free_constant(grid.rank) * core
+        out, vals = _multiplier(values, grid, t, y_sup, scale)
+    else:
+        if mode is GridMode.FIXED:
+            _fixed_chirp_guard(grid, y_sup, t)
+        out, vals = _chirp_sandwich(values, grid, t, mode, out_grid,
+                                    scale * _free_constant(grid.rank))
+    result = BiInvariantField(out, vals, representation)
+    return PropagationResult(result, t, Method.CLOSED_FORM, mode)
 
 
 def _fixed_chirp_guard(grid: RadialGrid, y_sup: float, t: float) -> None:
@@ -175,23 +192,11 @@ def euclidean_propagate(field: BiInvariantField, t: float,
     the constant makes u → f as t → 0⁺ (validated against the Gaussian
     closed form in the test suite).
     """
-    if t <= 0:
-        raise InvalidTime(f"euclidean propagation needs t > 0, got {t}")
-    require_tail(field.values, what="initial profile")
-    out, vals = _free_evolution(field.values, field.grid, t, mode, out_grid)
-    result = BiInvariantField(out, vals, Representation.PLAIN)
-    return PropagationResult(result, t, Method.CLOSED_FORM, mode)
+    return _closed_form(field.values, field.grid, t, mode, out_grid, 0.0,
+                        Representation.PLAIN, "initial profile")
 
 
 # --- group propagator: closed form ----------------------------------------------
-
-def _group_evolution(rs: RootSystemSpec, g: np.ndarray, grid: RadialGrid,
-                     t: float, mode: GridMode, out_grid: RadialGrid | None
-                     ) -> tuple[RadialGrid, np.ndarray]:
-    """e^{-it|ρ|²} times the Euclidean evolution of the conjugated values g."""
-    out, vals = _free_evolution(g, grid, t, mode, out_grid)
-    return out, np.exp(-1j * t * float(rs.rho @ rs.rho)) * vals
-
 
 def calibrate_constant(rs: RootSystemSpec) -> complex:
     """The group closed form's constant: (4πi)^{-l/2}, l the rank of rs.
@@ -206,14 +211,11 @@ def group_propagate_closed_form(rs: RootSystemSpec, field: BiInvariantField,
                                 t: float, mode: GridMode = GridMode.SCALED,
                                 out_grid: RadialGrid | None = None
                                 ) -> PropagationResult:
-    """Closed-form evolution of bi-invariant data; returns u·φ."""
-    if t <= 0:
-        raise InvalidTime(f"closed-form propagation needs t > 0, got {t}")
-    g = conjugated_values(rs, field)
-    require_tail(g, what="conjugated profile")
-    out, vals = _group_evolution(rs, g, field.grid, t, mode, out_grid)
-    result = BiInvariantField(out, vals, Representation.CONJUGATED)
-    return PropagationResult(result, t, Method.CLOSED_FORM, mode)
+    """Closed-form evolution of bi-invariant data; returns u·φ, the
+    Euclidean evolution of g = f·φ times e^{-it|ρ|²}."""
+    return _closed_form(conjugated_values(rs, field), field.grid, t, mode,
+                        out_grid, float(rs.rho @ rs.rho),
+                        Representation.CONJUGATED, "conjugated profile")
 
 
 # --- group propagator: spectral oracle -------------------------------------------
@@ -274,8 +276,9 @@ def group_propagate_spectral(rs: RootSystemSpec, field: BiInvariantField,
                 f"spectral spacing {spectral_grid.spacing:.3g} exceeds "
                 f"pi/(4 t lambda_max) = {limit:.3g}")
     spec = spherical_transform(rs, field, spectral_grid)
-    # e^{-it(|λ|²+|ρ|²)} as an outer product of 1-D phases
-    phase = _outer_power(np.exp(-1j * t * spectral_grid.axis**2), rs.rank)
+    # e^{-it(|λ|²+|ρ|²)} from 1-D phases
+    phase = _times_axes(np.broadcast_to(1.0, spectral_grid.shape),
+                        np.exp(-1j * t * spectral_grid.axis**2))
     phase *= np.exp(-1j * t * float(rs.rho @ rs.rho))
     uphi = synthesize_conjugated(rs, spec, [out_grid.axis] * rs.rank,
                                  extra_phase=phase)
@@ -293,8 +296,7 @@ def _free_kernel_spectrum(grid: RadialGrid, t: float, size: int) -> np.ndarray:
     The angle (h·m)²/4t is reduced mod 2π before exponentiation.
     """
     n = grid.points_per_axis
-    half = np.exp(1j * np.mod((grid.spacing * np.arange(n)) ** 2 / (4.0 * t),
-                              2.0 * np.pi))
+    half = _chirp(grid.spacing * np.arange(n), t)
     kernel = np.zeros(size, dtype=complex)
     kernel[:n] = half
     kernel[size - n + 1:] = half[:0:-1]
@@ -363,7 +365,7 @@ def duhamel_solve(rs: RootSystemSpec, field: BiInvariantField, forcing,
         if tau not in kernels:
             kernels[tau] = _free_kernel_spectrum(grid, tau, size)
         coef = w * free * tau ** (-grid.rank / 2.0) * np.exp(-1j * tau * rho_sq)
-        acc[k] += (coef * _outer_power(kernels[tau], grid.rank)) * spec
+        acc[k] += _times_axes(spec, kernels[tau], coef)
 
     g = conjugated_with(field, phi)
     g_sup = max(support_radius(g, grid), grid.spacing)

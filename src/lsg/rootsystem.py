@@ -157,13 +157,6 @@ def generate_weyl_group(simple_roots: np.ndarray,
     return out
 
 
-def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]))
-    out[: a.shape[0], : a.shape[1]] = a
-    out[a.shape[0]:, a.shape[1]:] = b
-    return out
-
-
 def _embed(vectors: np.ndarray, offset: int, total: int) -> np.ndarray:
     out = np.zeros((len(vectors), total))
     out[:, offset:offset + vectors.shape[1]] = vectors

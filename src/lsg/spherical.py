@@ -24,7 +24,8 @@ positive roots,
 so φ, π(λ) and both wall masks (chamber walls in H, Weyl walls in λ) come
 from the root pairings ⟨α,H⟩ alone; on a grid each pairing is a sum of
 1-D axes. Only the numerator A_λ of φ_λ keeps the Weyl sum: it has no
-product form. The tests keep the sum as the oracle for φ.
+product form, but on a grid each of its terms is an outer product of 1-D
+exponentials. The tests keep the sum as the oracle for φ.
 
 On a spectral grid the transform takes π(λ) and the Weyl-wall mask from
 one pass over the positive roots, drawing each pairing once; |λ| is one
@@ -113,14 +114,17 @@ def _scaled_denominator(rs: RootSystemSpec, h
 
 
 def weyl_denominator(rs: RootSystemSpec, h) -> np.ndarray | float:
-    """φ(H) = Σ_s (det s) e^{⟨sρ,H⟩}; Weyl-antisymmetric, zero on walls.
+    """φ(H) = Σ_s (det s) e^{⟨sρ,H⟩} as Weyl's Π_{α>0} 2·sinh(α(H)/2), at
+    a vector (rank,), a stack (..., rank) or every node of a RadialGrid.
 
-    Accepts a single vector (rank,) or a stack (..., rank).
+    Exactly 0 where a pairing is 0; ±inf, or NaN at a wall node, only
+    where a factor or the product leaves the float range.
     """
-    h = np.asarray(h, dtype=float)
-    phi, m, _ = _scaled_denominator(rs, h)
-    val = phi * np.exp(m)
-    return float(val) if h.ndim == 1 else val
+    shape = h.shape if isinstance(h, RadialGrid) else np.shape(h)[:-1]
+    out = np.full(shape, 2.0 ** rs.n_positive)
+    for pair in _root_pairings(rs, h):
+        out *= np.sinh(0.5 * pair)
+    return float(out) if out.ndim == 0 else out
 
 
 def density(rs: RootSystemSpec, h) -> np.ndarray | float:
@@ -130,9 +134,8 @@ def density(rs: RootSystemSpec, h) -> np.ndarray | float:
 
 
 def denominator_on_grid(rs: RootSystemSpec, grid: RadialGrid) -> np.ndarray:
-    phi, m, _ = _scaled_denominator(rs, grid)
-    phi *= np.exp(m, out=m)
-    return phi
+    """φ at every node of the grid."""
+    return weyl_denominator(rs, grid)
 
 
 def wall_mask(rs: RootSystemSpec, grid: RadialGrid) -> np.ndarray:
@@ -178,9 +181,18 @@ def plancherel_density(rs: RootSystemSpec, lam) -> np.ndarray | float:
 # --- spherical functions -------------------------------------------------------
 
 def spherical_numerator(rs: RootSystemSpec, lam, h) -> np.ndarray | complex:
-    """A_λ(H) = Σ_s (det s) e^{i⟨sλ,H⟩}; antisymmetric in both arguments."""
+    """A_λ(H) = Σ_s (det s) e^{i⟨sλ,H⟩}, antisymmetric in both arguments,
+    at stacked H (..., rank) or, term by term ⊗_d e^{i(sλ)_d x_d}, on a grid."""
     orbit = rs.orbit(np.asarray(lam, dtype=float))
     signs = rs.weyl_signs()
+    if isinstance(h, RadialGrid):
+        out = np.zeros(h.shape, dtype=complex)
+        for mu, sign in zip(orbit, signs):
+            term = sign * np.exp(1j * mu[0] * h.axis)
+            for m in mu[1:]:
+                term = np.multiply.outer(term, np.exp(1j * m * h.axis))
+            out += term
+        return out
     h = np.asarray(h, dtype=float)
     scalar = h.ndim == 1
     val = np.exp(1j * (h @ orbit.T)) @ signs.astype(complex)
@@ -211,14 +223,6 @@ def spherical_function(rs: RootSystemSpec, lam, h) -> np.ndarray | complex:
 
 
 # --- PLAIN <-> CONJUGATED ------------------------------------------------------
-
-def to_conjugated(rs: RootSystemSpec, field: BiInvariantField) -> BiInvariantField:
-    """Multiply by φ. NaNs in the input (wall-recovered fields) propagate."""
-    if field.representation is Representation.CONJUGATED:
-        return field
-    phi = denominator_on_grid(rs, field.grid)
-    return field.with_values(field.values * phi, Representation.CONJUGATED)
-
 
 def to_plain(rs: RootSystemSpec, field: BiInvariantField) -> BiInvariantField:
     """Divide by φ, as e^{-m}·(u·φ) over e^{-m}·φ; wall nodes become NaN."""
@@ -296,13 +300,13 @@ def spherical_transform_direct(rs: RootSystemSpec, field: BiInvariantField,
     nodes cost nothing). Slow; used to cross-check the collapsed path.
     """
     g = conjugated_values(rs, field)
-    nodes = field.grid.nodes()
     w = field.grid.cell_volume()
     out = np.empty(len(lams), dtype=complex)
     for i, lam in enumerate(np.atleast_2d(lams)):
-        c_neg = c_function(rs, -np.asarray(lam, dtype=float))
-        a_neg = spherical_numerator(rs, -np.asarray(lam, dtype=float), nodes)
-        out[i] = c_neg * np.sum(a_neg.reshape(field.grid.shape) * g) * w
+        neg = -np.asarray(lam, dtype=float)
+        c_neg = c_function(rs, neg)
+        a_neg = spherical_numerator(rs, neg, field.grid)
+        out[i] = c_neg * np.sum(a_neg * g) * w
     return out
 
 
@@ -404,11 +408,8 @@ def spherical_function_field(rs: RootSystemSpec, lam: np.ndarray,
     final division is grid-sensitive.
     """
     lam = np.asarray(lam, dtype=float)
-    c = c_function(rs, lam)
-    num = np.asarray(
-        spherical_numerator(rs, lam, grid.nodes())).reshape(grid.shape)
-    return to_plain(rs, BiInvariantField(grid, c * num,
-                                         Representation.CONJUGATED))
+    conj = c_function(rs, lam) * spherical_numerator(rs, lam, grid)
+    return to_plain(rs, BiInvariantField(grid, conj, Representation.CONJUGATED))
 
 
 def eigen_residual_field(rs: RootSystemSpec, lam: np.ndarray,

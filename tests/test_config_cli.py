@@ -203,6 +203,18 @@ def test_cli_evolve_tiny_t_returns_the_initial_data(tmp_path):
     assert np.linalg.norm(uphi - fphi) <= 1e-5 * np.linalg.norm(fphi)
 
 
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_cli_evolve_non_finite_time_is_a_config_error(t, tmp_path, capsys):
+    from lsg.cli import main
+    path = tmp_path / "x.csv"
+    code = main(["evolve", "--group", "A1", "--t", t, "--grid", "64,12",
+                 "--out", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert json.loads(err.strip())["error"] == "ConfigError"
+    assert not path.exists()
+
+
 def test_cli_numerical_error_exit_code():
     # box far too small for the Gaussian tail -> GridTooSmall -> exit 3
     out = run_cli("evolve", "--group", "A1", "--grid", "16,2",

@@ -4,7 +4,8 @@ import pytest
 from lsg.errors import (ForcingNotAntisymmetrizable, GridTooSmall,
                         InvalidTime, UnderResolvedPhase)
 from lsg.grids import (BiInvariantField, GridMode, RadialGrid, Representation,
-                       l2_norm, relative_l2, weyl_symmetry_residual)
+                       _times_axes, fourier_native, l2_norm, relative_l2,
+                       support_radius, weyl_symmetry_residual)
 from lsg.propagator import (_chirp, _chirp_sandwich, data_bandwidth,
                             duhamel_solve, euclidean_propagate,
                             gaussian_profile, group_propagate_closed_form,
@@ -113,6 +114,16 @@ def test_euclidean_invalid_time(a1_grid):
         euclidean_propagate(f, -1.0)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_non_finite_time_is_refused_before_any_work(a1, a1_grid, t):
+    f = gaussian_profile(a1_grid, 1.0)
+    for mode in GridMode:
+        with pytest.raises(InvalidTime):
+            euclidean_propagate(f, t, mode)
+        with pytest.raises(InvalidTime):
+            group_propagate_closed_form(a1, f, t, mode)
+
+
 def test_euclidean_tail_guard():
     grid = RadialGrid(1, 3.0, 64)
     f = gaussian_profile(grid, 0.3)
@@ -167,6 +178,58 @@ def test_scaled_closed_form_matches_exact_evolution_across_regimes(name, n,
                 assert out.half_width <= 3.0 * box
 
 
+def scaled_grid_by_native_rule(values, grid, t):
+    """(regime, output grid) of a SCALED step by the rule that reads ξ_sup
+    from support_radius of fourier_native: "sandwich" where h·y_sup/t ≤ π,
+    else the multiplier, "pad" or "no pad" by its zero padding."""
+    y_sup = max(support_radius(values, grid), grid.spacing)
+    if grid.spacing * y_sup / t <= np.pi:
+        return "sandwich", grid.dual().scaled(2.0 * t)
+    dual, spec = fourier_native(values, grid, sign=-1)
+    reach = y_sup + 2.0 * t * support_radius(spec, dual)
+    pad = max(0, int(np.ceil((reach - grid.half_width) / grid.spacing)))
+    return ("pad" if pad else "no pad"), RadialGrid(
+        grid.rank, grid.half_width + pad * grid.spacing,
+        grid.points_per_axis + 2 * pad)
+
+
+@pytest.mark.parametrize("name,n,box,tol", [
+    ("A1", 128, 12.0, 1e-10), ("A2", 96, 9.0, 1e-10), ("B2", 96, 9.0, 1e-10),
+    ("G2", 96, 9.0, 1e-10), ("A1xA1", 96, 9.0, 1e-10),
+    ("A1xA2", 48, 8.0, 1e-6), ("euclid:1", 128, 10.0, 1e-10),
+    ("euclid:2", 96, 9.0, 1e-10)])
+def test_scaled_step_keeps_the_native_grid_rule_in_every_regime(name, n, box,
+                                                                tol):
+    """Sandwich and multiplier, padded or not: exact values, and the output
+    grid the dual-grid rule gives."""
+    euclid = name.startswith("euclid:")
+    rank = int(name.split(":")[1]) if euclid else build_root_system(name).rank
+    grid = RadialGrid(rank, box, n)
+    t_star = grid.spacing * box / (2.0 * np.pi)
+    seen = set()
+    for a, c in [(1.0, 0.0), (0.8, 0.25), (1.2, -0.25)]:
+        f = gaussian_profile(grid, a, c)
+        for t in np.geomspace(t_star / 30.0, 30.0 * t_star, 13):
+            if euclid:
+                res = euclidean_propagate(f, t, GridMode.SCALED)
+                regime, want_grid = scaled_grid_by_native_rule(f.values,
+                                                               grid, t)
+                want = _times_axes(np.ones(want_grid.shape),
+                                   gaussian_exact_evolution(
+                                       want_grid.axis, a, c, t))
+            else:
+                rs = build_root_system(name)
+                res = group_propagate_closed_form(rs, f, t, GridMode.SCALED)
+                regime, want_grid = scaled_grid_by_native_rule(
+                    conjugated_values(rs, f), grid, t)
+                want = gaussian_chirp_conjugated(rs, res.field.grid.axis,
+                                                 a, c, t)
+            seen.add(regime)
+            assert res.field.grid == want_grid
+            assert relative_l2(res.field.values, want, want_grid) <= tol
+    assert seen == {"sandwich", "pad", "no pad"}
+
+
 @pytest.mark.parametrize("name,n,box,times,tol", [
     ("A1xA2", 48, 8.0, np.geomspace(0.014, 13.0, 9), 1e-6),
     ("A1xA1xA1", 48, 8.0, np.geomspace(0.014, 13.0, 9), 1e-6),
@@ -197,7 +260,7 @@ def test_scaled_multiplier_grid_is_memory_guarded(a2, monkeypatch):
 def test_separable_chirp_matches_full_grid_phase(grid, t, sign):
     expected = np.exp(sign * 1j * np.mod(grid.radius_sq() / (4.0 * t),
                                          2.0 * np.pi))
-    got = _chirp(grid, t, sign)
+    got = _times_axes(np.ones(grid.shape), _chirp(grid.axis, t, sign))
     assert got.shape == grid.shape
     assert np.abs(got - expected).max() <= 1e-13
 
@@ -346,7 +409,7 @@ def oracle_fitted_constant(rs, t=1.0):
     n, box = _FIT_GRIDS[rs.rank]
     f = gaussian_profile(RadialGrid(rs.rank, box, n), 1.0)
     g = conjugated_values(rs, f)
-    out, core = _chirp_sandwich(g, f.grid, t, GridMode.FIXED, None)
+    out, core = _chirp_sandwich(g, f.grid, t, GridMode.FIXED, None, 1.0)
     unnormalized = np.exp(-1j * t * float(rs.rho @ rs.rho)) * core
     target = group_propagate_spectral(rs, f, t, out_grid=out).field.values
     const = complex(np.vdot(unnormalized, target)

@@ -466,11 +466,14 @@ def test_product_denominator_matches_weyl_sum(name, normalization):
     assert np.all(np.abs(on_grid * np.exp(-top) - phi_sum) <= 1e-13 * scale)
 
 
-@pytest.mark.parametrize("name,n,box", [
+WALL_GRIDS = [
     ("A1", 512, 12.0), ("A1", 2048, 12.0), ("A1", 4096, 12.0),
     ("A2", 128, 10.0), ("A2", 256, 10.0), ("B2", 96, 9.0), ("G2", 96, 9.0),
     ("G2", 192, 9.0), ("A1xA1", 128, 10.0), ("A1xA2", 48, 8.0),
-    ("A2xA2", 32, 7.0)])
+    ("A2xA2", 32, 7.0)]
+
+
+@pytest.mark.parametrize("name,n,box", WALL_GRIDS)
 def test_wall_mask_equals_the_sum_rule(name, n, box):
     from lsg.rootsystem import build_root_system
     rs = build_root_system(name)
@@ -480,6 +483,38 @@ def test_wall_mask_equals_the_sum_rule(name, n, box):
     assert np.array_equal(mask, sum_rule_wall(rs, grid))
     # every wall node on these lattices is an exact zero of φ
     assert np.all(denominator_on_grid(rs, grid)[mask] == 0.0)
+
+
+@pytest.mark.parametrize("name,n,box", WALL_GRIDS)
+def test_denominator_on_grid_is_the_scaled_form_times_its_scale(name, n, box):
+    """The sinh product against e^m·(e^{-m}φ): the two round differently,
+    by about m ulps of exp, so the bound is relative."""
+    from lsg.rootsystem import build_root_system
+    from lsg.spherical import _scaled_denominator
+    rs = build_root_system(name)
+    grid = RadialGrid(rs.rank, box, n)
+    scaled, m, _ = _scaled_denominator(rs, grid)
+    want = scaled * np.exp(m)
+    got = denominator_on_grid(rs, grid)
+    assert np.array_equal(got == 0.0, want == 0.0)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+@pytest.mark.parametrize("name,n,box", [("A2", 128, 10.0), ("G2", 96, 9.0),
+                                        ("A1xA2", 48, 8.0)])
+def test_numerator_on_a_grid_matches_the_stacked_sum(name, n, box):
+    """The |W| outer products of 1-D exponentials against the stacked
+    (N^l × |W|) exponential; |A_λ| ≤ |W|, so the bound is absolute."""
+    from lsg.rootsystem import build_root_system
+    rs = build_root_system(name)
+    grid = RadialGrid(rs.rank, box, n)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        lam = rng.uniform(-8.0, 8.0, rs.rank)
+        got = spherical_numerator(rs, lam, grid)
+        want = np.asarray(spherical_numerator(rs, lam, grid.nodes()))
+        assert got.shape == grid.shape
+        assert np.abs(got - want.reshape(grid.shape)).max() <= 1e-13
 
 
 @pytest.mark.parametrize("name, n, half", [
