@@ -197,7 +197,8 @@ def criterion_lemma1(params, seed) -> AcceptanceRow:
     p = params["lemma1"]
     grid = RadialGrid(1, p["box"], p["n"])
     f = gaussian_profile(grid, 1.0, chirp=-0.25)
-    report = uniqueness_experiment(1, f, t0=1.0, mode=GridMode.FIXED)
+    report = uniqueness_experiment(build_root_system("euclid:1"), f, t0=1.0,
+                                   mode=GridMode.FIXED)
     rate_err = abs(report.envelope_u.rate - 1.0 / 16.0)
     product_err = abs(report.verdict.product - 1.0)
     ok = (rate_err <= 1e-6 and product_err <= 1e-3
@@ -233,6 +234,7 @@ def criterion_hardy_curve(params, seed) -> AcceptanceRow:
 
     rng = np.random.default_rng(seed)
     vanish = 0
+    r1 = build_root_system("euclid:1")
     ne, bx = p["euclid_grid"]
     egrid = RadialGrid(1, bx, ne)
     for _ in range(p["n_euclid"]):
@@ -240,7 +242,7 @@ def criterion_hardy_curve(params, seed) -> AcceptanceRow:
         c = rng.uniform(-0.6, 0.6)
         t0 = rng.uniform(0.4, 1.6)
         rep = uniqueness_experiment(
-            1, gaussian_profile(egrid, a, c), float(t0), mode=GridMode.SCALED)
+            r1, gaussian_profile(egrid, a, c), float(t0), mode=GridMode.SCALED)
         if not rep.degenerate and \
                 rep.verdict.classification is Classification.MUST_VANISH:
             vanish += 1

@@ -23,17 +23,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import acceptance
-from .config import (InitData, RunConfig, euclidean_dim, load_preset,
-                     parse_config, parse_floats, parse_grid, parse_init,
-                     parse_times)
+from .config import (InitData, RunConfig, load_preset, parse_config,
+                     parse_floats, parse_grid, parse_init, parse_times)
 from .errors import ConfigError, LsgError
 from .estimates import decay_exponent_fit, strichartz_norm, strichartz_pair
 from .grids import GridMode, RadialGrid
 from .hardy import uniqueness_experiment
 from .heisenberg import (geodesic_coords, heat_kernel, schrodinger_integrand,
                          singularities)
-from .propagator import (euclidean_propagate, gaussian_profile,
-                         group_propagate_closed_form,
+from .propagator import (gaussian_profile, group_propagate_closed_form,
                          group_propagate_spectral, plain_magnitude)
 from .rootsystem import build_root_system
 from .spherical import (roundtrip_error, spherical_function_field,
@@ -203,33 +201,19 @@ def _cmd_evolve(args) -> ResultRecord:
     init = _resolve_init(args, cfg)
     t = args.t if args.t is not None else cfg.times[0]
     _require_positive(t, "--t")
-    group = args.group or cfg.group
+    rs = build_root_system(args.group or cfg.group)
     mode = GridMode.SCALED if args.mode == "scaled" else GridMode.FIXED
-
-    dim = euclidean_dim(group)
-    if dim is not None:
-        f = gaussian_profile(RadialGrid(dim, box, n), init.rate, init.chirp)
-        result = euclidean_propagate(f, t, mode)
-        mag = np.abs(result.field.values)
-        uphi = result.field.values
-        rank = dim
-        name = group
+    f = gaussian_profile(RadialGrid(rs.rank, box, n), init.rate, init.chirp)
+    if args.method == "closed":
+        result = group_propagate_closed_form(rs, f, t, mode)
     else:
-        rs = build_root_system(group)
-        f = gaussian_profile(RadialGrid(rs.rank, box, n), init.rate, init.chirp)
-        if args.method == "closed":
-            result = group_propagate_closed_form(rs, f, t, mode)
-        else:
-            result = group_propagate_spectral(
-                rs, f, t, mode=mode)
-        mag = plain_magnitude(rs, result)
-        uphi = result.field.values
-        rank = rs.rank
-        name = rs.name
+        result = group_propagate_spectral(rs, f, t, mode=mode)
 
-    out_grid = result.field.grid
-    header = [f"h{i}" for i in range(rank)] + ["re_uphi", "im_uphi", "abs_u"]
-    rows = _field_csv_rows(out_grid, uphi.real, uphi.imag, mag)
+    uphi, out_grid = result.field.values, result.field.grid
+    header = [f"h{i}" for i in range(rs.rank)] + ["re_uphi", "im_uphi",
+                                                  "abs_u"]
+    rows = _field_csv_rows(out_grid, uphi.real, uphi.imag,
+                           plain_magnitude(rs, result))
     artifacts = []
     if args.out:
         _write_csv(args.out, header, rows)
@@ -239,7 +223,7 @@ def _cmd_evolve(args) -> ResultRecord:
                "out_half_width": out_grid.half_width,
                "out_points": out_grid.points_per_axis}
     return ResultRecord("evolve",
-                        {"group": name, "grid": [n, box],
+                        {"group": rs.name, "grid": [n, box],
                          "init": {"rate": init.rate, "chirp": init.chirp}},
                         scalars, artifacts)
 
@@ -248,24 +232,17 @@ def _cmd_hardy(args) -> ResultRecord:
     cfg = _config_from(args)
     n, box = _resolve_grid(args, cfg)
     init = _resolve_init(args, cfg)
+    _require_positive(args.t0, "--t0")
     tol_crit = args.tol_crit
-    if args.euclid is not None:
-        if args.euclid < 1:
-            raise ConfigError(f"--euclid must be >= 1, got {args.euclid}")
-        system = args.euclid
-        name = f"euclid:{args.euclid}"
-        rank = args.euclid
-        mode = GridMode.SCALED
-    else:
-        system = build_root_system(args.group or cfg.group)
-        name = system.name
-        rank = system.rank
-        mode = GridMode.FIXED
-    f = gaussian_profile(RadialGrid(rank, box, n), init.rate, init.chirp)
-    report = uniqueness_experiment(system, f, args.t0, tol_crit=tol_crit,
-                                   mode=mode)
+    if not (np.isfinite(tol_crit) and tol_crit >= 0):
+        raise ConfigError(
+            f"--tol-crit must be finite and >= 0, got {tol_crit}")
+    rs = build_root_system(args.group or cfg.group)
+    f = gaussian_profile(RadialGrid(rs.rank, box, n), init.rate, init.chirp)
+    report = uniqueness_experiment(rs, f, args.t0, tol_crit=tol_crit,
+                                   mode=GridMode.FIXED)
     payload = {
-        "system": name, "t0": args.t0,
+        "system": rs.name, "t0": args.t0,
         "classification": report.classification_name,
         "product": None if report.degenerate else report.verdict.product,
         "rate_f": None if report.degenerate else report.envelope_f.rate,
@@ -282,7 +259,7 @@ def _cmd_hardy(args) -> ResultRecord:
         artifacts.append(args.out)
     else:
         sys.stdout.write(line + "\n")
-    return ResultRecord("hardy-check", {"system": name, "grid": [n, box]},
+    return ResultRecord("hardy-check", {"system": rs.name, "grid": [n, box]},
                         {"classification": report.classification_name},
                         artifacts)
 
@@ -318,6 +295,11 @@ def _cmd_strichartz(args) -> ResultRecord:
     rs = build_root_system(args.group or cfg.group)
     n, box = _resolve_grid(args, cfg)
     init = _resolve_init(args, cfg)
+    _require_positive(args.tmax, "--tmax")
+    if args.levels < 2:
+        raise ConfigError(f"--levels must be >= 2, got {args.levels}")
+    if args.dyadic < 1:
+        raise ConfigError(f"--dyadic must be >= 1, got {args.dyadic}")
     f = gaussian_profile(RadialGrid(rs.rank, box, n), init.rate, init.chirp)
     p_adm, q_adm = strichartz_pair(rs.rank)
     seq = strichartz_norm(rs, f, args.tmax, refinements=args.levels,
@@ -418,55 +400,6 @@ class _AcceptanceFailure(LsgError):
     """Raised when a reproduce run has failing criteria (exit code 4)."""
 
 
-def run(command: str, config: RunConfig, profile: str = "full") -> ResultRecord:
-    """Programmatic dispatch of a CLI command from a RunConfig.
-
-    Builds the equivalent argv and invokes the subcommand handler
-    directly, so library callers get the same ResultRecord the CLI
-    emits. `profile` only applies to `reproduce`.
-    """
-    n, box = config.grid
-    init = f"gaussian:a={config.init.rate:g},chirp={config.init.chirp:g}"
-    t0 = config.times[0]
-    if command == "rootsys":
-        argv = ["rootsys", "info", config.group]
-    elif command == "spherical":
-        argv = ["spherical", "roundtrip", "--group", config.group,
-                "--grid", f"{n},{box:g}", "--init", init]
-    elif command == "evolve":
-        argv = ["evolve", "--group", config.group, "--grid", f"{n},{box:g}",
-                "--init", init, "--t", f"{t0:g}"]
-    elif command == "hardy-check":
-        argv = ["hardy-check", "--grid", f"{n},{box:g}", "--init", init,
-                "--t0", f"{t0:g}"]
-        dim = config.euclidean_dim
-        if dim is not None:
-            argv += ["--euclid", str(dim)]
-        else:
-            argv += ["--group", config.group]
-        if "crit" in config.tolerances:
-            argv += ["--tol-crit", f"{config.tolerances['crit']:g}"]
-    elif command == "decay-fit":
-        argv = ["decay-fit", "--group", config.group, "--grid", f"{n},{box:g}"]
-        if len(config.times) >= 5:
-            argv += ["--times", ",".join(f"{t:g}" for t in config.times)]
-    elif command == "strichartz":
-        argv = ["strichartz", "--group", config.group, "--grid", f"{n},{box:g}"]
-    elif command == "heisenberg":
-        argv = ["heisenberg", "geodesic"]
-    elif command == "reproduce":
-        argv = ["reproduce", "--profile", profile, "--seed", str(config.seed)]
-    else:
-        raise ConfigError(f"unknown command {command!r}")
-    if config.output:
-        argv += ["--out", config.output]
-    args = build_parser().parse_args(argv)
-    start = time.monotonic()
-    record = args.func(args)
-    record.duration_s = time.monotonic() - start
-    return record
-
-
 # --- parser -------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
@@ -483,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--init", help="gaussian:a=<a>[,chirp=<c>]")
         p.add_argument("--out", help="artifact output path")
         if group:
-            p.add_argument("--group", help="root system (A1, A2, B2, G2, products)")
+            p.add_argument("--group", help="root system (A1, A2, B2, G2, "
+                                           "products) or euclid:n for R^n")
 
     p = sub.add_parser("rootsys", help="root-system info")
     p.add_argument("action", choices=["info"])
@@ -507,7 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hardy-check", help="uniqueness-threshold certification")
     common(p)
-    p.add_argument("--euclid", type=int, help="Euclidean dimension instead of a group")
+    p.add_argument("--euclid", dest="group", type="euclid:{}".format,
+                   help="n: R^n, the same as --group euclid:n")
     p.add_argument("--t0", type=float, required=True)
     p.add_argument("--tol-crit", type=float, default=0.02, dest="tol_crit")
     p.set_defaults(func=_cmd_hardy)
@@ -569,7 +504,7 @@ def main(argv=None) -> int:
         # the null device, so the flush at exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         sys.stderr.write(_error_line(exc) + "\n")
         return 2
     except _AcceptanceFailure as exc:

@@ -41,39 +41,6 @@ class RunConfig:
     tolerances: dict = field(default_factory=dict)
     output: str | None = None
 
-    @property
-    def euclidean_dim(self) -> int | None:
-        return euclidean_dim(self.group)
-
-    def echo(self) -> dict:
-        """Deterministic plain-dict form for record emission."""
-        return {
-            "group": self.group,
-            "grid": list(self.grid),
-            "spectral_grid": list(self.spectral_grid) if self.spectral_grid else None,
-            "times": list(self.times),
-            "init": {"kind": self.init.kind, "rate": self.init.rate,
-                     "chirp": self.init.chirp},
-            "seed": self.seed,
-            "tolerances": dict(sorted(self.tolerances.items())),
-            "output": self.output,
-        }
-
-
-def euclidean_dim(group: str) -> int | None:
-    """n for a "euclid:<n>" group (n >= 1), None for a root-system name."""
-    if not group.lower().startswith("euclid:"):
-        return None
-    text = group.split(":", 1)[1]
-    try:
-        dim = int(text)
-    except ValueError as exc:
-        raise ConfigError(f"group {group!r}: dimension must be an integer") \
-            from exc
-    if dim < 1:
-        raise ConfigError(f"group {group!r}: dimension must be >= 1")
-    return dim
-
 
 def parse_floats(text: str, key: str) -> tuple[float, ...]:
     """Comma-separated finite floats such as "0.25, 1, 4"."""
@@ -162,7 +129,6 @@ def parse_config(text: str) -> RunConfig:
         if key not in _GROUP_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key == "group":
-            euclidean_dim(value)
             cfg = replace(cfg, group=value)
         elif key == "grid":
             cfg = replace(cfg, grid=parse_grid(value, "grid"))

@@ -21,8 +21,7 @@ import numpy as np
 
 from .errors import InsufficientDecaySamples, NotGaussianDecay
 from .grids import BiInvariantField, GridMode, RadialGrid, Representation
-from .propagator import (PropagationResult, data_bandwidth,
-                         euclidean_propagate, group_propagate_closed_form)
+from .propagator import data_bandwidth, group_propagate_closed_form
 from .rootsystem import RootSystemSpec
 from .spherical import conjugated_values
 
@@ -146,61 +145,51 @@ class UniquenessReport:
         return self.verdict.classification.name
 
 
-def _magnitude_field(grid: RadialGrid, mag: np.ndarray) -> BiInvariantField:
-    return BiInvariantField(grid, mag.astype(complex), Representation.PLAIN)
-
-
 def _tail_magnitudes(grid: RadialGrid, values: np.ndarray) -> BiInvariantField:
     """|values| with everything inside the peak radius masked out.
 
     The Gaussian bound is a tail statement; for antisymmetric conjugated
     profiles the magnitude also passes through small values near the
-    origin, and those nodes would contaminate a log-linear tail fit.
+    origin, and those nodes would contaminate a log-linear tail fit. A
+    magnitude that peaks at the origin keeps every node.
     """
     mag = np.abs(values)
     rsq = grid.radius_sq()
     peak_rsq = float(rsq.ravel()[int(np.nanargmax(mag))])
     mag = np.where(rsq >= peak_rsq, mag, np.nan)
-    return _magnitude_field(grid, mag)
+    return BiInvariantField(grid, mag.astype(complex), Representation.PLAIN)
 
 
-def uniqueness_experiment(system: RootSystemSpec | int,
+def uniqueness_experiment(system: RootSystemSpec,
                           field: BiInvariantField, t0: float,
                           tol_crit: float = TOL_CRIT_DEFAULT,
                           floor: float = 1e-10, cap: float = 1e-2,
                           mode: GridMode = GridMode.SCALED) -> UniquenessReport:
     """Propagate to t₀ by the closed form and certify the decay hypotheses.
 
-    `system` is a RootSystemSpec for group evolution or an int dimension
-    for Euclidean evolution. Group-side envelopes are measured on the
-    conjugated magnitudes |fφ|, |uφ| against the Cartan norm: that is the
-    level at which the uniqueness argument actually runs, and a Gaussian
-    rate certified for u·φ certifies the same rate for u (the φ factors
-    move only the amplitude). Fits are restricted to radii beyond the
-    magnitude peak. A propagated field below the noise floor everywhere
-    reports DEGENERATE rather than a verdict.
+    Envelopes are measured on the conjugated magnitudes |fφ|, |uφ| against
+    the Cartan norm: that is the level at which the uniqueness argument
+    actually runs, and a Gaussian rate certified for u·φ certifies the
+    same rate for u (the φ factors move only the amplitude). On R^n
+    ("euclid:<n>", no roots) φ ≡ 1 and these are |f| and |u|. FIXED mode
+    evaluates u on a box of at least the input's half-width that holds
+    2.4·t₀ times the data's Fourier support. Fits are restricted to radii
+    beyond the magnitude peak. A propagated field below the noise floor
+    everywhere reports DEGENERATE rather than a verdict.
     """
     peak0 = float(np.abs(field.values).max())
     if peak0 <= NOISE_FLOOR:
         return UniquenessReport(None, None, None, 0.0, 0.0, 0.0, True)
 
-    if isinstance(system, RootSystemSpec):
-        out_grid = None
-        if mode is GridMode.FIXED:
-            box = max(field.grid.half_width,
-                      2.4 * t0 * data_bandwidth(system, field))
-            out_grid = RadialGrid(system.rank, box,
-                                  field.grid.points_per_axis)
-        result: PropagationResult = group_propagate_closed_form(
-            system, field, t0, mode=mode, out_grid=out_grid)
-        sample_f = _tail_magnitudes(field.grid,
-                                    conjugated_values(system, field))
-        sample_u = _tail_magnitudes(result.field.grid, result.field.values)
-    else:
-        result = euclidean_propagate(field, t0, mode=mode)
-        sample_f = _magnitude_field(field.grid, np.abs(field.values))
-        sample_u = _magnitude_field(result.field.grid,
-                                    np.abs(result.field.values))
+    out_grid = None
+    if mode is GridMode.FIXED:
+        box = max(field.grid.half_width,
+                  2.4 * t0 * data_bandwidth(system, field))
+        out_grid = RadialGrid(system.rank, box, field.grid.points_per_axis)
+    result = group_propagate_closed_form(system, field, t0, mode=mode,
+                                         out_grid=out_grid)
+    sample_f = _tail_magnitudes(field.grid, conjugated_values(system, field))
+    sample_u = _tail_magnitudes(result.field.grid, result.field.values)
 
     sup_u = float(np.nanmax(np.abs(result.field.values)))
     if sup_u <= NOISE_FLOOR * max(peak0, 1.0):

@@ -55,7 +55,8 @@ _ANTISYMMETRY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class PropagationResult:
-    """Evolved profile: CONJUGATED u·φ on groups, PLAIN u in Euclidean mode."""
+    """Evolved profile: CONJUGATED u·φ from the group propagators, which on
+    euclid:n (no roots, φ ≡ 1) is u itself; PLAIN u from euclidean_propagate."""
 
     field: BiInvariantField
     t: float

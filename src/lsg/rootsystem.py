@@ -1,20 +1,24 @@
 """Finite root systems and Weyl groups for the supported low-rank families.
 
 Supported systems: A1, A2, B2, G2 and direct products thereof ("A1xA1",
-"A1xA2", ...). Roots live in a fixed orthonormal basis of the Cartan
-subalgebra, so the restriction of the Killing form is the plain dot
-product and Weyl elements are orthogonal matrices. The default scale puts
-long roots at squared length 2; `normalization` multiplies all root
-vectors (the form itself is never rescaled).
+"A1xA2", ...), and Euclidean R^n as "euclid:<n>", the rank-n system with
+no roots: ρ = 0, W = {1}, so φ ≡ 1 and c ≡ 1, and every group formula
+reduces to its Euclidean form. Roots live in a fixed orthonormal basis of
+the Cartan subalgebra, so the restriction of the Killing form is the
+plain dot product and Weyl elements are orthogonal matrices. The default
+scale puts long roots at squared length 2; `normalization` multiplies all
+root vectors (the form itself is never rescaled).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ClosureOverflow, DimensionError, UnsupportedRootSystem
+from .errors import (ClosureOverflow, ConfigError, DimensionError,
+                     UnsupportedRootSystem)
 
 # Type aliases: points H of the Cartan subalgebra and spectral parameters
 # lambda are both carried as plain 1-D float arrays of length `rank`
@@ -83,7 +87,7 @@ class RootSystemSpec:
     rank: int
     roots: np.ndarray            # (n_roots, rank)
     positive_roots: np.ndarray   # (n_roots // 2, rank)
-    simple_roots: np.ndarray     # (rank, rank)
+    simple_roots: np.ndarray     # (rank, rank); (0, rank) for euclid:<rank>
     rho: np.ndarray              # (rank,)
     weyl_group: tuple[WeylElement, ...] = field(repr=False)
 
@@ -163,21 +167,41 @@ def _embed(vectors: np.ndarray, offset: int, total: int) -> np.ndarray:
     return out
 
 
+def _parse_name(name: str) -> tuple[str, list[str], int]:
+    """(canonical name, irreducible factors, rank) of a system name."""
+    text = str(name).strip()
+    kind, colon, dim = text.partition(":")
+    if colon and kind.lower() == "euclid":
+        try:
+            rank = int(dim)
+        except ValueError as exc:
+            raise ConfigError(
+                f"group {text!r}: dimension must be an integer") from exc
+        if rank < 1:
+            raise ConfigError(f"group {text!r}: dimension must be >= 1")
+        return f"euclid:{rank}", [], rank
+    factors = [f.strip().upper() for f in text.replace("×", "x").split("x")]
+    if any(f not in _WEYL_ORDER for f in factors):
+        raise UnsupportedRootSystem(f"unsupported root system {name!r}")
+    rank = sum(1 if f == "A1" else 2 for f in factors)
+    return "x".join(factors), factors, rank
+
+
 def build_root_system(name: str, normalization: float = 1.0) -> RootSystemSpec:
     """Construct a supported root system, optionally rescaling root lengths.
 
-    `name` is one of A1, A2, B2, G2 or an x-separated product such as
-    "A1xA1". Raises UnsupportedRootSystem for anything else.
+    `name` is one of A1, A2, B2, G2, an x-separated product such as
+    "A1xA1", or "euclid:<n>" (n ≥ 1) for R^n, the system with no roots.
+    Raises UnsupportedRootSystem for any other root-system name, and
+    ConfigError for a malformed dimension or unless 0 < normalization < ∞.
     """
-    if normalization <= 0:
-        raise ValueError("normalization must be positive")
-    factors = [f.strip().upper() for f in str(name).replace("×", "x").split("x")]
-    if not factors or any(f not in _WEYL_ORDER for f in factors):
-        raise UnsupportedRootSystem(f"unsupported root system {name!r}")
-
-    canonical = "x".join(factors)
-    rank = sum(1 if f == "A1" else 2 for f in factors)
-    simple_blocks, positive_blocks, offset = [], [], 0
+    if not 0 < normalization < math.inf:
+        raise ConfigError(
+            f"normalization must be positive and finite, got {normalization}")
+    canonical, factors, rank = _parse_name(name)
+    simple_blocks = [np.zeros((0, rank))]
+    positive_blocks = [np.zeros((0, rank))]
+    offset = 0
     for f in factors:
         simple = _simple_roots(f) * normalization
         positive = _positive_roots(f, simple)

@@ -100,12 +100,6 @@ def test_load_bundled_preset():
         load_preset("nonexistent")
 
 
-def test_config_echo_is_json_ready():
-    cfg = parse_config("group = A2\ntol.x = 1e-3")
-    echoed = json.dumps(cfg.echo(), sort_keys=True)
-    assert "A2" in echoed
-
-
 # --- CLI ---------------------------------------------------------------------------
 
 def run_cli(*args, cwd=None):
@@ -113,6 +107,14 @@ def run_cli(*args, cwd=None):
     return subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
                            "-m", "lsg.cli", *args],
                           capture_output=True, text=True, cwd=cwd)
+
+
+def run_main(capsys, *args):
+    """(exit code, stdout, stderr) of an in-process `lsg` call."""
+    from lsg.cli import main
+    code = main(list(args))
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
 def test_cli_rootsys_info():
@@ -138,11 +140,10 @@ def test_cli_config_error_exit_code():
     ("hardy-check", "--euclid", "0", "--t0", "1"),
 ], ids=["grid-abc", "euclid-x", "euclid-0", "decay-fit-times", "grid-inf",
         "hardy-euclid-0"])
-def test_cli_malformed_input_is_a_config_error(argv):
-    out = run_cli(*argv)
-    assert out.returncode == 2
-    assert "Traceback" not in out.stderr
-    assert json.loads(out.stderr.strip())["error"] == "ConfigError"
+def test_cli_malformed_input_is_a_config_error(argv, capsys):
+    code, _, err = run_main(capsys, *argv)
+    assert code == 2
+    assert json.loads(err.strip())["error"] == "ConfigError"
 
 
 def test_cli_lambda_of_wrong_length_is_a_config_error():
@@ -224,13 +225,43 @@ def test_cli_numerical_error_exit_code():
     assert err["error"] == "GridTooSmall"
 
 
-def test_cli_hardy_check_lemma1(tmp_path):
-    out = run_cli("hardy-check", "--euclid", "1", "--grid", "2048,12",
-                  "--init", "gaussian:a=1,chirp=-0.25", "--t0", "1.0")
-    assert out.returncode == 0
-    payload = json.loads(out.stdout.splitlines()[0])
+def test_cli_hardy_check_lemma1(capsys):
+    code, out, _ = run_main(capsys, "hardy-check", "--euclid", "1",
+                            "--grid", "2048,12", "--init",
+                            "gaussian:a=1,chirp=-0.25", "--t0", "1.0")
+    assert code == 0
+    payload = json.loads(out.splitlines()[0])
     assert payload["classification"] == "CRITICAL"
     assert abs(payload["product"] - 1.0) <= 1e-3
+
+
+def test_cli_hardy_check_runs_the_lemma1_preset(capsys):
+    code, out, _ = run_main(capsys, "hardy-check", "--preset", "lemma1",
+                            "--t0", "1")
+    assert code == 0
+    payload = json.loads(out.splitlines()[0])
+    assert payload["system"] == "euclid:1"
+    assert payload["classification"] == "CRITICAL"
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_cli_hardy_check_bad_tolerance_is_a_config_error(tol, capsys):
+    code, out, err = run_main(capsys, "hardy-check", "--euclid", "1",
+                              "--t0", "1", "--grid", "256,12",
+                              "--tol-crit", tol)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.strip())["error"] == "ConfigError"
+
+
+def test_cli_evolve_spectral_runs_on_euclidean_space(capsys):
+    code, out, _ = run_main(capsys, "evolve", "--group", "euclid:1",
+                            "--method", "spectral", "--grid", "128,10",
+                            "--t", "0.5")
+    assert code == 0
+    record = json.loads(out)
+    assert record["scalars"]["method"] == "spectral"
+    assert record["config"]["group"] == "euclid:1"
 
 
 def test_cli_evolve_writes_deterministic_csv(tmp_path):
@@ -351,27 +382,35 @@ def test_cli_spherical_transform_csv(tmp_path):
     assert len(lines) == 129
 
 
-def test_programmatic_run_dispatch():
-    from lsg.cli import run
-    from lsg.config import parse_config
+@pytest.mark.parametrize("argv", [
+    ("strichartz", "--levels", "0"),
+    ("strichartz", "--levels", "1"),
+    ("strichartz", "--dyadic", "-3"),
+    ("strichartz", "--dyadic", "0"),
+    ("strichartz", "--tmax", "nan"),
+    ("strichartz", "--tmax", "-1"),
+    ("hardy-check", "--euclid", "1", "--t0", "-1"),
+    ("hardy-check", "--group", "A1", "--t0", "nan"),
+    ("rootsys", "info", "A2", "--normalization", "0"),
+    ("rootsys", "info", "A2", "--normalization", "-1"),
+    ("rootsys", "info", "A2", "--normalization", "nan"),
+], ids=lambda argv: " ".join(argv))
+def test_cli_bad_numbers_are_config_errors(argv, capsys):
+    if argv[0] != "rootsys":
+        argv += ("--grid", "64,12")
+    code, out, err = run_main(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.strip())["error"] == "ConfigError"
 
-    record = run("rootsys", parse_config("group = A1"))
-    assert record.scalars == {"rank": 1, "weyl_order": 2}
 
-    cfg = parse_config("group = euclid:1\ngrid = 2048,12\n"
-                       "init = gaussian:a=1,chirp=-0.25\nt = 1.0")
-    record = run("hardy-check", cfg)
-    assert record.scalars["classification"] == "CRITICAL"
-
-
-def test_programmatic_run_reproduce(tmp_path):
-    from lsg.cli import run
-    from lsg.config import RunConfig
-
-    record = run("reproduce", RunConfig(output=str(tmp_path / "rows")),
-                 profile="quick")
-    assert record.scalars["failed"] == 0
-    assert (tmp_path / "rows" / "acceptance.jsonl").exists()
+def test_cli_unwritable_out_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_main(capsys, "rootsys", "info", "A2",
+                              "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.strip())["error"] == "FileNotFoundError"
 
 
 @pytest.mark.parametrize("args", [

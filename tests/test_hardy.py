@@ -9,6 +9,7 @@ from lsg.hardy import (Classification, GaussianEnvelope, classical_hardy_check,
                        fit_envelope, fit_envelope_report, hardy_product,
                        uniqueness_experiment)
 from lsg.propagator import gaussian_profile
+from lsg.rootsystem import build_root_system
 
 
 def magnitude_field(grid, values):
@@ -136,7 +137,8 @@ def test_classification_bands(product_target):
 def test_experiment_lemma1_critical():
     grid = RadialGrid(1, 12.0, 2048)
     f = gaussian_profile(grid, 1.0, chirp=-0.25)
-    rep = uniqueness_experiment(1, f, 1.0, mode=GridMode.FIXED)
+    rep = uniqueness_experiment(build_root_system("euclid:1"), f, 1.0,
+                                mode=GridMode.FIXED)
     assert rep.verdict.classification is Classification.CRITICAL
     assert abs(rep.verdict.product - 1.0) <= 1e-3
     assert abs(rep.envelope_u.rate - 1.0 / 16.0) <= 1e-6
@@ -163,13 +165,14 @@ def test_experiment_zero_data_degenerate(a1):
 def test_contrapositive_mini_suite(a1):
     """No genuine nonzero solution may measure past the threshold."""
     rng = np.random.default_rng(7)
+    r1 = build_root_system("euclid:1")
     egrid = RadialGrid(1, 12.0, 2048)
     ggrid = RadialGrid(1, 12.0, 1024)
     for _ in range(8):
         a = rng.uniform(0.4, 1.8)
         c = rng.uniform(-0.5, 0.5)
         t0 = rng.uniform(0.5, 1.4)
-        rep = uniqueness_experiment(1, gaussian_profile(egrid, a, c),
+        rep = uniqueness_experiment(r1, gaussian_profile(egrid, a, c),
                                     float(t0), mode=GridMode.SCALED)
         assert rep.verdict.classification is not Classification.MUST_VANISH
     for _ in range(4):
@@ -184,9 +187,10 @@ def test_contrapositive_mini_suite(a1):
 def test_euclid_product_curve_formula():
     """Measured 16 a b(t) t^2 against a^2/(...) pointwise."""
     a = 1.0
+    r1 = build_root_system("euclid:1")
     grid = RadialGrid(1, 12.0, 2048)
     f = gaussian_profile(grid, a)
     for t in (0.4, 1.0, 1.8):
-        rep = uniqueness_experiment(1, f, t, mode=GridMode.SCALED)
+        rep = uniqueness_experiment(r1, f, t, mode=GridMode.SCALED)
         expected = 16 * a * a * t * t / (1.0 + 16 * a * a * t * t)
         assert rep.verdict.product == pytest.approx(expected, abs=1e-6)

@@ -9,7 +9,8 @@ from lsg.grids import (BiInvariantField, GridMode, RadialGrid, Representation,
 from lsg.propagator import (_chirp, _chirp_sandwich, data_bandwidth,
                             duhamel_solve, euclidean_propagate,
                             gaussian_profile, group_propagate_closed_form,
-                            group_propagate_spectral, suggest_spectral_grid)
+                            group_propagate_spectral, plain_magnitude,
+                            suggest_spectral_grid)
 from lsg.rootsystem import build_root_system
 from lsg.spherical import (conjugated_values, denominator_on_grid,
                            spherical_transform, synthesize_conjugated)
@@ -129,6 +130,37 @@ def test_euclidean_tail_guard():
     f = gaussian_profile(grid, 0.3)
     with pytest.raises(GridTooSmall):
         euclidean_propagate(f, 1.0)
+
+
+@pytest.mark.parametrize("n,points,box", [(1, 256, 12.0), (2, 64, 9.0),
+                                          (3, 24, 7.0)])
+def test_no_root_closed_form_is_the_euclidean_propagator(n, points, box):
+    """On euclid:n, φ ≡ 1 and ρ = 0: the group closed form is bit for bit
+    the Euclidean one, values and |u| alike."""
+    rs = build_root_system(f"euclid:{n}")
+    f = gaussian_profile(RadialGrid(n, box, points), 1.0, -0.25)
+    for mode, times in ((GridMode.SCALED, (0.01, 0.5, 2.0)),
+                        (GridMode.FIXED, (0.5, 2.0))):
+        for t in times:
+            got = group_propagate_closed_form(rs, f, t, mode)
+            want = euclidean_propagate(f, t, mode)
+            assert got.field.grid == want.field.grid
+            assert np.array_equal(got.field.values, want.field.values)
+            assert np.array_equal(plain_magnitude(rs, got),
+                                  np.abs(want.field.values))
+
+
+@pytest.mark.parametrize("n,points,box,times", [(1, 256, 12.0, (0.5, 2.0)),
+                                                (2, 96, 9.0, (0.5, 2.0))])
+def test_no_root_spectral_oracle_matches_closed_form(n, points, box, times):
+    rs = build_root_system(f"euclid:{n}")
+    f = gaussian_profile(RadialGrid(n, box, points), 1.0)
+    for t in times:
+        out = RadialGrid(n, max(box, 2.3 * t * data_bandwidth(rs, f)), points)
+        closed = group_propagate_closed_form(rs, f, t, GridMode.FIXED, out)
+        oracle = group_propagate_spectral(rs, f, t, out_grid=out)
+        assert relative_l2(closed.field.values, oracle.field.values,
+                           out) <= 1e-12
 
 
 def test_scaled_mode_small_t_recovers_initial_data(a1):

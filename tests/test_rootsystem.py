@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lsg.errors import ClosureOverflow, DimensionError, UnsupportedRootSystem
+from lsg.errors import (ClosureOverflow, ConfigError, DimensionError,
+                        UnsupportedRootSystem)
+from lsg.grids import RadialGrid
 from lsg.rootsystem import (build_root_system, dominant_representative,
                             generate_weyl_group, is_dominant, pairing,
                             weyl_group)
+from lsg.spherical import c_function, weyl_denominator
 
 SYSTEMS = ["A1", "A2", "B2", "G2", "A1xA1", "A1xA2"]
 ORDERS = {"A1": 2, "A2": 6, "B2": 8, "G2": 12, "A1xA1": 4, "A1xA2": 12}
@@ -64,6 +67,34 @@ def test_unknown_name_rejected():
         build_root_system("E8")
     with pytest.raises(UnsupportedRootSystem):
         build_root_system("A1xZ9")
+
+
+@pytest.mark.parametrize("normalization", [0.0, -1.0, np.nan, np.inf])
+def test_normalization_must_be_positive_and_finite(normalization):
+    with pytest.raises(ConfigError):
+        build_root_system("A2", normalization=normalization)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_euclidean_space_is_the_system_with_no_roots(n):
+    rs = build_root_system(f"euclid:{n}")
+    assert rs.name == f"euclid:{n}" and rs.rank == n
+    for roots in (rs.roots, rs.positive_roots, rs.simple_roots):
+        assert roots.shape == (0, n)
+    assert rs.weyl_order == 1
+    assert np.array_equal(rs.weyl_group[0].matrix, np.eye(n))
+    assert rs.weyl_group[0].sign == 1.0
+    assert np.array_equal(rs.rho, np.zeros(n))
+    grid = RadialGrid(n, 6.0, 16)
+    assert np.array_equal(weyl_denominator(rs, grid), np.ones(grid.shape))
+    assert c_function(rs, np.linspace(-1.3, 0.7, n)) == 1.0
+
+
+@pytest.mark.parametrize("name", ["euclid:x", "euclid:0", "euclid:-2",
+                                  "euclid:1.5", "euclid:"])
+def test_malformed_euclidean_dimension_is_a_config_error(name):
+    with pytest.raises(ConfigError, match="dimension"):
+        build_root_system(name)
 
 
 def test_closure_overflow_on_noncrystallographic_angle():
