@@ -3,7 +3,7 @@ semi-simple Lie groups, with a Hardy-type uniqueness certifier, dispersive
 and space-time estimate verification, and a Heisenberg-group explorer.
 """
 
-from .config import InitData, RunConfig, load_preset, parse_config
+from .config import InitData
 from .errors import LsgError
 from .estimates import (NormReport, decay_exponent_fit,
                         strichartz_inhomogeneous_check, strichartz_norm,

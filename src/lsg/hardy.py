@@ -15,11 +15,13 @@ hypotheses of the uniqueness theorem are numerically satisfied".
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDecaySamples, NotGaussianDecay
+from .errors import (ConfigError, GridTooSmall, InsufficientDecaySamples,
+                     NotGaussianDecay)
 from .grids import BiInvariantField, GridMode, RadialGrid, Representation
 from .propagator import data_bandwidth, group_propagate_closed_form
 from .rootsystem import RootSystemSpec
@@ -173,10 +175,13 @@ def uniqueness_experiment(system: RootSystemSpec,
     same rate for u (the φ factors move only the amplitude). On R^n
     ("euclid:<n>", no roots) φ ≡ 1 and these are |f| and |u|. FIXED mode
     evaluates u on a box of at least the input's half-width that holds
-    2.4·t₀ times the data's Fourier support. Fits are restricted to radii
-    beyond the magnitude peak. A propagated field below the noise floor
-    everywhere reports DEGENERATE rather than a verdict.
+    2.4·t₀ times the data's Fourier support (GridTooSmall when its width
+    overflows). Fits are restricted to radii beyond the magnitude peak. A
+    propagated field below the noise floor everywhere reports DEGENERATE
+    rather than a verdict. ConfigError unless 0 ≤ tol_crit < ∞.
     """
+    if not 0 <= tol_crit < math.inf:
+        raise ConfigError(f"tol_crit must be finite and >= 0, got {tol_crit}")
     peak0 = float(np.abs(field.values).max())
     if peak0 <= NOISE_FLOOR:
         return UniquenessReport(None, None, None, 0.0, 0.0, 0.0, True)
@@ -185,6 +190,8 @@ def uniqueness_experiment(system: RootSystemSpec,
     if mode is GridMode.FIXED:
         box = max(field.grid.half_width,
                   2.4 * t0 * data_bandwidth(system, field))
+        if not math.isfinite(2.0 * box):
+            raise GridTooSmall(f"t0 = {t0:g} needs a box wider than floats")
         out_grid = RadialGrid(system.rank, box, field.grid.points_per_axis)
     result = group_propagate_closed_form(system, field, t0, mode=mode,
                                          out_grid=out_grid)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationAtSingularity, QuadratureFailure
+from .errors import ConfigError, EvaluationAtSingularity, QuadratureFailure
 
 _SERIES_CUTOFF = 1e-4       # |λt| below this uses the removable-limit series
 _SINGULARITY_GUARD = 1e-9
@@ -54,7 +54,9 @@ def _lam_over_sinh(lam: float, t: float) -> float:
     if abs(z) < _SERIES_CUTOFF:
         # 1/sinh(z) = (1/z)(1 - z²/6 + 7z⁴/360 + ...)
         return (1.0 - z * z / 6.0 + 7.0 * z**4 / 360.0) / t
-    return lam / np.sinh(z)
+    # 1/sinh(z) = 2e^{-z}/(1 - e^{-2z}) at z > 0: no overflow at large |z|
+    a = abs(z)
+    return np.sign(z) * 2.0 * lam * np.exp(-a) / -np.expm1(-2.0 * a)
 
 
 def _lam_coth(lam: float, t: float) -> float:
@@ -124,10 +126,11 @@ def heat_kernel(x: float, u: float, xi: float, t: float,
         scale = max(abs(cur), 1e-300)
         if abs(cur - prev) <= tol * scale:
             return cur
+        if not np.isfinite(cur):
+            break           # a NaN or infinite estimate never converges
         prev = cur
     raise QuadratureFailure(
-        f"heat kernel quadrature did not converge to {tol:g} "
-        f"after {max_doublings} doublings")
+        f"heat kernel quadrature did not converge to {tol:g}")
 
 
 def singularities(t: float, k_max: int) -> list[float]:
@@ -135,6 +138,15 @@ def singularities(t: float, k_max: int) -> list[float]:
     if t <= 0 or k_max < 1:
         raise ValueError("need t > 0 and k_max >= 1")
     return [k * np.pi / t for k in range(1, k_max + 1)]
+
+
+def singularity_count(t: float, lam_max: float) -> int:
+    """How many kπ/t lie in (0, |λ_max|]; ConfigError when |λ_max|·t or
+    the width 2|λ_max| of the range overflows."""
+    reach = abs(lam_max) * t / np.pi
+    if not np.isfinite(reach) or not np.isfinite(2.0 * lam_max):
+        raise ConfigError(f"lambda range ±{abs(lam_max):g} at t {t:g} overflows")
+    return int(reach)
 
 
 def schrodinger_integrand(lam: float, x: float, u: float, t: float) -> complex:

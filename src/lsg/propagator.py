@@ -50,6 +50,7 @@ from .spherical import (conjugated_values, conjugated_with,
                         synthesize_conjugated, to_plain)
 
 _MAX_FFT_NODES = 2**24          # memory guard on the padded multiplier grid
+                                # and on the oracle's spectral grid
 _ANTISYMMETRY_TOL = 1e-8
 
 
@@ -236,12 +237,17 @@ def suggest_spectral_grid(rs: RootSystemSpec, field: BiInvariantField,
 
     Half-width covers the conjugated profile's Fourier support (1e-13
     relative); spacing obeys Δλ·(L_out + 2t·λ_max) ≤ π/2, which implies
-    the documented precondition Δλ ≤ π/(4 t λ_max).
+    the documented precondition Δλ ≤ π/(4 t λ_max). GridTooSmall when
+    that takes more than _MAX_FFT_NODES nodes.
     """
     half = 1.1 * data_bandwidth(rs, field)
     l_out = out_half_width if out_half_width is not None else field.grid.half_width
     dl = np.pi / (2.0 * (l_out + 2.0 * max(t, 0.0) * half))
-    n = int(np.ceil(2.0 * half / dl))
+    nodes = 2.0 * half / dl if dl > 0 else math.inf
+    if nodes > _MAX_FFT_NODES ** (1.0 / rs.rank):
+        raise GridTooSmall(f"spectral oracle needs {nodes:.3g} nodes/axis "
+                           f"at t={t:g}")
+    n = int(np.ceil(nodes))
     n += n % 2
     return RadialGrid(rs.rank, half, max(n, 16))
 

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from lsg.errors import EvaluationAtSingularity
+from lsg import heisenberg
+from lsg.errors import EvaluationAtSingularity, QuadratureFailure
 from lsg.heisenberg import (GeodesicParams, cutlocus_distance, geodesic,
                             geodesic_coords, heat_integrand, heat_kernel,
                             projection_residual, schrodinger_integrand,
@@ -35,6 +36,21 @@ def test_heat_integrand_large_lambda_envelope():
         assert val <= bound
 
 
+@pytest.mark.parametrize("lam", [-1.0, 1.0, 1e3])
+def test_heat_integrand_past_sinh_overflow(lam):
+    # sinh(λt) overflows at λt = ±1e3, 1e6; λ/sinh(λt), and with it the
+    # integrand, is 0 there, not a RuntimeWarning (an error in this suite)
+    assert heat_integrand(lam, 0.0, 0.0, 0.0, 1e3) == 0.0
+
+
+@pytest.mark.parametrize("lam", [-0.1, 0.01, 0.3])
+def test_heat_integrand_matches_sinh_below_overflow(lam):
+    t = 1e3     # λt up to 300, where sinh is finite
+    want = np.exp(-t * lam * lam) * lam / np.sinh(lam * t)
+    got = heat_integrand(lam, 0.0, 0.0, 0.0, t)
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
 @given(st.floats(1e-6, 9e-5))
 def test_heat_integrand_series_branch_continuity(eps):
     # series branch at |lambda t| < 1e-4 agrees with the limit to O(eps^2)
@@ -61,6 +77,21 @@ def test_heat_kernel_truncation_insensitive():
     a = heat_kernel(0.5, 0.2, 0.3, 1.0, tol=1e-8)
     b = heat_kernel(0.5, 0.2, 0.3, 1.0, tol=1e-12)
     assert abs(a - b) <= 1e-7 * abs(b)
+
+
+def test_heat_kernel_gives_up_on_a_nan_estimate_at_once(monkeypatch):
+    # λξ overflows at ξ = 1e308, so every estimate is NaN: one doubling,
+    # 16·(2 + 4) integrand calls, not all 14 doublings
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return heat_integrand(*args)
+    monkeypatch.setattr(heisenberg, "heat_integrand", counted)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(QuadratureFailure):
+        heat_kernel(0.0, 0.0, 1e308, 1.0)
+    assert len(calls) == 16 * (2 + 4)
 
 
 # --- continued integrand ---------------------------------------------------------

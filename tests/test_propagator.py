@@ -330,6 +330,14 @@ def test_spectral_t_zero_is_plain_synthesis(a1):
         <= 1e-12 * np.abs(direct).max()
 
 
+@pytest.mark.parametrize("t", [1e20, 1e308])
+def test_spectral_grid_past_the_node_cap_is_grid_too_small(a1, t):
+    # ~1e23 nodes per axis at t = 1e20; at t = 1e308 the spacing is 0
+    f = gaussian_profile(RadialGrid(1, 10.0, 96), 1.0)
+    with pytest.raises(GridTooSmall, match="spectral oracle"):
+        suggest_spectral_grid(a1, f, t)
+
+
 @pytest.mark.parametrize("name", ["A2", "A1xA1"])
 def test_spectral_propagation_is_the_public_composition(name):
     """group_propagate_spectral is transform, the evolution phase, then
