@@ -26,7 +26,8 @@ from .rootsystem import (CartanVector, RootSystemSpec, SpectralVector,
                          dominant_representative, pairing, weyl_group)
 from .spherical import (c_function, density, eigen_residual,
                         inverse_spherical_transform, plancherel_constant,
-                        radial_laplacian, roundtrip_error, spherical_function,
-                        spherical_transform, weyl_denominator)
+                        radial_laplacian, roundtrip_error, spectral_to_plain,
+                        spherical_function, spherical_transform,
+                        weyl_denominator)
 
 __version__ = "0.1.0"

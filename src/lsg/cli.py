@@ -46,7 +46,8 @@ from .propagator import (gaussian_profile, group_propagate_closed_form,
                          group_propagate_spectral, plain_magnitude)
 from .rootsystem import build_root_system
 from .spherical import (conjugated_values, roundtrip_error,
-                        spherical_function_field, spherical_transform)
+                        spectral_to_plain, spherical_function_field,
+                        spherical_transform)
 
 _FLOAT_FMT = "%.17g"
 _CSV_BLOCK = 1 << 16      # rows per block of column-wise CSV formatting
@@ -193,10 +194,11 @@ def _cmd_spherical(args) -> ResultRecord:
         f = _profile(args, rs)
         ns, sbox = args.spectral_grid or (n, box)
         sgrid = RadialGrid(rs.rank, sbox, ns)
-        spec = spherical_transform(rs, f, sgrid)
+        fhat, singular = spectral_to_plain(
+            rs, spherical_transform(rs, f, sgrid))
         header = [f"lam{i}" for i in range(rs.rank)] + ["re", "im", "singular"]
-        rows = _field_csv_rows(sgrid, spec.values.real, spec.values.imag,
-                               spec.singular_mask.astype(int))
+        rows = _field_csv_rows(sgrid, fhat.real, fhat.imag,
+                               singular.astype(int))
         scalars["init_rate"] = args.init.rate
     else:  # roundtrip
         f = _profile(args, rs)

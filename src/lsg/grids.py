@@ -53,8 +53,9 @@ class RadialGrid:
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
+        if not 0 < 2.0 * self.half_width < np.inf:   # else the axis is NaN
+            raise ValueError(f"half_width {self.half_width} is not positive "
+                             "with a finite width")
         n = self.points_per_axis
         if n < 2 or n % 2 != 0:
             raise ValueError("points_per_axis must be even and >= 2")
@@ -100,8 +101,10 @@ class RadialGrid:
         return RadialGrid(self.rank, np.pi / self.spacing, self.points_per_axis)
 
     def scaled(self, factor: float) -> "RadialGrid":
-        return RadialGrid(self.rank, self.half_width * factor,
-                          self.points_per_axis)
+        half = self.half_width * factor
+        if not 2.0 * half < np.inf:     # a computed box, so not a ValueError
+            raise GridTooSmall(f"box {self.half_width:g} x {factor:g} overflows")
+        return RadialGrid(self.rank, half, self.points_per_axis)
 
 
 @dataclass(frozen=True)
@@ -131,23 +134,18 @@ class BiInvariantField:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Spherical-transform samples on a spectral-side RadialGrid.
-
-    `singular_mask` flags nodes on Weyl walls, where the stored value is 0
-    by convention: the Plancherel density vanishes quadratically there, so
-    synthesis never reads those nodes.
-    """
+    """The conjugated spectrum G(λ) = π(λ)·f̂(λ) on a spectral-side RadialGrid,
+    the twin of a CONJUGATED field's u·φ: |W|·π(ρ)·i^m times the Fourier
+    transform of f·φ, smooth across the Weyl walls, where f̂ is undefined.
+    `spherical.spectral_to_plain` recovers f̂."""
 
     grid: RadialGrid
     values: np.ndarray
-    singular_mask: np.ndarray | None = None
 
     def __post_init__(self):
         if self.values.shape != self.grid.shape:
             raise ValueError("values shape does not match grid")
         self.values.setflags(write=False)
-        if self.singular_mask is not None:
-            self.singular_mask.setflags(write=False)
 
 
 # --- quadrature and norms ---------------------------------------------------
@@ -300,11 +298,14 @@ def _chirp_z_plan(grid: RadialGrid, xi: np.ndarray, step: float, sign: int
 
 
 def fourier_at(values: np.ndarray, grid: RadialGrid,
-               out_axes: list[np.ndarray], sign: int = -1) -> np.ndarray:
+               out_axes: list[np.ndarray], sign: int = -1,
+               weight: np.ndarray | None = None) -> np.ndarray:
     """The same sum on caller-chosen uniform output axes, by chirp-z.
 
     `out_axes` holds one uniform 1-D node array per axis (a single node
-    counts as uniform); any other axis raises ValueError. Each axis costs
+    counts as uniform); any other axis raises ValueError. `weight`, a 1-D
+    array over `grid.axis`, multiplies the input by w(x_1)·…·w(x_l) at no
+    grid-sized cost: it is folded into each axis's pre-chirp. Each axis costs
     three FFTs of a 5-smooth length >= N + M - 1 (Bluestein's chirp-z
     algorithm), O((N+M) log(N+M)); axes with equal (length, first, last)
     share one plan.
@@ -323,7 +324,10 @@ def fourier_at(values: np.ndarray, grid: RadialGrid,
         step = _uniform_step(xi)
         key = (xi.size, float(xi[0]), float(xi[-1]))
         if key not in plans:
-            plans[key] = _chirp_z_plan(grid, xi, step, sign)
+            pre, kernel_hat, post = _chirp_z_plan(grid, xi, step, sign)
+            if weight is not None:
+                pre = pre * weight
+            plans[key] = pre, kernel_hat, post
         pre, kernel_hat, post = plans[key]
         moved = np.moveaxis(out, ax, -1)
         spec = np.empty(moved.shape[:-1] + kernel_hat.shape, dtype=complex)

@@ -101,14 +101,19 @@ def heat_kernel(x: float, u: float, xi: float, t: float,
 
     The λ-range is truncated where the Gaussian factor e^{-tλ²} drops
     below tol relative to its peak; composite panels double until two
-    successive estimates agree to tol (relative). The overall
-    normalization constant of the kernel is not pinned down here.
+    successive estimates agree to tol (relative). It gives up after the
+    first doubling when even the finest panel would hold fewer than two
+    Gauss nodes per wavelength of e^{-iλξ}. The overall normalization
+    constant of the kernel is not pinned down here.
     """
     if t <= 0 or tol <= 0:
         raise ValueError("heat_kernel needs t > 0 and tol > 0")
     lam_max = np.sqrt(max(np.log(1.0 / tol), 1.0) / t) + 2.0 / np.sqrt(t)
 
     base_nodes, base_weights = np.polynomial.legendre.leggauss(16)
+    # fewer than 2 Gauss nodes per wavelength 2π/|ξ| on the finest panel
+    finest = 2.0 * lam_max / 2 ** (max_doublings + 1)
+    unresolved = abs(xi) * finest > np.pi * base_nodes.size
 
     def composite(panels: int) -> complex:
         edges = np.linspace(-lam_max, lam_max, panels + 1)
@@ -126,8 +131,8 @@ def heat_kernel(x: float, u: float, xi: float, t: float,
         scale = max(abs(cur), 1e-300)
         if abs(cur - prev) <= tol * scale:
             return cur
-        if not np.isfinite(cur):
-            break           # a NaN or infinite estimate never converges
+        if not np.isfinite(cur) or unresolved:
+            break           # neither ever converges
         prev = cur
     raise QuadratureFailure(
         f"heat kernel quadrature did not converge to {tol:g}")

@@ -268,9 +268,7 @@ def group_propagate_spectral(rs: RootSystemSpec, field: BiInvariantField,
         raise InvalidTime(f"spectral propagation needs t >= 0, got {t}")
     if out_grid is None:
         if mode is GridMode.SCALED and t > 0:
-            out_grid = RadialGrid(rs.rank,
-                                  2.0 * t * field.grid.dual().half_width,
-                                  field.grid.points_per_axis)
+            out_grid = field.grid.dual().scaled(2.0 * t)
         else:
             out_grid = field.grid
     if spectral_grid is None:
@@ -283,12 +281,7 @@ def group_propagate_spectral(rs: RootSystemSpec, field: BiInvariantField,
                 f"spectral spacing {spectral_grid.spacing:.3g} exceeds "
                 f"pi/(4 t lambda_max) = {limit:.3g}")
     spec = spherical_transform(rs, field, spectral_grid)
-    # e^{-it(|λ|²+|ρ|²)} from 1-D phases
-    phase = _times_axes(np.broadcast_to(1.0, spectral_grid.shape),
-                        np.exp(-1j * t * spectral_grid.axis**2))
-    phase *= np.exp(-1j * t * float(rs.rho @ rs.rho))
-    uphi = synthesize_conjugated(rs, spec, [out_grid.axis] * rs.rank,
-                                 extra_phase=phase)
+    uphi = synthesize_conjugated(rs, spec, [out_grid.axis] * rs.rank, t)
     result = BiInvariantField(out_grid, uphi, Representation.CONJUGATED)
     return PropagationResult(result, t, Method.SPECTRAL, mode)
 

@@ -10,11 +10,20 @@ with c(λ) = π(ρ)/π(iλ), π(μ) = Π_{α>0}⟨μ,α⟩, normalized so φ_λ(
 the spherical transform of a Weyl-invariant profile f collapses to an
 ordinary Fourier transform of the antisymmetric conjugate g = f·φ:
 
-    f̂(λ) = |W| · c(-λ) · ĝ(λ).
+    f̂(λ) = |W| · c(-λ) · ĝ(λ),   c(-λ) = π(ρ)·i^m/π(λ),  m = |Σ₊|.
 
-Synthesis against the Plancherel density |c(λ)|⁻² dλ likewise collapses,
-with the global constant κ = (2π)^{-l}/|W|² of the Euclidean inverse
-Fourier transform on the rank-l Cartan subalgebra.
+Synthesis against the Plancherel density |c(λ)|⁻² dλ reads f̂ only through
+π(λ)·f̂(λ), so the spectral side stores the conjugated spectrum
+
+    G(λ) = π(λ)·f̂(λ) = |W|·π(ρ)·i^m·ĝ(λ),
+
+as the space side stores u·φ. The transform is one Euclidean Fourier
+transform times a constant and synthesis one inverse transform times
+κ·(-i)^m·|W|/π(ρ), with κ = (2π)^{-l}/|W|² the Euclidean constant on the
+rank-l Cartan subalgebra. Neither divides by π(λ) nor looks at a Weyl
+wall; `spectral_to_plain` does that when f̂ itself is wanted. Schrödinger
+evolution multiplies G by e^{-it|λ|²} = Π_d e^{-itλ_d²}, a 1-D factor per
+axis, and by the constant e^{-it|ρ|²}.
 
 Weyl's denominator identity turns the |W| sum into a product over the
 positive roots,
@@ -26,10 +35,6 @@ from the root pairings ⟨α,H⟩ alone; on a grid each pairing is a sum of
 1-D axes. Only the numerator A_λ of φ_λ keeps the Weyl sum: it has no
 product form, but on a grid each of its terms is an outer product of 1-D
 exponentials. The tests keep the sum as the oracle for φ.
-
-On a spectral grid the transform takes π(λ) and the Weyl-wall mask from
-one pass over the positive roots, drawing each pairing once; |λ| is one
-float field, formed before the pass.
 """
 
 from __future__ import annotations
@@ -65,14 +70,6 @@ def _root_pairings(rs: RootSystemSpec, h) -> Iterator[np.ndarray]:
                 for a in rs.positive_roots)
     h = np.asarray(h, dtype=float)
     return (h @ a for a in rs.positive_roots)
-
-
-def _pi_of(pairs: Iterable[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
-    """Π of the pairings, accumulated in place in one array of `shape`."""
-    out = np.ones(shape)
-    for pair in pairs:
-        out *= pair
-    return out
 
 
 def _pi_and_spectral_wall(rs: RootSystemSpec, pairs: Iterable[np.ndarray],
@@ -148,7 +145,9 @@ def wall_mask(rs: RootSystemSpec, grid: RadialGrid) -> np.ndarray:
 def pi_product(rs: RootSystemSpec, mu) -> np.ndarray | float:
     """π(μ) = Π_{α∈Σ₊} ⟨μ, α⟩, vectorized over stacked μ."""
     mu = np.asarray(mu, dtype=float)
-    val = _pi_of(_root_pairings(rs, mu), mu.shape[:-1])
+    val = np.ones(mu.shape[:-1])
+    for pair in _root_pairings(rs, mu):
+        val *= pair
     return float(val) if mu.ndim == 1 else val
 
 
@@ -252,43 +251,39 @@ def conjugated_with(field: BiInvariantField, phi: np.ndarray) -> np.ndarray:
 
 # --- spherical transform --------------------------------------------------------
 
-def _check_oscillation(space: RadialGrid, lam_max: float) -> None:
-    # separable kernel: the per-axis phase step is spacing * lam_max
-    if space.spacing * lam_max > np.pi:
-        raise GridTooSmall(
-            f"space grid spacing {space.spacing:.3g} cannot resolve "
-            f"e^(-i lambda H) up to |lambda| = {lam_max:.3g} per axis")
-
-
 def spherical_transform(rs: RootSystemSpec, field: BiInvariantField,
                         spectral_grid: RadialGrid) -> SpectralField:
-    """f̂(λ) = ∫ φ_{-λ}(H) f(H) φ²(H) dH over the full box.
+    """G(λ) = π(λ)·f̂(λ), f̂(λ) = ∫ φ_{-λ}(H) f(H) φ²(H) dH over the full box.
 
-    Computed through the conjugate profile: f̂ = |W|·c(-λ)·ĝ(λ) with
+    Computed through the conjugate profile: G = |W|·π(ρ)·i^m·ĝ(λ) with
     g = f·φ antisymmetrically extended, which is the same trapezoid sum
-    with the Weyl terms collapsed. Wall nodes of the spectral grid get
-    value 0 and a singular_mask entry (the Plancherel weight is 0 there).
+    with the Weyl terms collapsed and c(-λ)'s 1/π(λ) left out.
     """
     if spectral_grid.rank != rs.rank:
         raise GridTooSmall("spectral grid rank does not match root system")
     g = conjugated_values(rs, field)
     require_tail(g, what="conjugated profile")
-    _check_oscillation(field.grid, spectral_grid.half_width)
+    # separable kernel: the per-axis phase step is spacing * lam_max
+    h, lam_max = field.grid.spacing, spectral_grid.half_width
+    if h * lam_max > np.pi:
+        raise GridTooSmall(
+            f"space grid spacing {h:.3g} cannot resolve "
+            f"e^(-i lambda H) up to |lambda| = {lam_max:.3g} per axis")
+    values = fourier_at(g, field.grid, [spectral_grid.axis] * rs.rank, sign=-1)
+    values *= rs.weyl_order * pi_product(rs, rs.rho) * 1j ** rs.n_positive
+    return SpectralField(spectral_grid, values)
 
+
+def spectral_to_plain(rs: RootSystemSpec, spectral: SpectralField
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """(f̂, singular): f̂ = G/π(λ), set to 0 on the Weyl-wall nodes that
+    `singular` flags, where π(λ) vanishes and so does the Plancherel weight."""
+    grid = spectral.grid
     pi_vals, singular = _pi_and_spectral_wall(
-        rs, _root_pairings(rs, spectral_grid),
-        np.sqrt(spectral_grid.radius_sq()))
-    ghat = fourier_at(g, field.grid, [spectral_grid.axis] * rs.rank, sign=-1)
-    regular = ~singular
-    m = rs.n_positive
-    # c(-λ) = π(ρ)·i^m / π(λ) for real λ; values = |W|·c(-λ)·ĝ, built in
-    # place and left 0 on the walls
-    values = np.zeros(spectral_grid.shape, dtype=complex)
-    np.divide(pi_product(rs, rs.rho) * (1j) ** m, pi_vals, out=values,
-              where=regular)
-    np.multiply(rs.weyl_order, values, out=values)
-    np.multiply(values, ghat, out=values, where=regular)
-    return SpectralField(spectral_grid, values, singular)
+        rs, _root_pairings(rs, grid), np.sqrt(grid.radius_sq()))
+    fhat = np.zeros(grid.shape, dtype=complex)
+    np.divide(spectral.values, pi_vals, out=fhat, where=~singular)
+    return fhat, singular
 
 
 def spherical_transform_direct(rs: RootSystemSpec, field: BiInvariantField,
@@ -314,21 +309,20 @@ def spherical_transform_direct(rs: RootSystemSpec, field: BiInvariantField,
 
 def synthesize_conjugated(rs: RootSystemSpec, spectral: SpectralField,
                           out_axes: list[np.ndarray],
-                          extra_phase: np.ndarray | None = None) -> np.ndarray:
-    """u·φ from spectral data: κ·∫ A_λ(H)·c(λ)|c(λ)|⁻²·F(λ) dλ, collapsed.
+                          t: float = 0.0) -> np.ndarray:
+    """u·φ from spectral data: κ·∫ A_λ(H)·c(λ)|c(λ)|⁻²·f̂(λ) dλ, collapsed,
+    after Schrödinger evolution for time t.
 
-    With G(λ) = π(λ)F(λ) (antisymmetric for Weyl-invariant F) the Weyl sum
-    collapses to κ·(-i)^m·|W|/π(ρ) times a single inverse-kernel Fourier
-    sum. `extra_phase` multiplies F nodewise (used for evolution factors).
+    The Weyl sum collapses to κ·(-i)^m·|W|/π(ρ) times a single inverse
+    Fourier sum of G = π·f̂. At t ≠ 0 the evolution factor
+    e^{-it(|λ|²+|ρ|²)} enters as the 1-D weight e^{-itλ_d²} of that sum and
+    the constant e^{-it|ρ|²} of the prefactor.
     """
-    kappa = plancherel_constant(rs)
-    m = rs.n_positive
-    integrand = (_pi_of(_root_pairings(rs, spectral.grid), spectral.grid.shape)
-                 * spectral.values)
-    if extra_phase is not None:
-        integrand *= extra_phase
-    ft = fourier_at(integrand, spectral.grid, out_axes, sign=+1)
-    pref = kappa * (-1j) ** m * rs.weyl_order / pi_product(rs, rs.rho)
+    grid = spectral.grid
+    weight = np.exp(-1j * t * grid.axis**2) if t else None
+    ft = fourier_at(spectral.values, grid, out_axes, sign=+1, weight=weight)
+    pref = (plancherel_constant(rs) * (-1j) ** rs.n_positive * rs.weyl_order
+            / pi_product(rs, rs.rho) * np.exp(-1j * t * float(rs.rho @ rs.rho)))
     return np.multiply(pref, ft, out=ft)
 
 

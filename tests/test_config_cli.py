@@ -663,9 +663,7 @@ _HOSTILE_RUNS = {
          "--lmax": _HOSTILE, "--steps": _COUNT, "--out": ("<missing>",)}),
     "heisenberg heat": (
         ("heisenberg", "heat",),
-        # |ξ| = 1e20 costs seconds: every quadrature doubling, then failure
-        {"--t": _HOSTILE, "--x": _HOSTILE, "--u": _HOSTILE,
-         "--xi": tuple(v for v in _HOSTILE if _HUGE not in v),
+        {"--t": _HOSTILE, "--x": _HOSTILE, "--u": _HOSTILE, "--xi": _HOSTILE,
          "--tol": _HOSTILE}),
     "reproduce": (("reproduce", "--profile", "quick"), {"--seed": _HOSTILE}),
 }

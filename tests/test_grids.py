@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lsg.errors import GridTooSmall
-from lsg.grids import (BiInvariantField, RadialGrid, Representation,
+from lsg.grids import (BiInvariantField, GridMode, RadialGrid, Representation,
                        _chirp_z_plan, _mapped_residual, _uniform_step,
                        _weyl_lattice_maps, boundary_tail, fourier_at,
                        fourier_native, lq_norm, require_tail, support_radius,
@@ -24,6 +24,23 @@ def test_grid_rejects_odd_or_bad_sizes():
         RadialGrid(1, 10.0, 15)
     with pytest.raises(ValueError):
         RadialGrid(1, -1.0, 16)
+
+
+@pytest.mark.parametrize("half_width", [0.0, np.inf, np.nan, 1e308])
+def test_grid_rejects_half_width_without_a_finite_axis(half_width):
+    # each of these once built an axis of NaN (1e308: the width 2L overflows)
+    with pytest.raises(ValueError, match="half_width"):
+        RadialGrid(1, half_width, 8)
+
+
+def test_scaled_grid_past_the_float_range_is_grid_too_small(a1):
+    from lsg.propagator import gaussian_profile, group_propagate_closed_form
+    with pytest.raises(GridTooSmall, match="overflows"):
+        RadialGrid(1, 12.0, 8).scaled(1e308)
+    # the SCALED output box 2t·π/h of a huge t once came out as a NaN axis
+    f = gaussian_profile(RadialGrid(1, 12.0, 64), 1.0)
+    with pytest.raises(GridTooSmall, match="overflows"):
+        group_propagate_closed_form(a1, f, 1e308, GridMode.SCALED)
 
 
 def test_fourier_native_matches_direct(rng):
@@ -151,6 +168,18 @@ def test_fourier_at_equals_strided_axis_loop(sign, rank, n, sizes):
     # real input goes through the same complex arithmetic
     assert np.array_equal(fourier_at(vals.real, g, axes, sign),
                           strided_fourier_at(vals.real, g, axes, sign))
+
+
+@pytest.mark.parametrize("sign", [-1, +1])
+def test_fourier_at_weight_is_an_input_outer_product(sign):
+    g = RadialGrid(2, 8.0, 96)
+    rng = np.random.default_rng(7)
+    vals = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    w = np.exp(-0.3j * g.axis**2) * (1.0 + 0.1 * g.axis)
+    axes = [np.linspace(-5.0, 6.0, 530), np.linspace(-4.0, 4.0, 211)]
+    expected = fourier_at(vals * np.multiply.outer(w, w), g, axes, sign)
+    got = fourier_at(vals, g, axes, sign, weight=w)
+    assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 def test_fourier_at_rejects_non_uniform_axis():

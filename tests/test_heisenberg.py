@@ -94,6 +94,20 @@ def test_heat_kernel_gives_up_on_a_nan_estimate_at_once(monkeypatch):
     assert len(calls) == 16 * (2 + 4)
 
 
+def test_heat_kernel_gives_up_at_once_on_an_unresolvable_phase(monkeypatch):
+    # e^{-iλξ} at ξ = 1e20 turns ~1e12 times inside the finest of the 2^15
+    # panels: one doubling, then QuadratureFailure
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return heat_integrand(*args)
+    monkeypatch.setattr(heisenberg, "heat_integrand", counted)
+    with pytest.raises(QuadratureFailure):
+        heat_kernel(0.5, 0.2, 1e20, 1.0)
+    assert len(calls) == 16 * (2 + 4)
+
+
 # --- continued integrand ---------------------------------------------------------
 
 def test_schrodinger_integrand_lambda_zero_limit():

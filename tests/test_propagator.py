@@ -340,8 +340,8 @@ def test_spectral_grid_past_the_node_cap_is_grid_too_small(a1, t):
 
 @pytest.mark.parametrize("name", ["A2", "A1xA1"])
 def test_spectral_propagation_is_the_public_composition(name):
-    """group_propagate_spectral is transform, the evolution phase, then
-    synthesis, to the bit."""
+    """group_propagate_spectral is the transform, then synthesis at time
+    t, to the bit."""
     rs = build_root_system(name)
     f = gaussian_profile(RadialGrid(2, 9.0, 96), 1.0, 0.1)
     out = RadialGrid(2, 14.0, 96)
@@ -349,36 +349,27 @@ def test_spectral_propagation_is_the_public_composition(name):
     sgrid = suggest_spectral_grid(rs, f, t, out.half_width)
     res = group_propagate_spectral(rs, f, t, out_grid=out)
     spec = spherical_transform(rs, f, sgrid)
-    phase_1d = np.exp(-1j * t * sgrid.axis**2)
-    phase = np.multiply.outer(phase_1d, phase_1d)
-    phase *= np.exp(-1j * t * float(rs.rho @ rs.rho))
-    composed = synthesize_conjugated(rs, spec, [out.axis] * 2,
-                                     extra_phase=phase)
+    composed = synthesize_conjugated(rs, spec, [out.axis] * 2, t)
     assert np.array_equal(res.field.values, composed)
 
 
 def test_single_mode_phase_factor(a1):
-    """Evolution of a single-mode spectrum is the global phase
-    e^{-it(|lam0|^2+|rho|^2)}; the |rho|^2 part separates from the
-    |rho|^2-stripped synthesis exactly."""
+    """Evolution of a single-mode spectrum, a spike pair in f̂ stored as
+    G = π·f̂, is the global phase e^{-it(|lam0|^2+|rho|^2)}."""
     from lsg.grids import SpectralField
+    from lsg.spherical import pi_product
     sgrid = RadialGrid(1, 10.0, 128)
     out_axis = np.linspace(-6, 6, 201)
     k = 90
     lam0 = sgrid.axis[k]
     k_neg = int(np.argmin(np.abs(sgrid.axis + lam0)))
     vals = np.zeros(sgrid.shape, dtype=complex)
-    vals[k] = vals[k_neg] = 1.0
+    vals[k] = pi_product(a1, np.array([lam0]))
+    vals[k_neg] = pi_product(a1, np.array([-lam0]))
     spec = SpectralField(sgrid, vals)
     t = 0.8
     rho_sq = float(a1.rho @ a1.rho)
-    full_phase = np.exp(-1j * t * (sgrid.radius_sq() + rho_sq))
-    stripped_phase = np.exp(-1j * t * sgrid.radius_sq())
-    full = synthesize_conjugated(a1, spec, [out_axis], extra_phase=full_phase)
-    stripped = synthesize_conjugated(a1, spec, [out_axis],
-                                     extra_phase=stripped_phase)
-    assert np.abs(full - np.exp(-1j * t * rho_sq) * stripped).max() \
-        <= 1e-14 * np.abs(full).max()
+    full = synthesize_conjugated(a1, spec, [out_axis], t)
     base = synthesize_conjugated(a1, spec, [out_axis])
     assert np.abs(full - np.exp(-1j * t * (lam0**2 + rho_sq)) * base).max() \
         <= 1e-12 * np.abs(base).max()

@@ -11,8 +11,9 @@ from lsg.spherical import (c_function, conjugated_values,
                            eigen_residual_field, inverse_spherical_transform,
                            pi_product, plancherel_constant,
                            plancherel_density, radial_laplacian,
-                           roundtrip_error, spherical_function,
-                           spherical_function_field, spherical_numerator,
+                           roundtrip_error, spectral_to_plain,
+                           spherical_function, spherical_function_field,
+                           spherical_numerator,
                            spherical_transform, spherical_transform_direct,
                            synthesize_conjugated, to_plain, wall_mask,
                            weyl_denominator)
@@ -145,37 +146,42 @@ def test_transform_of_zero_is_zero(a1, a1_grid):
 
 def test_transform_reality_symmetry(a1, a1_grid):
     f = gaussian_profile(a1_grid, 1.0)
-    spec = spherical_transform(a1, f, RadialGrid(1, 12.0, 256))
+    fhat, singular = spectral_to_plain(
+        a1, spherical_transform(a1, f, RadialGrid(1, 12.0, 256)))
     # lambda -> -lambda maps node j to node (N - j) % N on [-L, L)
-    flipped = np.roll(spec.values[::-1], 1)
-    mask_flipped = np.roll(spec.singular_mask[::-1], 1)
-    sel = ~spec.singular_mask & ~mask_flipped
+    flipped = np.roll(fhat[::-1], 1)
+    mask_flipped = np.roll(singular[::-1], 1)
+    sel = ~singular & ~mask_flipped
     sel[0] = False  # -L has no mirror node
-    assert np.abs(flipped[sel] - np.conj(spec.values[sel])).max() \
-        <= 1e-12 * np.abs(spec.values).max()
+    assert np.abs(flipped[sel] - np.conj(fhat[sel])).max() \
+        <= 1e-12 * np.abs(fhat).max()
 
 
 def test_transform_direct_quadrature_oracle(a1, a1_grid, rng):
     """Collapsed Fourier path against the nodewise Weyl-sum quadrature."""
     f = gaussian_profile(a1_grid, 1.0)
     sgrid = RadialGrid(1, 12.0, 256)
-    spec = spherical_transform(a1, f, sgrid)
+    fhat, _ = spectral_to_plain(a1, spherical_transform(a1, f, sgrid))
     idx = [17, 60, 128 + 31, 200]
     lams = np.array([[sgrid.axis[i]] for i in idx])
     oracle = spherical_transform_direct(a1, f, lams)
-    got = np.array([spec.values[i] for i in idx])
+    got = np.array([fhat[i] for i in idx])
     assert np.abs(got - oracle).max() <= 1e-8 * np.abs(oracle).max()
 
 
-def test_transform_direct_quadrature_oracle_a2(a2, a2_grid, rng):
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A1xA1"])
+def test_transform_direct_quadrature_oracle_rank2(name, a2_grid):
+    from lsg.rootsystem import build_root_system
+    rs = build_root_system(name)
     f = gaussian_profile(a2_grid, 1.0)
     sgrid = RadialGrid(2, 10.0, 64)
-    spec = spherical_transform(a2, f, sgrid)
-    picks = [(40, 51), (20, 33), (47, 12)]
+    fhat, singular = spectral_to_plain(rs, spherical_transform(rs, f, sgrid))
+    picks = [(40, 51), (20, 33), (47, 12), (35, 38)]
+    assert not any(singular[p] for p in picks)
     lams = np.array([[sgrid.axis[i], sgrid.axis[j]] for i, j in picks])
-    oracle = spherical_transform_direct(a2, f, lams)
-    got = np.array([spec.values[i, j] for i, j in picks])
-    assert np.abs(got - oracle).max() <= 1e-8 * np.abs(spec.values).max()
+    oracle = spherical_transform_direct(rs, f, lams)
+    got = np.array([fhat[p] for p in picks])
+    assert np.abs(got - oracle).max() <= 1e-8 * np.abs(fhat).max()
 
 
 def test_transform_a1_against_hand_integral(a1, a1_grid):
@@ -185,15 +191,15 @@ def test_transform_a1_against_hand_integral(a1, a1_grid):
     a = 1.0
     f = gaussian_profile(a1_grid, a)
     sgrid = RadialGrid(1, 12.0, 256)
-    spec = spherical_transform(a1, f, sgrid)
+    fhat, singular = spectral_to_plain(a1, spherical_transform(a1, f, sgrid))
     lam = sgrid.axis
     ghat = -2j * np.sqrt(np.pi / a) * np.exp(
         (RHO1**2 - lam**2) / (4 * a)) * np.sin(RHO1 * lam / (2 * a))
     safe = np.where(np.abs(lam) > 1e-12, lam, 1.0)
     c_neg = np.where(np.abs(lam) > 1e-12, RHO1 * 1j / safe, 0.0)
     expected = 2.0 * c_neg * ghat
-    sel = ~spec.singular_mask
-    assert np.abs(spec.values[sel] - expected[sel]).max() \
+    sel = ~singular
+    assert np.abs(fhat[sel] - expected[sel]).max() \
         <= 1e-10 * np.abs(expected).max()
 
 
@@ -246,15 +252,15 @@ def test_roundtrip_recovers_plain_values(a1, a1_grid):
 
 
 def test_single_mode_synthesis_matches_spherical_function(a1, a1_grid):
-    """A symmetric spike pair in the spectrum synthesizes to (a multiple of)
-    the spherical function's conjugated form."""
+    """A symmetric spike pair in f̂, stored as G = π·f̂, synthesizes to (a
+    multiple of) the spherical function's conjugated form."""
     sgrid = RadialGrid(1, 10.0, 128)
     k = 96                      # node strictly right of the origin
     lam0 = sgrid.axis[k]
     k_neg = np.argmin(np.abs(sgrid.axis + lam0))
     vals = np.zeros(sgrid.shape, dtype=complex)
-    vals[k] = 1.0
-    vals[k_neg] = 1.0
+    vals[k] = pi_product(a1, np.array([lam0]))
+    vals[k_neg] = pi_product(a1, np.array([-lam0]))
     spec = SpectralField(sgrid, vals)
     uphi = synthesize_conjugated(a1, spec, [a1_grid.axis])
     target = (c_function(a1, np.array([lam0]))
@@ -531,7 +537,7 @@ def test_numerator_on_a_grid_matches_the_stacked_sum(name, n, box):
 def test_separable_pi_and_spectral_mask_match_stacked(name, n, half):
     from lsg.rootsystem import build_root_system
     from lsg.spherical import (_is_spectral_singular, _pi_and_spectral_wall,
-                               _pi_of, _root_pairings)
+                               _root_pairings)
     rs = build_root_system(name)
     sgrid = RadialGrid(rs.rank, half, n)
     nodes = sgrid.nodes()
@@ -541,18 +547,22 @@ def test_separable_pi_and_spectral_mask_match_stacked(name, n, half):
     bound = np.prod(np.linalg.norm(rs.positive_roots, axis=-1)) \
         * (np.sqrt(sgrid.radius_sq()) + 1.0) ** rs.n_positive
     assert np.all(np.abs(separable - stacked) <= 1e-14 * bound)
-    # synthesis forms π alone from the same pairings
-    assert np.array_equal(_pi_of(_root_pairings(rs, sgrid), sgrid.shape),
-                          separable)
     expected = _is_spectral_singular(rs, nodes).reshape(sgrid.shape)
     assert singular.any() and np.array_equal(singular, expected)
-    # the transform's singular_mask is the same separable mask
+    # spectral_to_plain flags the same separable mask and divides G by π
+    # everywhere else
     field = gaussian_profile(
         RadialGrid(rs.rank, 9.0, {1: 512, 2: 96, 3: 40}[rs.rank]), 1.0)
     spec = spherical_transform(rs, field, RadialGrid(rs.rank, 5.0, 32))
+    fhat, singular = spectral_to_plain(rs, spec)
     assert np.array_equal(
-        spec.singular_mask,
+        singular,
         _is_spectral_singular(rs, spec.grid.nodes()).reshape(spec.grid.shape))
+    pi_vals = np.asarray(pi_product(rs, spec.grid.nodes())).reshape(
+        spec.grid.shape)
+    assert np.all(fhat[singular] == 0)
+    assert np.allclose(fhat[~singular] * pi_vals[~singular],
+                       spec.values[~singular], rtol=1e-13, atol=0)
 
 
 def test_phi_paths_keep_memory_per_node_small():
@@ -580,23 +590,24 @@ def test_phi_paths_keep_memory_per_node_small():
 
 
 def test_spectral_pair_keeps_memory_per_node_small(g2):
-    """The G2 oracle's transform 96² → 564² and synthesis 564² → 96²
-    peak at a few complex 564² fields: the chirp-z passes, π and the wall
-    mask build no throwaway grid per step."""
+    """The G2 oracle's transform 96² → 564² and synthesis 564² → 96²,
+    alone and as the oracle, peak at a few complex 564² fields: the
+    chirp-z passes build no throwaway grid per step."""
     import tracemalloc
+    from lsg.propagator import group_propagate_spectral
     field = gaussian_profile(RadialGrid(2, 9.0, 96), 1.0, 0.1)
     sgrid = RadialGrid(2, 13.06, 564)
     field_bytes = 16 * 564**2
     spec = spherical_transform(g2, field, sgrid)
-    phase = np.exp(-0.4j * sgrid.radius_sq())
     tracemalloc.start()
     try:
         for run in (lambda: spherical_transform(g2, field, sgrid),
                     lambda: synthesize_conjugated(g2, spec,
                                                   [field.grid.axis] * 2),
                     lambda: synthesize_conjugated(g2, spec,
-                                                  [field.grid.axis] * 2,
-                                                  extra_phase=phase)):
+                                                  [field.grid.axis] * 2, 0.4),
+                    lambda: group_propagate_spectral(g2, field, 0.4,
+                                                     spectral_grid=sgrid)):
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             run()
