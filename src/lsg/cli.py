@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -366,7 +367,11 @@ class _AcceptanceFailure(LsgError):
 # --- parser -------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that raises its usage errors as ConfigError (exit 2)."""
+    """argparse raising ConfigError (exit 2); -1e-3 and -inf are values."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.I)
 
     def error(self, message):
         raise ConfigError(message)

@@ -272,9 +272,9 @@ def _uniform_step(xi: np.ndarray) -> float:
     return step
 
 
-def _chirp_z_plan(grid: RadialGrid, xi: np.ndarray, step: float, sign: int
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pre-chirp, kernel spectrum and post-chirp for one output axis.
+def _chirp_z_plan(grid: RadialGrid, xi: np.ndarray, step: float, sign: int,
+                  weight: np.ndarray | float = 1.0) -> tuple:
+    """Pre-chirp (times `weight`), kernel spectrum and post-chirp per axis.
 
     With x = x_c + q·h and ξ = ξ_c + p·d, pq = (p² + q² - (p-q)²)/2 turns
     the sum into a convolution in p - q. The indices count from mid-axis,
@@ -284,22 +284,36 @@ def _chirp_z_plan(grid: RadialGrid, xi: np.ndarray, step: float, sign: int
     kc, jc = n // 2, m // 2
     x_c = -grid.half_width + kc * h
     xi_c = xi[0] + jc * step
-    q = np.arange(n) - kc
-    p = np.arange(m) - jc
+    q, p = np.arange(n) - kc, np.arange(m) - jc
     half_w = 0.5 * sign * step * h
     size = _fast_fft_length(n + m - 1)
     lag = np.arange(size)
     lag = np.where(lag < m, lag, lag - size) + (kc - jc)
     kernel_hat = np.fft.fft(np.exp(-1j * half_w * lag * lag))
-    pre = np.exp(1j * (sign * xi_c * h * q + half_w * q * q))
+    pre = weight * np.exp(1j * (sign * xi_c * h * q + half_w * q * q))
     post = h * np.exp(1j * (sign * (xi_c * x_c + step * x_c * p)
                             + half_w * p * p))
     return pre, kernel_hat, post
 
 
+def _chirp_z_axis(values: np.ndarray, ax: int, pre: np.ndarray,
+                  kernel_hat: np.ndarray, post: np.ndarray) -> np.ndarray:
+    """fourier_at along axis `ax` alone, by one `_chirp_z_plan`."""
+    moved = np.moveaxis(values, ax, -1)
+    spec = np.empty(moved.shape[:-1] + kernel_hat.shape, dtype=complex)
+    np.multiply(moved, pre, out=spec[..., :pre.size])
+    spec[..., pre.size:] = 0.0
+    # numpy.fft takes out= from NumPy 2.0 on (pyproject's floor)
+    np.fft.fft(spec, axis=-1, out=spec)
+    spec *= kernel_hat
+    conv = np.fft.ifft(spec, axis=-1, out=spec)[..., :post.size]
+    return np.multiply(np.moveaxis(conv, -1, ax), post.reshape(
+        (-1,) + (1,) * (values.ndim - 1 - ax)), order="C")
+
+
 def fourier_at(values: np.ndarray, grid: RadialGrid,
                out_axes: list[np.ndarray], sign: int = -1,
-               weight: np.ndarray | None = None) -> np.ndarray:
+               weight: np.ndarray | float = 1.0) -> np.ndarray:
     """The same sum on caller-chosen uniform output axes, by chirp-z.
 
     `out_axes` holds one uniform 1-D node array per axis (a single node
@@ -324,23 +338,8 @@ def fourier_at(values: np.ndarray, grid: RadialGrid,
         step = _uniform_step(xi)
         key = (xi.size, float(xi[0]), float(xi[-1]))
         if key not in plans:
-            pre, kernel_hat, post = _chirp_z_plan(grid, xi, step, sign)
-            if weight is not None:
-                pre = pre * weight
-            plans[key] = pre, kernel_hat, post
-        pre, kernel_hat, post = plans[key]
-        moved = np.moveaxis(out, ax, -1)
-        spec = np.empty(moved.shape[:-1] + kernel_hat.shape, dtype=complex)
-        np.multiply(moved, pre, out=spec[..., :pre.size])
-        spec[..., pre.size:] = 0.0
-        # numpy.fft takes out= from NumPy 2.0 on (pyproject's floor)
-        np.fft.fft(spec, axis=-1, out=spec)
-        spec *= kernel_hat
-        conv = np.fft.ifft(spec, axis=-1, out=spec)[..., :xi.size]
-        shape = [1] * out.ndim
-        shape[ax] = -1
-        out = np.multiply(np.moveaxis(conv, -1, ax), post.reshape(shape),
-                          order="C")
+            plans[key] = _chirp_z_plan(grid, xi, step, sign, weight)
+        out = _chirp_z_axis(out, ax, *plans[key])
     return out
 
 

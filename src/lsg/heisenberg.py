@@ -103,8 +103,8 @@ def heat_kernel(x: float, u: float, xi: float, t: float,
     below tol relative to its peak; composite panels double until two
     successive estimates agree to tol (relative). It gives up after the
     first doubling when even the finest panel would hold fewer than two
-    Gauss nodes per wavelength of e^{-iλξ}. The overall normalization
-    constant of the kernel is not pinned down here.
+    Gauss nodes per wavelength of e^{-iλξ}, and once the change stalls at
+    rounding, 100·eps·Σ|terms|. Its normalization is not pinned down here.
     """
     if t <= 0 or tol <= 0:
         raise ValueError("heat_kernel needs t > 0 and tol > 0")
@@ -115,25 +115,28 @@ def heat_kernel(x: float, u: float, xi: float, t: float,
     finest = 2.0 * lam_max / 2 ** (max_doublings + 1)
     unresolved = abs(xi) * finest > np.pi * base_nodes.size
 
-    def composite(panels: int) -> complex:
+    def composite(panels: int) -> tuple[complex, float]:
         edges = np.linspace(-lam_max, lam_max, panels + 1)
-        total = 0.0 + 0.0j
+        total, size = 0.0 + 0.0j, 0.0
         for a, b in zip(edges[:-1], edges[1:]):
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
             for node, weight in zip(base_nodes, base_weights):
-                total += half * weight * heat_integrand(
+                term = half * weight * heat_integrand(
                     mid + half * node, x, u, xi, t)
-        return total
+                total += term
+                size += abs(term)
+        return total, size
 
-    prev = composite(2)
+    prev, change = composite(2)[0], np.inf
     for k in range(1, max_doublings + 1):
-        cur = composite(2 ** (k + 1))
-        scale = max(abs(cur), 1e-300)
-        if abs(cur - prev) <= tol * scale:
+        cur, size = composite(2 ** (k + 1))
+        step = abs(cur - prev)
+        if step <= tol * max(abs(cur), 1e-300):
             return cur
-        if not np.isfinite(cur) or unresolved:
-            break           # neither ever converges
-        prev = cur
+        stalled = change <= step <= 100.0 * np.finfo(float).eps * size
+        if not np.isfinite(cur) or unresolved or stalled:
+            break           # none of these ever converges
+        prev, change = cur, step
     raise QuadratureFailure(
         f"heat kernel quadrature did not converge to {tol:g}")
 

@@ -251,6 +251,21 @@ def conjugated_with(field: BiInvariantField, phi: np.ndarray) -> np.ndarray:
 
 # --- spherical transform --------------------------------------------------------
 
+def spectral_input(rs: RootSystemSpec, field: BiInvariantField,
+                   spectral_grid: RadialGrid) -> np.ndarray:
+    """g = f·φ, checked for a sum onto `spectral_grid`: h·λ_max ≤ π."""
+    if spectral_grid.rank != rs.rank:
+        raise GridTooSmall("spectral grid rank does not match root system")
+    g = conjugated_values(rs, field)
+    require_tail(g, what="conjugated profile")
+    h, lam_max = field.grid.spacing, spectral_grid.half_width
+    if h * lam_max > np.pi:
+        raise GridTooSmall(
+            f"space grid spacing {h:.3g} cannot resolve "
+            f"e^(-i lambda H) up to |lambda| = {lam_max:.3g} per axis")
+    return g
+
+
 def spherical_transform(rs: RootSystemSpec, field: BiInvariantField,
                         spectral_grid: RadialGrid) -> SpectralField:
     """G(λ) = π(λ)·f̂(λ), f̂(λ) = ∫ φ_{-λ}(H) f(H) φ²(H) dH over the full box.
@@ -259,16 +274,7 @@ def spherical_transform(rs: RootSystemSpec, field: BiInvariantField,
     g = f·φ antisymmetrically extended, which is the same trapezoid sum
     with the Weyl terms collapsed and c(-λ)'s 1/π(λ) left out.
     """
-    if spectral_grid.rank != rs.rank:
-        raise GridTooSmall("spectral grid rank does not match root system")
-    g = conjugated_values(rs, field)
-    require_tail(g, what="conjugated profile")
-    # separable kernel: the per-axis phase step is spacing * lam_max
-    h, lam_max = field.grid.spacing, spectral_grid.half_width
-    if h * lam_max > np.pi:
-        raise GridTooSmall(
-            f"space grid spacing {h:.3g} cannot resolve "
-            f"e^(-i lambda H) up to |lambda| = {lam_max:.3g} per axis")
+    g = spectral_input(rs, field, spectral_grid)
     values = fourier_at(g, field.grid, [spectral_grid.axis] * rs.rank, sign=-1)
     values *= rs.weyl_order * pi_product(rs, rs.rho) * 1j ** rs.n_positive
     return SpectralField(spectral_grid, values)
@@ -319,7 +325,7 @@ def synthesize_conjugated(rs: RootSystemSpec, spectral: SpectralField,
     the constant e^{-it|ρ|²} of the prefactor.
     """
     grid = spectral.grid
-    weight = np.exp(-1j * t * grid.axis**2) if t else None
+    weight = np.exp(-1j * t * grid.axis**2) if t else 1.0
     ft = fourier_at(spectral.values, grid, out_axes, sign=+1, weight=weight)
     pref = (plancherel_constant(rs) * (-1j) ** rs.n_positive * rs.weyl_order
             / pi_product(rs, rs.rho) * np.exp(-1j * t * float(rs.rho @ rs.rho)))

@@ -258,6 +258,21 @@ def test_cli_evolve_non_finite_time_is_a_config_error(t, tmp_path, capsys):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("evolve", "--group", "A1", "--t", "-1e-3"),
+    ("heisenberg", "heat", "--t", "-1e308"),
+    ("heisenberg", "heat", "--t", "-inf"),
+], ids=["evolve-exponent", "heat-exponent", "heat-word"])
+def test_cli_negative_exponent_and_word_values_reach_their_parser(argv,
+                                                                  capsys):
+    # argparse alone takes -1e-3 or -inf for a flag: "expected one argument"
+    code = main(list(argv))
+    err = json.loads(capsys.readouterr().err.strip())
+    assert code == 2
+    assert err["error"] == "ConfigError"
+    assert f"got '{argv[-1]}'" in err["message"]
+
+
 def test_cli_numerical_error_exit_code(capsys):
     # box far too small for the Gaussian tail -> GridTooSmall -> exit 3
     code, _, err = run_main(capsys, "evolve", "--group", "A1", "--grid",

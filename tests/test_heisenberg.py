@@ -108,6 +108,21 @@ def test_heat_kernel_gives_up_at_once_on_an_unresolvable_phase(monkeypatch):
     assert len(calls) == 16 * (2 + 4)
 
 
+def test_heat_kernel_gives_up_once_the_estimate_stalls(monkeypatch):
+    # at ξ = 10 the kernel (~1.6e-8) sits far below the integrand's scale,
+    # so rounding holds the change between estimates near 1e-16, short of
+    # tol = 1e-10: it stops shrinking at the 6th doubling, not the 14th
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return heat_integrand(*args)
+    monkeypatch.setattr(heisenberg, "heat_integrand", counted)
+    with pytest.raises(QuadratureFailure):
+        heat_kernel(0.5, 0.2, 10.0, 1.0)
+    assert len(calls) == 16 * sum(2 ** k for k in range(1, 8))
+
+
 # --- continued integrand ---------------------------------------------------------
 
 def test_schrodinger_integrand_lambda_zero_limit():

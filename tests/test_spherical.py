@@ -590,9 +590,9 @@ def test_phi_paths_keep_memory_per_node_small():
 
 
 def test_spectral_pair_keeps_memory_per_node_small(g2):
-    """The G2 oracle's transform 96² → 564² and synthesis 564² → 96²,
-    alone and as the oracle, peak at a few complex 564² fields: the
-    chirp-z passes build no throwaway grid per step."""
+    """The G2 transform 96² → 564² and synthesis 564² → 96² peak at a few
+    complex 564² fields: the chirp-z passes build no throwaway grid per
+    step. The oracle, run axis by axis, never builds a 564² grid at all."""
     import tracemalloc
     from lsg.propagator import group_propagate_spectral
     field = gaussian_profile(RadialGrid(2, 9.0, 96), 1.0, 0.1)
@@ -601,17 +601,19 @@ def test_spectral_pair_keeps_memory_per_node_small(g2):
     spec = spherical_transform(g2, field, sgrid)
     tracemalloc.start()
     try:
-        for run in (lambda: spherical_transform(g2, field, sgrid),
-                    lambda: synthesize_conjugated(g2, spec,
-                                                  [field.grid.axis] * 2),
-                    lambda: synthesize_conjugated(g2, spec,
-                                                  [field.grid.axis] * 2, 0.4),
-                    lambda: group_propagate_spectral(g2, field, 0.4,
-                                                     spectral_grid=sgrid)):
+        for run, bound in (
+                (lambda: spherical_transform(g2, field, sgrid), 3.5),
+                (lambda: synthesize_conjugated(g2, spec,
+                                               [field.grid.axis] * 2), 3.5),
+                (lambda: synthesize_conjugated(g2, spec,
+                                               [field.grid.axis] * 2, 0.4),
+                 3.5),
+                (lambda: group_propagate_spectral(g2, field, 0.4,
+                                                  spectral_grid=sgrid), 1.0)):
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             run()
             peak = tracemalloc.get_traced_memory()[1] - base
-            assert peak <= 3.5 * field_bytes, (run, peak / field_bytes)
+            assert peak <= bound * field_bytes, (run, peak / field_bytes)
     finally:
         tracemalloc.stop()
