@@ -413,17 +413,15 @@ def render_table(rows: list[AcceptanceRow]) -> str:
     return "\n".join(out)
 
 
-def run_all(seed: int = 42, profile: str = "full",
-            check_determinism: bool = True) -> list[AcceptanceRow]:
+def run_all(seed: int = 42, profile: str = "full") -> list[AcceptanceRow]:
     """Run the full acceptance suite; criterion 11 doubles the run."""
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
     params = PROFILES[profile]
     rows = core_rows(params, seed)
-    if check_determinism:
-        first = serialize_rows(rows)
-        second = serialize_rows(core_rows(params, seed))
-        rows.append(AcceptanceRow(
-            11, "determinism: double run byte-identical", first == second,
-            {"bytes": len(first), "profile": profile, "seed": seed}))
+    first = serialize_rows(rows)
+    second = serialize_rows(core_rows(params, seed))
+    rows.append(AcceptanceRow(
+        11, "determinism: double run byte-identical", first == second,
+        {"bytes": len(first), "profile": profile, "seed": seed}))
     return rows

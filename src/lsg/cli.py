@@ -436,8 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("hardy-check", "uniqueness-threshold certification", _cmd_hardy)
     common(p)
-    p.add_argument("--euclid", dest="group", type="euclid:{}".format,
-                   help="n: R^n, the same as --group euclid:n")
     p.add_argument("--t0", type=_arg(positive), required=True)
     p.add_argument("--tol-crit", type=float, default=0.02)
 

@@ -51,6 +51,9 @@ class RadialGrid:
     points_per_axis: int
 
     def __post_init__(self):
+        if not all(isinstance(v, (int, np.integer))
+                   for v in (self.rank, self.points_per_axis)):
+            raise ValueError("rank and points_per_axis must be integers")
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
         if not 0 < 2.0 * self.half_width < np.inf:   # else the axis is NaN

@@ -39,7 +39,12 @@ class Classification(enum.Enum):
 
 @dataclass(frozen=True)
 class GaussianEnvelope:
-    """Certified bound |f(H)| ≤ amplitude · e^{-rate·|H|²} on sampled nodes."""
+    """The Gaussian amplitude·e^{-rate·|H|²} whose logarithm is the
+    least-squares line through log|f| on the fitted nodes.
+
+    Not a bound: sampled values lie on both sides of it. `EnvelopeFit`
+    reports how far they scatter about it.
+    """
 
     amplitude: float
     rate: float
@@ -65,17 +70,10 @@ class HardyVerdict:
     t0: float
 
 
-def _classify(product: float, threshold: float, tol_crit: float) -> Classification:
-    if abs(product - threshold) <= tol_crit:
-        return Classification.CRITICAL
-    if product > threshold + tol_crit:
-        return Classification.MUST_VANISH
-    return Classification.INCONCLUSIVE
-
-
-def fit_envelope_report(field: BiInvariantField, floor: float = 1e-10,
-                        cap: float = 1e-2) -> EnvelopeFit:
-    """Least-squares Gaussian envelope over the annulus floor·peak ≤ |v| ≤ cap·peak.
+def fit_envelope_report(field: BiInvariantField,
+                        floor: float = 1e-10) -> EnvelopeFit:
+    """Least-squares Gaussian envelope over the annulus
+    floor·peak ≤ |v| ≤ 1e-2·peak.
 
     Fits log|v| against -|H|² on the selected nodes. The annulus skips the
     peak region (where a Gaussian *bound* need not be tight) and the
@@ -88,7 +86,7 @@ def fit_envelope_report(field: BiInvariantField, floor: float = 1e-10,
     if not usable.any():
         raise InsufficientDecaySamples("field has no finite nonzero samples")
     peak = mag[usable].max()
-    sel = usable & (mag >= floor * peak) & (mag <= cap * peak)
+    sel = usable & (mag >= floor * peak) & (mag <= 1e-2 * peak)
     if sel.sum() < 16:
         raise InsufficientDecaySamples(
             f"only {int(sel.sum())} nodes in the decay annulus (need 16)")
@@ -106,26 +104,19 @@ def fit_envelope_report(field: BiInvariantField, floor: float = 1e-10,
     )
 
 
-def fit_envelope(field: BiInvariantField, floor: float = 1e-10,
-                 cap: float = 1e-2) -> GaussianEnvelope:
-    return fit_envelope_report(field, floor, cap).envelope
-
-
 def hardy_product(env_f: GaussianEnvelope, env_u: GaussianEnvelope, t0: float,
                   tol_crit: float = TOL_CRIT_DEFAULT) -> HardyVerdict:
     """Verdict for the evolution threshold 16·a·b·t₀² against 1."""
     if t0 <= 0:
         raise ValueError("t0 must be positive")
     product = 16.0 * env_f.rate * env_u.rate * t0 * t0
-    return HardyVerdict(product, _classify(product, 1.0, tol_crit), t0)
-
-
-def classical_hardy_check(env_f: GaussianEnvelope,
-                          env_fourier: GaussianEnvelope,
-                          tol_crit: float = TOL_CRIT_DEFAULT) -> HardyVerdict:
-    """Verdict for the static Fourier-pair threshold 4ab against 1."""
-    product = 4.0 * env_f.rate * env_fourier.rate
-    return HardyVerdict(product, _classify(product, 1.0, tol_crit), t0=1.0)
+    if abs(product - 1.0) <= tol_crit:
+        verdict = Classification.CRITICAL
+    elif product > 1.0 + tol_crit:
+        verdict = Classification.MUST_VANISH
+    else:
+        verdict = Classification.INCONCLUSIVE
+    return HardyVerdict(product, verdict, t0)
 
 
 @dataclass(frozen=True)
@@ -165,7 +156,6 @@ def _tail_magnitudes(grid: RadialGrid, values: np.ndarray) -> BiInvariantField:
 def uniqueness_experiment(system: RootSystemSpec,
                           field: BiInvariantField, t0: float,
                           tol_crit: float = TOL_CRIT_DEFAULT,
-                          floor: float = 1e-10, cap: float = 1e-2,
                           mode: GridMode = GridMode.SCALED) -> UniquenessReport:
     """Propagate to t₀ by the closed form and certify the decay hypotheses.
 
@@ -202,8 +192,8 @@ def uniqueness_experiment(system: RootSystemSpec,
     if sup_u <= NOISE_FLOOR * max(peak0, 1.0):
         return UniquenessReport(None, None, None, 0.0, 0.0, sup_u, True)
 
-    fit_f = fit_envelope_report(sample_f, floor, cap)
-    fit_u = fit_envelope_report(sample_u, floor, cap)
+    fit_f = fit_envelope_report(sample_f)
+    fit_u = fit_envelope_report(sample_u)
     verdict = hardy_product(fit_f.envelope, fit_u.envelope, t0, tol_crit)
     return UniquenessReport(
         verdict=verdict,

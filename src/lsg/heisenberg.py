@@ -15,37 +15,13 @@ the sub-Laplacian setting has no Weyl denominator to conjugate with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, EvaluationAtSingularity, QuadratureFailure
 
 _SERIES_CUTOFF = 1e-4       # |λt| below this uses the removable-limit series
 _SINGULARITY_GUARD = 1e-9
-
-
-@dataclass(frozen=True)
-class HeisenbergPoint:
-    x: float
-    u: float
-    xi: float
-
-
-@dataclass(frozen=True)
-class GeodesicParams:
-    """Angle β, curvature parameter t_param (≠ 0), arc parameter s.
-
-    t_param is the `t` of the geodesic formulas, unrelated to evolution
-    time.
-    """
-    beta: float
-    t_param: float
-    s: float
-
-    def __post_init__(self):
-        if self.t_param == 0:
-            raise ValueError("t_param must be nonzero")
+_MAX_DOUBLINGS = 14
 
 
 def _lam_over_sinh(lam: float, t: float) -> float:
@@ -96,15 +72,16 @@ def heat_integrand(lam: float, x: float, u: float, xi: float,
 
 
 def heat_kernel(x: float, u: float, xi: float, t: float,
-                tol: float = 1e-10, max_doublings: int = 14) -> complex:
+                tol: float = 1e-10) -> complex:
     """Unnormalized heat kernel: adaptive Gauss–Legendre over λ.
 
     The λ-range is truncated where the Gaussian factor e^{-tλ²} drops
-    below tol relative to its peak; composite panels double until two
-    successive estimates agree to tol (relative). It gives up after the
-    first doubling when even the finest panel would hold fewer than two
-    Gauss nodes per wavelength of e^{-iλξ}, and once the change stalls at
-    rounding, 100·eps·Σ|terms|. Its normalization is not pinned down here.
+    below tol relative to its peak; composite panels double, at most 14
+    times, until two successive estimates agree to tol (relative). It
+    gives up after the first doubling when even the finest panel would
+    hold fewer than two Gauss nodes per wavelength of e^{-iλξ}, and once
+    the change stalls at rounding, 100·eps·Σ|terms|. Its normalization is
+    not pinned down here.
     """
     if t <= 0 or tol <= 0:
         raise ValueError("heat_kernel needs t > 0 and tol > 0")
@@ -112,7 +89,7 @@ def heat_kernel(x: float, u: float, xi: float, t: float,
 
     base_nodes, base_weights = np.polynomial.legendre.leggauss(16)
     # fewer than 2 Gauss nodes per wavelength 2π/|ξ| on the finest panel
-    finest = 2.0 * lam_max / 2 ** (max_doublings + 1)
+    finest = 2.0 * lam_max / 2 ** (_MAX_DOUBLINGS + 1)
     unresolved = abs(xi) * finest > np.pi * base_nodes.size
 
     def composite(panels: int) -> tuple[complex, float]:
@@ -128,7 +105,7 @@ def heat_kernel(x: float, u: float, xi: float, t: float,
         return total, size
 
     prev, change = composite(2)[0], np.inf
-    for k in range(1, max_doublings + 1):
+    for k in range(1, _MAX_DOUBLINGS + 1):
         cur, size = composite(2 ** (k + 1))
         step = abs(cur - prev)
         if step <= tol * max(abs(cur), 1e-300):
@@ -178,8 +155,9 @@ def schrodinger_integrand(lam: float, x: float, u: float, t: float) -> complex:
 
 
 def geodesic_coords(beta: float, t_param: float, s):
-    """(x, u, ξ) of the displayed geodesic through the origin at arc
-    parameter s, a scalar or an array; the formula evaluated literally."""
+    """(x, u, ξ) of the displayed geodesic through the origin at angle β
+    and arc parameter s, a scalar or an array; the formula evaluated
+    literally. t_param ≠ 0 is its curvature t, not an evolution time."""
     if t_param == 0:
         raise ValueError("t_param must be nonzero")
     t = t_param
@@ -189,12 +167,6 @@ def geodesic_coords(beta: float, t_param: float, s):
     u = (-sin_b * (1.0 - np.cos(ts)) + cos_b * np.sin(ts)) / t
     xi = 2.0 * (ts - np.sin(ts)) / (t * t)
     return x, u, xi
-
-
-def geodesic(params: GeodesicParams) -> HeisenbergPoint:
-    """The displayed geodesic through the origin at one arc parameter."""
-    x, u, xi = geodesic_coords(params.beta, params.t_param, params.s)
-    return HeisenbergPoint(float(x), float(u), float(xi))
 
 
 def projection_residual(beta: float, t_param: float,

@@ -50,8 +50,9 @@ from .rootsystem import RootSystemSpec
 from .spherical import (conjugated_values, conjugated_with,
                         denominator_on_grid, spectral_input, to_plain)
 
-_MAX_FFT_NODES = 2**24          # memory guard on the padded multiplier grid
-                                # and on the oracle's spectral grid
+_MAX_FFT_NODES = 2**24          # memory guard, in complex values, on the
+                                # padded multiplier grid and on the spectral
+                                # oracle's largest per-axis chirp-z buffer
 _ANTISYMMETRY_TOL = 1e-8
 
 
@@ -223,31 +224,36 @@ def group_propagate_closed_form(rs: RootSystemSpec, field: BiInvariantField,
 
 # --- group propagator: spectral oracle -------------------------------------------
 
-def data_bandwidth(rs: RootSystemSpec, field: BiInvariantField,
-                   rel: float = 1e-13) -> float:
-    """Fourier support edge of the conjugated profile (rel·peak cutoff)."""
+def data_bandwidth(rs: RootSystemSpec, field: BiInvariantField) -> float:
+    """Fourier support edge of the conjugated profile (1e-13·peak cutoff)."""
     g = conjugated_values(rs, field)
     dual, ghat = fourier_native(g, field.grid, sign=-1)
-    return max(4.0, support_radius(ghat, dual, rel=rel))
+    return max(4.0, support_radius(ghat, dual, rel=1e-13))
 
 
 def suggest_spectral_grid(rs: RootSystemSpec, field: BiInvariantField,
                           t: float,
-                          out_half_width: float | None = None) -> RadialGrid:
+                          out_grid: RadialGrid | None = None) -> RadialGrid:
     """Spectral grid sized for the data's bandwidth and the t-chirp.
 
     Half-width covers the conjugated profile's Fourier support (1e-13
-    relative); spacing obeys Δλ·(L_out + 2t·λ_max) ≤ π/2, which implies
-    the documented precondition Δλ ≤ π/(4 t λ_max). GridTooSmall when
-    that takes more than _MAX_FFT_NODES nodes.
+    relative); spacing obeys Δλ·(L_out + 2t·λ_max) ≤ π/2, L_out the
+    half-width of `out_grid` (default: the field's grid), which implies
+    the documented precondition Δλ ≤ π/(4 t λ_max). The oracle transforms
+    one axis at a time, so with M spectral nodes and n = max(N, N_out)
+    nodes per axis in and out its largest buffer holds about
+    n^{l-1}·(M + n) complex values; GridTooSmall when that passes
+    _MAX_FFT_NODES.
     """
     half = 1.1 * data_bandwidth(rs, field)
-    l_out = out_half_width if out_half_width is not None else field.grid.half_width
-    dl = np.pi / (2.0 * (l_out + 2.0 * max(t, 0.0) * half))
+    out_grid = out_grid or field.grid
+    dl = np.pi / (2.0 * (out_grid.half_width + 2.0 * max(t, 0.0) * half))
     nodes = 2.0 * half / dl if dl > 0 else math.inf
-    if nodes > _MAX_FFT_NODES ** (1.0 / rs.rank):
+    wide = max(field.grid.points_per_axis, out_grid.points_per_axis)
+    buffer = wide ** (rs.rank - 1) * (nodes + wide)
+    if buffer > _MAX_FFT_NODES:
         raise GridTooSmall(f"spectral oracle needs {nodes:.3g} nodes/axis "
-                           f"at t={t:g}")
+                           f"at t={t:g}, a buffer of {buffer:.3g} values")
     n = int(np.ceil(nodes))
     n += n % 2
     return RadialGrid(rs.rank, half, max(n, 16))
@@ -273,8 +279,7 @@ def group_propagate_spectral(rs: RootSystemSpec, field: BiInvariantField,
         scaled = mode is GridMode.SCALED and t > 0
         out_grid = field.grid.dual().scaled(2.0 * t) if scaled else field.grid
     if spectral_grid is None:
-        spectral_grid = suggest_spectral_grid(rs, field, t,
-                                              out_grid.half_width)
+        spectral_grid = suggest_spectral_grid(rs, field, t, out_grid)
     limit = np.pi / (4.0 * t * spectral_grid.half_width) if t else np.inf
     if spectral_grid.spacing > limit * (1.0 + 1e-12):
         raise UnderResolvedPhase(

@@ -20,12 +20,6 @@ import numpy as np
 from .errors import (ClosureOverflow, ConfigError, DimensionError,
                      UnsupportedRootSystem)
 
-# Type aliases: points H of the Cartan subalgebra and spectral parameters
-# lambda are both carried as plain 1-D float arrays of length `rank`
-# (lambda is identified with H_lambda through the pairing).
-CartanVector = np.ndarray
-SpectralVector = np.ndarray
-
 _WEYL_ORDER = {"A1": 2, "A2": 6, "B2": 8, "G2": 12}
 _CLOSURE_CAP = 10_000
 
@@ -250,26 +244,11 @@ def _validate(rs: RootSystemSpec) -> None:
         raise ClosureOverflow("rho is not strictly dominant")
 
 
-def weyl_group(rs: RootSystemSpec) -> list[WeylElement]:
-    """The full Weyl group, identity first (as generated by closure)."""
-    return list(rs.weyl_group)
-
-
-def pairing(rs: RootSystemSpec, h1: np.ndarray, h2: np.ndarray) -> float:
-    """Killing-form pairing B(h1, h2) of two Cartan vectors."""
-    h1 = np.asarray(h1, dtype=float)
-    h2 = np.asarray(h2, dtype=float)
-    if h1.shape != (rs.rank,) or h2.shape != (rs.rank,):
-        raise DimensionError(
-            f"expected vectors of length {rs.rank}, "
-            f"got {h1.shape} and {h2.shape}")
-    return float(h1 @ h2)
-
-
-def is_dominant(rs: RootSystemSpec, h: np.ndarray, tol: float = 1e-12) -> bool:
-    """Closed positive chamber membership, tested against the simple roots."""
+def is_dominant(rs: RootSystemSpec, h: np.ndarray) -> bool:
+    """Closed positive chamber membership, tested against the simple roots
+    to 1e-12."""
     h = np.asarray(h, dtype=float)
-    return bool(np.all(rs.simple_roots @ h >= -tol))
+    return bool(np.all(rs.simple_roots @ h >= -1e-12))
 
 
 def dominant_representative(

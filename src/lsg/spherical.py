@@ -171,12 +171,6 @@ def c_function(rs: RootSystemSpec, lam) -> complex:
     return complex(pi_product(rs, rs.rho) * (-1j) ** m / pi_product(rs, lam))
 
 
-def plancherel_density(rs: RootSystemSpec, lam) -> np.ndarray | float:
-    """|c(λ)|⁻² = π(λ)²/π(ρ)²; vanishes quadratically on the walls."""
-    p = pi_product(rs, lam)
-    return p * p / pi_product(rs, rs.rho) ** 2
-
-
 # --- spherical functions -------------------------------------------------------
 
 def spherical_numerator(rs: RootSystemSpec, lam, h) -> np.ndarray | complex:
@@ -364,8 +358,8 @@ def roundtrip_error(rs: RootSystemSpec, field: BiInvariantField,
 
 # --- radial Laplacian -------------------------------------------------------------
 
-def radial_laplacian(rs: RootSystemSpec, field: BiInvariantField,
-                     spacing: float | None = None) -> BiInvariantField:
+def radial_laplacian(rs: RootSystemSpec,
+                     field: BiInvariantField) -> BiInvariantField:
     """Δ_rad f through the conjugation identity φ⁻¹(Δ_euclid - |ρ|²)(φf).
 
     Second-order centered differences on the conjugated profile; the
@@ -375,9 +369,6 @@ def radial_laplacian(rs: RootSystemSpec, field: BiInvariantField,
     """
     if field.representation is not Representation.PLAIN:
         raise ValueError("radial_laplacian expects a PLAIN field")
-    h = field.grid.spacing if spacing is None else spacing
-    if abs(h - field.grid.spacing) > 1e-15 * field.grid.spacing:
-        raise ValueError("spacing override does not match the field's grid")
     if field.grid.points_per_axis < 5:
         raise ValueError("need at least 3 interior points per axis")
     phi, m, wall = _scaled_denominator(rs, field.grid)
@@ -392,6 +383,7 @@ def radial_laplacian(rs: RootSystemSpec, field: BiInvariantField,
                    for a in range(rs.rank))
         acc += (g[lo] * np.exp(m[lo] - m[core])
                 + g[hi] * np.exp(m[hi] - m[core]) - 2.0 * g[core])
+    h = field.grid.spacing
     lap[core] = acc / (h * h)
     rho_sq = float(rs.rho @ rs.rho)
     out = np.full(field.grid.shape, np.nan, dtype=complex)
@@ -424,12 +416,3 @@ def eigen_residual_field(rs: RootSystemSpec, lam: np.ndarray,
     lap = radial_laplacian(rs, field)
     eig = float(lam @ lam) + float(rs.rho @ rs.rho)
     return np.abs(lap.values + eig * field.values)
-
-
-def eigen_residual(rs: RootSystemSpec, lam: np.ndarray, grid: RadialGrid,
-                   node_mask: np.ndarray | None = None) -> float:
-    """Max interior residual of the eigen-relation on the grid."""
-    resid = eigen_residual_field(rs, lam, grid)
-    if node_mask is not None:
-        resid = np.where(node_mask, resid, np.nan)
-    return float(np.nanmax(resid))

@@ -17,7 +17,7 @@ from lsg.config import (config_args, parse_grid, parse_init, parse_times,
                         preset_text)
 from lsg.errors import ConfigError
 from lsg.grids import RadialGrid
-from lsg.heisenberg import GeodesicParams, geodesic
+from lsg.heisenberg import geodesic_coords
 from lsg.rootsystem import build_root_system
 from lsg.spherical import wall_mask
 
@@ -179,7 +179,7 @@ def test_cli_config_error_exit_code(capsys):
     ("evolve", "--group", "euclid:0", "--t", "1"),
     ("decay-fit", "--group", "A1", "--times", "1,2,x"),
     ("evolve", "--grid", "16,1e400", "--t", "1"),
-    ("hardy-check", "--euclid", "0", "--t0", "1"),
+    ("hardy-check", "--group", "euclid:0", "--t0", "1"),
     ("evolve", "--grid", "64,1e308", "--t", "1"),     # the width 2L is inf
 ], ids=["grid-abc", "euclid-x", "euclid-0", "decay-fit-times", "grid-inf",
         "hardy-euclid-0", "grid-width-inf"])
@@ -206,10 +206,13 @@ def test_cli_misspelt_root_system_is_a_config_error(argv, capsys):
     assert json.loads(err.strip())["error"] == "UnsupportedRootSystem"
 
 
-@pytest.mark.parametrize("group", ["A1xA2", "A1xA1xA1"])
-def test_cli_evolve_rank3_product(group, capsys):
+@pytest.mark.parametrize("group, extra", [
+    ("A1xA2", ("--grid", "48,8")), ("A1xA1xA1", ("--grid", "48,8")),
+    ("A1xA2", ("--grid", "64,8", "--method", "spectral"))],
+    ids=["A1xA2", "A1xA1xA1", "A1xA2-spectral"])
+def test_cli_evolve_rank3_product(group, extra, capsys):
     code, out, _ = run_main(capsys, "evolve", "--group", group, "--t", "1",
-                            "--grid", "48,8")
+                            *extra)
     assert code == 0
     assert json.loads(out.splitlines()[0])["config"]["group"] == group
 
@@ -325,7 +328,7 @@ def test_cli_unresolved_data_is_grid_too_small(command, init, tmp_path,
 
 
 def test_cli_hardy_check_lemma1(capsys):
-    code, out, _ = run_main(capsys, "hardy-check", "--euclid", "1",
+    code, out, _ = run_main(capsys, "hardy-check", "--group", "euclid:1",
                             "--grid", "2048,12", "--init",
                             "gaussian:a=1,chirp=-0.25", "--t0", "1.0")
     assert code == 0
@@ -346,7 +349,7 @@ def test_cli_hardy_check_runs_the_lemma1_preset(capsys):
 
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
 def test_cli_hardy_check_bad_tolerance_is_a_config_error(tol, capsys):
-    code, out, err = run_main(capsys, "hardy-check", "--euclid", "1",
+    code, out, err = run_main(capsys, "hardy-check", "--group", "euclid:1",
                               "--t0", "1", "--grid", "256,12",
                               "--tol-crit", tol)
     assert code == 2
@@ -395,8 +398,8 @@ def test_cli_heisenberg_geodesic_csv(tmp_path, capsys):
     # the rows of one scalar geodesic call per s, formatted as the CLI does
     rows = []
     for s in np.linspace(0.0, 5.0, 50):
-        p = geodesic(GeodesicParams(0.5, -1.2, float(s)))
-        rows.append(",".join("%.17g" % v for v in (float(s), p.x, p.u, p.xi)))
+        coords = geodesic_coords(0.5, -1.2, float(s))
+        rows.append(",".join("%.17g" % v for v in (float(s), *coords)))
     expected = "s,x,u,xi\n" + "\n".join(rows) + "\n"
     assert path.read_text() == expected
     stdout = run_main(capsys, *args)[1]
@@ -437,7 +440,7 @@ def test_cli_closed_stdout_ends_quietly(unbuffered):
     # the pipe closed before anything is written: buffered output fails at
     # the final flush, unbuffered output at its first write
     first, err, code = _cli_with_closed_stdout(
-        ["hardy-check", "--euclid", "1", "--grid", "2048,12",
+        ["hardy-check", "--group", "euclid:1", "--grid", "2048,12",
          "--init", "gaussian:a=1,chirp=-0.25", "--t0", "1"],
         read_first_line=False, unbuffered=unbuffered)
     assert (code, err) == (141, b"")
@@ -521,11 +524,13 @@ _GRID_COMMANDS = {"spherical", "evolve", "hardy-check", "decay-fit",
     ("strichartz", "--dyadic", "0"),
     ("strichartz", "--tmax", "nan"),
     ("strichartz", "--tmax", "-1"),
-    ("hardy-check", "--euclid", "1", "--t0", "-1"),
+    ("hardy-check", "--group", "euclid:1", "--t0", "-1"),
     ("hardy-check", "--group", "A1", "--t0", "nan"),
     ("rootsys", "info", "A2", "--normalization", "0"),
     ("rootsys", "info", "A2", "--normalization", "-1"),
     ("rootsys", "info", "A2", "--normalization", "nan"),
+    # R^n is --group euclid:n; there is no --euclid flag
+    ("hardy-check", "--euclid", "1", "--t0", "1"),
     # config keys that name no flag of the subcommand
     ("hardy-check", "--t0", "1", "--config", "seed = 42"),
     ("hardy-check", "--t0", "1", "--config", "output = x.json"),

@@ -26,6 +26,17 @@ def test_grid_rejects_odd_or_bad_sizes():
         RadialGrid(1, -1.0, 16)
 
 
+@pytest.mark.parametrize("rank, n, ok", [
+    (1, 64.0, False), (1.0, 64, False), (1, 64.5, False), (1, "64", False),
+    (np.int64(1), np.int64(64), True)])
+def test_grid_takes_integer_sizes_only(rank, n, ok):
+    if ok:
+        assert RadialGrid(rank, 10.0, n) == RadialGrid(1, 10.0, 64)
+    else:
+        with pytest.raises(ValueError, match="integers"):
+            RadialGrid(rank, 10.0, n)
+
+
 @pytest.mark.parametrize("half_width", [0.0, np.inf, np.nan, 1e308])
 def test_grid_rejects_half_width_without_a_finite_axis(half_width):
     # each of these once built an axis of NaN (1e308: the width 2L overflows)

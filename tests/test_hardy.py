@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from lsg.errors import InsufficientDecaySamples, NotGaussianDecay
 from lsg.grids import BiInvariantField, GridMode, RadialGrid, Representation
-from lsg.hardy import (Classification, GaussianEnvelope, classical_hardy_check,
-                       fit_envelope, fit_envelope_report, hardy_product,
-                       uniqueness_experiment)
+from lsg.hardy import (Classification, GaussianEnvelope, fit_envelope_report,
+                       hardy_product, uniqueness_experiment)
 from lsg.propagator import gaussian_profile
 from lsg.rootsystem import build_root_system
 
@@ -34,8 +33,8 @@ def test_fit_lemma1_rate():
     grid = RadialGrid(1, 12.0, 2048)
     f = gaussian_profile(grid, 1.0, chirp=-0.25)
     out = euclidean_propagate(f, 1.0, GridMode.FIXED)
-    fit = fit_envelope(magnitude_field(grid, np.abs(out.field.values)))
-    assert abs(fit.rate - 1.0 / 16.0) <= 1e-6
+    fit = fit_envelope_report(magnitude_field(grid, np.abs(out.field.values)))
+    assert abs(fit.envelope.rate - 1.0 / 16.0) <= 1e-6
 
 
 def test_fit_flags_exponential_decay():
@@ -50,14 +49,14 @@ def test_fit_insufficient_samples():
     grid = RadialGrid(1, 2.0, 16)
     f = magnitude_field(grid, np.exp(-grid.axis**2))
     with pytest.raises(InsufficientDecaySamples):
-        fit_envelope(f)
+        fit_envelope_report(f)
 
 
 def test_fit_rejects_growth():
     grid = RadialGrid(1, 4.0, 256)
     f = magnitude_field(grid, np.exp(+0.3 * grid.axis**2))
     with pytest.raises(NotGaussianDecay):
-        fit_envelope(f)
+        fit_envelope_report(f)
 
 
 @given(st.floats(0.1, 10.0))
@@ -65,8 +64,8 @@ def test_fit_scale_equivariance(scale):
     grid = RadialGrid(1, 12.0, 512)
     base = magnitude_field(grid, np.exp(-0.7 * grid.axis**2))
     scaled = magnitude_field(grid, scale * np.exp(-0.7 * grid.axis**2))
-    e0 = fit_envelope(base)
-    e1 = fit_envelope(scaled)
+    e0 = fit_envelope_report(base).envelope
+    e1 = fit_envelope_report(scaled).envelope
     assert abs(e1.rate - e0.rate) <= 1e-12
     assert e1.amplitude == pytest.approx(scale * e0.amplitude, rel=1e-10)
 
@@ -90,19 +89,6 @@ def test_hardy_product_examples():
         assert v.product < 1.0
         assert v.classification in (Classification.INCONCLUSIVE,
                                     Classification.CRITICAL)
-
-
-def test_classical_hardy_examples():
-    half = GaussianEnvelope(1.0, 0.5)
-    assert classical_hardy_check(half, half).classification \
-        is Classification.CRITICAL
-    one = GaussianEnvelope(1.0, 1.0)
-    assert classical_hardy_check(one, one).classification \
-        is Classification.MUST_VANISH
-    tenth = GaussianEnvelope(1.0, 0.1)
-    v = classical_hardy_check(one, tenth)
-    assert v.product == pytest.approx(0.4)
-    assert v.classification is Classification.INCONCLUSIVE
 
 
 @given(st.floats(0.05, 3.0), st.floats(0.05, 3.0),

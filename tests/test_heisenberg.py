@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 
 from lsg import heisenberg
 from lsg.errors import EvaluationAtSingularity, QuadratureFailure
-from lsg.heisenberg import (GeodesicParams, cutlocus_distance, geodesic,
-                            geodesic_coords, heat_integrand, heat_kernel,
-                            projection_residual, schrodinger_integrand,
-                            singularities)
+from lsg.heisenberg import (cutlocus_distance, geodesic_coords,
+                            heat_integrand, heat_kernel, projection_residual,
+                            schrodinger_integrand, singularities)
 
 
 # --- heat integrand -----------------------------------------------------------
@@ -171,15 +170,19 @@ def test_singularities_arithmetic():
 # --- geodesics ----------------------------------------------------------------------
 
 def test_geodesic_starts_at_origin():
-    p = geodesic(GeodesicParams(beta=0.8, t_param=1.3, s=0.0))
-    assert (p.x, p.u, p.xi) == (0.0, 0.0, 0.0)
+    assert geodesic_coords(0.8, 1.3, 0.0) == (0.0, 0.0, 0.0)
+
+
+def test_geodesic_zero_tparam_raises():
+    with pytest.raises(ValueError):
+        geodesic_coords(0.3, 0.0, np.linspace(0.0, 1.0, 5))
 
 
 def test_geodesic_vertical_coordinate_nondecreasing():
     t = 1.1
     xs = np.linspace(0.0, 12.0, 400)
-    xi = [geodesic(GeodesicParams(0.3, t, float(s))).xi for s in xs]
-    assert all(b >= a - 1e-12 for a, b in zip(xi, xi[1:]))
+    xi = geodesic_coords(0.3, t, xs)[2]
+    assert np.all(np.diff(xi) >= -1e-12)
 
 
 def test_geodesic_beta_rotates_contact_projection():
@@ -187,9 +190,9 @@ def test_geodesic_beta_rotates_contact_projection():
     radii = []
     xis = []
     for beta in np.linspace(0, 2 * np.pi, 9):
-        p = geodesic(GeodesicParams(float(beta), t, s))
-        radii.append(np.hypot(p.x, p.u))
-        xis.append(p.xi)
+        x, u, xi = geodesic_coords(float(beta), t, s)
+        radii.append(np.hypot(x, u))
+        xis.append(xi)
     assert np.ptp(radii) <= 1e-12
     assert np.ptp(xis) <= 1e-12
 
@@ -205,20 +208,20 @@ def test_projection_radius_is_inverse_t():
     # max distance from the circle center equals the radius 1/|t|
     beta, t = 0.4, 2.0
     s = np.linspace(0, 2 * np.pi / t, 500)
-    pts = [geodesic(GeodesicParams(beta, t, float(v))) for v in s]
-    center = (np.cos(beta) / t, -np.sin(beta) / t)
-    dists = [np.hypot(p.x - center[0], p.u - center[1]) for p in pts]
+    x, u, _ = geodesic_coords(beta, t, s)
+    dists = np.hypot(x - np.cos(beta) / t, u + np.sin(beta) / t)
     assert np.ptp(dists) <= 1e-12
     assert dists[0] == pytest.approx(1.0 / t)
 
 
 def _scalar_loop_residual(beta, t, s_samples, square):
-    """The circle residual from one scalar `geodesic` call per sample."""
+    """The circle residual from one scalar `geodesic_coords` call per
+    sample."""
     worst = 0.0
     for s in s_samples:
-        p = geodesic(GeodesicParams(beta, t, float(s)))
-        lhs = (square(p.x - np.cos(beta) / t)
-               + square(p.u + np.sin(beta) / t))
+        x, u, _ = map(float, geodesic_coords(beta, t, float(s)))
+        lhs = (square(x - np.cos(beta) / t)
+               + square(u + np.sin(beta) / t))
         worst = max(worst, abs(lhs - 1.0 / (t * t)))
     return float(worst)
 
@@ -235,17 +238,6 @@ def test_projection_residual_matches_scalar_loop(beta, t_mag, flip):
     # last bit of a square, so by at most a few ulp of 1/t²
     by_pow = _scalar_loop_residual(beta, t, s, lambda v: v ** 2)
     assert abs(got - by_pow) <= 4.0 * np.finfo(float).eps / (t * t)
-
-
-def test_geodesic_coords_match_scalar_geodesic():
-    s = np.linspace(-3.0, 12.0, 301)
-    for beta, t in ((0.0, 1.0), (2.2, -0.7), (5.9, 1e6), (1.1, 1e-3)):
-        x, u, xi = geodesic_coords(beta, t, s)
-        for i, si in enumerate(s):
-            p = geodesic(GeodesicParams(beta, t, float(si)))
-            assert (p.x, p.u, p.xi) == (x[i], u[i], xi[i])
-    with pytest.raises(ValueError):
-        geodesic_coords(0.3, 0.0, s)
 
 
 def test_projection_conditioning_at_large_t():

@@ -319,6 +319,20 @@ def test_closed_form_matches_spectral_a2(a2):
     assert relative_l2(closed.field.values, oracle.field.values, out) <= 1e-4
 
 
+@pytest.mark.parametrize("t", [0.5, 1.0])
+def test_closed_form_matches_spectral_rank3(t):
+    # the oracle runs one axis at a time, so the memory guard bounds its
+    # per-axis buffer, not an M^3 grid: 400 spectral nodes per axis here,
+    # where 2^24 values of M^3 would allow 256
+    rs = build_root_system("A1xA2")
+    f = gaussian_profile(RadialGrid(3, 8.0, 64), 1.0)
+    closed = group_propagate_closed_form(rs, f, t, GridMode.FIXED)
+    oracle = group_propagate_spectral(rs, f, t)
+    assert suggest_spectral_grid(rs, f, t).points_per_axis > 256
+    assert relative_l2(closed.field.values, oracle.field.values,
+                       f.grid) <= 1e-12
+
+
 def test_spectral_t_zero_is_plain_synthesis(a1):
     grid = RadialGrid(1, 12.0, 512)
     f = gaussian_profile(grid, 1.0)
@@ -352,7 +366,7 @@ def test_spectral_propagation_is_the_public_composition(name, n, box,
     f = gaussian_profile(RadialGrid(rs.rank, box, n), 1.0, 0.1)
     out = RadialGrid(rs.rank, box + 5.0, n)
     t = 0.4
-    sgrid = (suggest_spectral_grid(rs, f, t, out.half_width) if spectral is None
+    sgrid = (suggest_spectral_grid(rs, f, t, out) if spectral is None
              else RadialGrid(rs.rank, *spectral))
     res = group_propagate_spectral(rs, f, t, spectral_grid=sgrid, out_grid=out)
     spec = spherical_transform(rs, f, sgrid)

@@ -3,12 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lsg.errors import (ClosureOverflow, ConfigError, DimensionError,
-                        UnsupportedRootSystem)
+from lsg.errors import ClosureOverflow, ConfigError, UnsupportedRootSystem
 from lsg.grids import RadialGrid
 from lsg.rootsystem import (build_root_system, dominant_representative,
-                            generate_weyl_group, is_dominant, pairing,
-                            weyl_group)
+                            generate_weyl_group, is_dominant)
 from lsg.spherical import c_function, weyl_denominator
 
 SYSTEMS = ["A1", "A2", "B2", "G2", "A1xA1", "A1xA2"]
@@ -136,34 +134,18 @@ def test_signs_sum_to_zero():
         assert np.sum(rs.weyl_signs()) == pytest.approx(0.0)
 
 
-# --- pairing ---------------------------------------------------------------
+# --- pairing: the Killing form is the dot product in these coordinates ----
 
 def test_pairing_zero_and_dominance(a2):
     zero = np.zeros(2)
-    assert pairing(a2, zero, zero) == 0.0
+    assert zero @ zero == 0.0
     for alpha in a2.positive_roots:
-        assert pairing(a2, a2.rho, alpha) > 0
+        assert a2.rho @ alpha > 0
 
 
 def test_pairing_a1_rho_norm(a1):
     # with <alpha,alpha> = 2 and rho = alpha/2: <rho,rho> = 1/2
-    assert pairing(a1, a1.rho, a1.rho) == pytest.approx(0.5, abs=1e-14)
-
-
-def test_pairing_dimension_mismatch(a2):
-    with pytest.raises(DimensionError):
-        pairing(a2, np.zeros(3), np.zeros(2))
-
-
-@given(st.integers(0, 5), st.lists(st.floats(-3, 3), min_size=4, max_size=4))
-def test_pairing_weyl_invariance(widx, coords):
-    rs = build_root_system("B2")
-    w = rs.weyl_group[widx % rs.weyl_order]
-    h1 = np.array(coords[:2])
-    h2 = np.array(coords[2:])
-    lhs = pairing(rs, w.apply(h1), w.apply(h2))
-    rhs = pairing(rs, h1, h2)
-    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+    assert a1.rho @ a1.rho == pytest.approx(0.5, abs=1e-14)
 
 
 # --- dominant representative -----------------------------------------------
@@ -202,6 +184,6 @@ def test_orbit_of_strictly_dominant_point_is_free(g2, rng):
 
 
 def test_weyl_group_accessor_identity_first(b2):
-    grp = weyl_group(b2)
+    grp = b2.weyl_group
     assert len(grp) == 8
     assert np.allclose(grp[0].matrix, np.eye(2))
