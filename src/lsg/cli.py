@@ -38,9 +38,10 @@ from .config import (InitData, config_args, finite, int_at_least, nonzero,
                      positive, preset_text)
 from .errors import (ConfigError, EvaluationAtSingularity, GridTooSmall,
                      LsgError)
-from .estimates import decay_exponent_fit, strichartz_norm, strichartz_pair
+from .estimates import (CAUCHY_TOL, DECAY_SLOPE_TOL, decay_exponent_fit,
+                        strichartz_norm, strichartz_pair)
 from .grids import BiInvariantField, GridMode, RadialGrid
-from .hardy import uniqueness_experiment
+from .hardy import TOL_CRIT_DEFAULT, uniqueness_experiment
 from .heisenberg import (geodesic_coords, heat_kernel, schrodinger_integrand,
                          singularities, singularity_count)
 from .propagator import (gaussian_profile, group_propagate_closed_form,
@@ -53,7 +54,6 @@ from .spherical import (conjugated_values, roundtrip_error,
 _FLOAT_FMT = "%.17g"
 _CSV_BLOCK = 1 << 16      # rows per block of column-wise CSV formatting
 _SINGULARITIES_SHOWN = 16   # kπ/t values in a heisenberg integrand record
-_DECAY_SLOPE_TOL = 0.05     # |slope - target| bound, as acceptance criterion 8
 
 
 @dataclass
@@ -270,13 +270,13 @@ def _cmd_decay_fit(args) -> ResultRecord:
     times = list(args.times or np.geomspace(1.0, 10.0, 8))
     slope, target, reports = decay_exponent_fit(rs, _profile(args, rs),
                                                 args.p, times)
-    passed = abs(slope - target) <= _DECAY_SLOPE_TOL
+    passed = abs(slope - target) <= DECAY_SLOPE_TOL
     artifacts = _put_csv(args.out, ["t", "weighted_norm"],
                          [([r.t for r in reports],
                            [r.weighted_norm for r in reports])]
                          ) if args.out else []
     summary = {"slope": float(slope), "target": float(target),
-               "tolerance": _DECAY_SLOPE_TOL, "passed": bool(passed),
+               "tolerance": DECAY_SLOPE_TOL, "passed": bool(passed),
                "p": args.p}
     sys.stdout.write(_json(summary) + "\n")
     return ResultRecord("decay-fit", {"group": rs.name,
@@ -291,7 +291,7 @@ def _cmd_strichartz(args) -> ResultRecord:
                           refinements=args.levels,
                           dyadic_levels=args.dyadic)
     cauchy = abs(seq[-1] - seq[-2]) / seq[-1] if seq[-1] else 0.0
-    passed = cauchy <= 0.02
+    passed = cauchy <= CAUCHY_TOL
     artifacts = _put_csv(args.out, ["level", "spacetime_norm"],
                          [(np.arange(len(seq)), seq)]) if args.out else []
     summary = {"p": f"{p_adm}", "q": f"{q_adm}", "levels": [float(v) for v in seq],
@@ -437,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("hardy-check", "uniqueness-threshold certification", _cmd_hardy)
     common(p)
     p.add_argument("--t0", type=_arg(positive), required=True)
-    p.add_argument("--tol-crit", type=float, default=0.02)
+    p.add_argument("--tol-crit", type=float, default=TOL_CRIT_DEFAULT)
 
     p = command("decay-fit", "dispersive decay exponent fit", _cmd_decay_fit)
     common(p)

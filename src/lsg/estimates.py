@@ -18,12 +18,16 @@ import numpy as np
 
 from .errors import InsufficientTimes, UnsupportedExponent
 from .grids import (BiInvariantField, GridMode, RadialGrid, Representation,
-                    lq_norm)
+                    lq_norm, lq_power, simpson_weights)
 from .propagator import (PropagationResult, duhamel_solve,
                          group_propagate_closed_form)
 from .rootsystem import RootSystemSpec
 from .spherical import (conjugated_values, conjugated_with,
                         denominator_on_grid)
+
+# pass/fail bounds of the CLI and the acceptance suite alike
+DECAY_SLOPE_TOL = 0.05      # |fitted slope - target slope|
+CAUCHY_TOL = 0.02           # |N_r - N_{r-1}| / N_r, last two refinements
 
 
 @dataclass(frozen=True)
@@ -95,12 +99,6 @@ def strichartz_pair(rank: int) -> tuple[Fraction, Fraction]:
             Fraction(2 * (rank + 2), rank))
 
 
-def _lq_q_power(rs: RootSystemSpec, result: PropagationResult, q: float) -> float:
-    """‖uφ(t)‖_q^q (the integrand of the space-time norm)."""
-    vals = conjugated_values(rs, result.field)
-    return float((np.abs(vals) ** q).sum() * result.field.grid.cell_volume())
-
-
 def strichartz_norm(rs: RootSystemSpec, field: BiInvariantField, t_max: float,
                     refinements: int = 4, dyadic_levels: int = 8
                     ) -> list[float]:
@@ -110,19 +108,23 @@ def strichartz_norm(rs: RootSystemSpec, field: BiInvariantField, t_max: float,
     over from ‖gφ...‖ to the decay regime there), composite Simpson with
     2^{r+1} panels per subinterval at refinement level r. The initial data
     is normalized to unit L²(G) mass first. The returned sequence must
-    stabilize; the caller checks Cauchy agreement of the last two levels.
+    stabilize; the caller checks Cauchy agreement of the last two levels
+    (ValueError unless refinements ≥ 2 and dyadic_levels ≥ 1, integers).
 
     The unit-mass data is conjugated once per call and propagated as a
     CONJUGATED field, so no time node rebuilds φ.
     """
+    integer = (int, np.integer)
+    if not (isinstance(refinements, integer) and refinements >= 2
+            and isinstance(dyadic_levels, integer) and dyadic_levels >= 1):
+        raise ValueError("need integers refinements >= 2, dyadic_levels >= 1")
     _, q_frac = strichartz_pair(rs.rank)
     q = float(q_frac)
     g = conjugated_values(rs, field)
     mass = lq_norm(g, field.grid, 2.0)
     if mass == 0.0:
         return [0.0] * refinements
-    unit = BiInvariantField(field.grid, field.values / mass,
-                            field.representation)
+    unit = field.with_values(field.values / mass)
     unit = unit.with_values(conjugated_values(rs, unit),
                             Representation.CONJUGATED)
     g_unit = g / mass
@@ -131,12 +133,10 @@ def strichartz_norm(rs: RootSystemSpec, field: BiInvariantField, t_max: float,
 
     def integrand(t: float) -> float:
         if t == 0.0:
-            return float((np.abs(g_unit) ** q).sum()
-                         * field.grid.cell_volume())
+            return lq_power(g_unit, field.grid, q)
         if t not in cache:
-            result = group_propagate_closed_form(rs, unit, t,
-                                                 mode=GridMode.SCALED)
-            cache[t] = _lq_q_power(rs, result, q)
+            out = group_propagate_closed_form(rs, unit, t, GridMode.SCALED)
+            cache[t] = lq_power(out.field.values, out.field.grid, q)
         return cache[t]
 
     edges = [t_max / 2.0**j for j in range(dyadic_levels + 1)][::-1]
@@ -148,9 +148,8 @@ def strichartz_norm(rs: RootSystemSpec, field: BiInvariantField, t_max: float,
     def simpson(a: float, b: float, panels: int) -> float:
         xs = np.linspace(a, b, panels + 1)
         ys = np.array([integrand(x) for x in xs])
-        w = np.ones(panels + 1)
-        w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-        return float((b - a) / panels / 3.0 * (w * ys).sum())
+        return float((b - a) / panels / 3.0
+                     * (simpson_weights(panels) * ys).sum())
 
     out = []
     for r in range(refinements):
@@ -178,31 +177,23 @@ def strichartz_inhomogeneous_check(rs: RootSystemSpec,
     """
     p_frac, q_frac = strichartz_pair(rs.rank)
     p, q = float(p_frac), float(q_frac)
-    if time_panels % 2 != 0:
-        raise ValueError("time_panels must be even")
+    w = simpson_weights(time_panels)
     grid = field.grid
     phi = denominator_on_grid(rs, grid)
     g = conjugated_with(field, phi)
 
-    def power(vals: np.ndarray) -> float:
-        return float((np.abs(vals) ** q).sum() * grid.cell_volume())
-
     ts = np.linspace(0.0, t_max, time_panels + 1)
-    w = np.ones(time_panels + 1)
-    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
     solutions = [g] + [r.field.values for r in
                        duhamel_solve(rs, field, forcing, ts[1:], steps)]
     lhs_q = float(t_max / time_panels / 3.0
-                  * sum(wi * power(v) for wi, v in zip(w, solutions)))
+                  * sum(wi * lq_power(v, grid, q)
+                        for wi, v in zip(w, solutions)))
     lhs = lhs_q ** (1.0 / q)
 
     mass = lq_norm(g, grid, 2.0)
-    psi_power = []
-    for t in ts:
-        # forcing lives on the data's grid; duhamel_solve checks that
-        psi_phi = conjugated_with(forcing(t), phi)
-        psi_power.append(float((np.abs(psi_phi) ** p).sum()
-                               * grid.cell_volume()))
+    # forcing lives on the data's grid; duhamel_solve checks that
+    psi_power = [lq_power(conjugated_with(forcing(t), phi), grid, p)
+                 for t in ts]
     psi_term = (float(t_max / time_panels / 3.0
                       * sum(wi * v for wi, v in zip(w, psi_power)))
                 ** (1.0 / p))

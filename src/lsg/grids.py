@@ -153,12 +153,27 @@ class SpectralField:
 
 # --- quadrature and norms ---------------------------------------------------
 
+def simpson_weights(panels: int) -> np.ndarray:
+    """Composite Simpson weights 1, 4, 2, …, 4, 1 (times step/3) over
+    `panels` panels; ValueError unless `panels` is an even integer >= 2."""
+    if not (isinstance(panels, (int, np.integer)) and panels >= 2
+            and panels % 2 == 0):
+        raise ValueError(f"need an even integer >= 2 panels, got {panels!r}")
+    w = np.where(np.arange(panels + 1) % 2, 4.0, 2.0)
+    w[[0, -1]] = 1.0
+    return w
+
+
+def lq_power(values: np.ndarray, grid: RadialGrid, q: float) -> float:
+    """h^l·Σ|v|^q, the q-th power of the L^q(dH) norm."""
+    return float((np.abs(values) ** q).sum() * grid.cell_volume())
+
+
 def lq_norm(values: np.ndarray, grid: RadialGrid, q: float) -> float:
     """L^q(dH) norm over the grid; q = inf gives the nodewise sup."""
-    a = np.abs(values)
     if np.isinf(q):
-        return float(a.max())
-    return float((a**q).sum() * grid.cell_volume()) ** (1.0 / q)
+        return float(np.abs(values).max())
+    return lq_power(values, grid, q) ** (1.0 / q)
 
 
 def l2_norm(values: np.ndarray, grid: RadialGrid) -> float:
@@ -275,6 +290,15 @@ def _uniform_step(xi: np.ndarray) -> float:
     return step
 
 
+def _chirp_z_kernel(n: int, m: int, half_w: float, shift: int) -> np.ndarray:
+    """FFT of e^{-i·half_w·(k + shift)²} for the lags -n < k < m, wrapped
+    onto a 5-smooth length >= n + m - 1: the chirp-z plan's kernel."""
+    size = _fast_fft_length(n + m - 1)
+    lag = np.arange(size)
+    lag = np.where(lag < m, lag, lag - size) + shift
+    return np.fft.fft(np.exp(-1j * half_w * lag * lag))
+
+
 def _chirp_z_plan(grid: RadialGrid, xi: np.ndarray, step: float, sign: int,
                   weight: np.ndarray | float = 1.0) -> tuple:
     """Pre-chirp (times `weight`), kernel spectrum and post-chirp per axis.
@@ -289,10 +313,7 @@ def _chirp_z_plan(grid: RadialGrid, xi: np.ndarray, step: float, sign: int,
     xi_c = xi[0] + jc * step
     q, p = np.arange(n) - kc, np.arange(m) - jc
     half_w = 0.5 * sign * step * h
-    size = _fast_fft_length(n + m - 1)
-    lag = np.arange(size)
-    lag = np.where(lag < m, lag, lag - size) + (kc - jc)
-    kernel_hat = np.fft.fft(np.exp(-1j * half_w * lag * lag))
+    kernel_hat = _chirp_z_kernel(n, m, half_w, kc - jc)
     pre = weight * np.exp(1j * (sign * xi_c * h * q + half_w * q * q))
     post = h * np.exp(1j * (sign * (xi_c * x_c + step * x_c * p)
                             + half_w * p * p))

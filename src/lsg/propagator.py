@@ -4,7 +4,8 @@ Equation convention: -i u_t = Δu, so u(t) = e^{itΔ}f and a Euclidean
 Gaussian e^{-a|x|²} evolves to (1+4iat)^{-n/2} e^{-a|x|²/(1+4iat)}.
 
 On a complex semi-simple group the conjugated profile does all the work:
-g = f·φ evolves by the Euclidean propagator, times the phase e^{-it|ρ|²}.
+g = f·φ evolves by the Euclidean propagator, times the phase e^{-it|ρ|²};
+on euclid:n (no roots: φ ≡ 1, ρ = 0) that is Euclidean evolution itself.
 With R(y) = e^{i|y|²/4t} g(y) that is the chirp–Fourier–chirp sandwich
 
     u(H,t)·φ(H) = C · t^{-l/2} · e^{-i(t|ρ|² - |H|²/4t)} · R̂(H/2t),
@@ -26,10 +27,9 @@ grid by chirp-z, O((N+M) log(N+M)) per axis, grid-aligned for time series.
 Duhamel's formula u(t) = S(t)f + i∫₀ᵗ S(t-s)ψ(s) ds needs S(τ) only on
 the input grid. There the FIXED sandwich's chirps multiply out,
 e^{i|x_j|²/4τ}·e^{-i⟨x_j,x_k⟩/2τ}·e^{i|x_k|²/4τ} = e^{i|x_j - x_k|²/4τ},
-so S(τ) is a linear convolution with the sampled free kernel: the same
-trapezoid sum, computed by a zero-padded FFT. Being linear, every
-Simpson node of every output time is summed in the frequency domain
-before one inverse FFT per time (`duhamel_solve`).
+so S(τ) convolves with the FIXED sandwich's chirp-z kernel onto the input
+axis, angles unreduced mod 2π as there. Linear, it sums every Simpson
+node of every output time in the frequency domain (`duhamel_solve`).
 """
 
 from __future__ import annotations
@@ -42,11 +42,12 @@ import numpy as np
 from .errors import (ForcingNotAntisymmetrizable, GridTooSmall, InvalidTime,
                      UnderResolvedPhase)
 from .grids import (BiInvariantField, GridMode, Method, RadialGrid,
-                    Representation, _chirp_z_axis, _chirp_z_plan,
-                    _fast_fft_length, _mapped_residual, _times_axes,
-                    _weyl_lattice_maps, fourier_at, fourier_native,
-                    require_tail, support_radius)
-from .rootsystem import RootSystemSpec
+                    Representation, _chirp_z_axis, _chirp_z_kernel,
+                    _chirp_z_plan, _fast_fft_length, _mapped_residual,
+                    _times_axes, _weyl_lattice_maps, fourier_at,
+                    fourier_native, require_tail, simpson_weights,
+                    support_radius)
+from .rootsystem import RootSystemSpec, build_root_system
 from .spherical import (conjugated_values, conjugated_with,
                         denominator_on_grid, spectral_input, to_plain)
 
@@ -58,8 +59,7 @@ _ANTISYMMETRY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class PropagationResult:
-    """Evolved profile: CONJUGATED u·φ from the group propagators, which on
-    euclid:n (no roots, φ ≡ 1) is u itself; PLAIN u from euclidean_propagate."""
+    """Evolved profile u·φ (CONJUGATED); on euclid:n, where φ ≡ 1, u."""
 
     field: BiInvariantField
     t: float
@@ -146,31 +146,6 @@ def _multiplier(values: np.ndarray, grid: RadialGrid, t: float,
 _refine_fft = _multiplier   # the benchmark traces it by the upsampler's name
 
 
-def _closed_form(values: np.ndarray, grid: RadialGrid, t: float,
-                 mode: GridMode, out_grid: RadialGrid | None, rho_sq: float,
-                 representation: Representation, what: str
-                 ) -> PropagationResult:
-    """e^{-it|ρ|²}·e^{itΔ}·values once 0 < t < ∞ and require_tail(`what`)
-    hold, y_sup read from the same |values|. h·y_sup/t, twice the chirp's
-    phase step per node at the data's edge, picks the regime: SCALED runs
-    the sandwich up to π, the multiplier beyond; FIXED refuses beyond 2π."""
-    if not 0 < t < math.inf:
-        raise InvalidTime(f"closed-form propagation needs 0 < t < inf, got {t}")
-    mag = np.abs(values)
-    require_tail(mag, what=what)
-    y_sup = max(support_radius(mag, grid), grid.spacing)
-    scale = np.exp(-1j * t * rho_sq)
-    if mode is GridMode.SCALED and grid.spacing * y_sup / t > np.pi:
-        out, vals = _multiplier(values, grid, t, y_sup, scale)
-    else:
-        if mode is GridMode.FIXED:
-            _fixed_chirp_guard(grid, y_sup, t)
-        out, vals = _chirp_sandwich(values, grid, t, mode, out_grid,
-                                    scale * _free_constant(grid.rank))
-    result = BiInvariantField(out, vals, representation)
-    return PropagationResult(result, t, Method.CLOSED_FORM, mode)
-
-
 def _fixed_chirp_guard(grid: RadialGrid, y_sup: float, t: float) -> None:
     """GridTooSmall where h·y_sup/t > 2π: the FIXED sandwich's chirp is not
     resolved on data supported within y_sup."""
@@ -180,34 +155,15 @@ def _fixed_chirp_guard(grid: RadialGrid, y_sup: float, t: float) -> None:
             "chirp on the data support; use SCALED mode or refine")
 
 
-# --- Euclidean propagator -----------------------------------------------------
-
 def _free_constant(rank: int) -> complex:
     """(4πi)^{-l/2}, the constant of the free kernel on R^l."""
     return (4.0 * np.pi * 1j) ** (-rank / 2.0)
 
 
-def euclidean_propagate(field: BiInvariantField, t: float,
-                        mode: GridMode = GridMode.SCALED,
-                        out_grid: RadialGrid | None = None) -> PropagationResult:
-    """Free evolution u(·,t) = e^{itΔ}f on R^n.
-
-    u(x,t) = (4πit)^{-n/2} e^{i|x|²/4t} ĥ(x/2t) with h(y) = e^{i|y|²/4t}f(y);
-    the constant makes u → f as t → 0⁺ (validated against the Gaussian
-    closed form in the test suite).
-    """
-    return _closed_form(field.values, field.grid, t, mode, out_grid, 0.0,
-                        Representation.PLAIN, "initial profile")
-
-
 # --- group propagator: closed form ----------------------------------------------
 
 def calibrate_constant(rs: RootSystemSpec) -> complex:
-    """The group closed form's constant: (4πi)^{-l/2}, l the rank of rs.
-
-    Nothing is fitted. The name stays for callers of the earlier
-    calibrated constant; the benchmark's set-up still times it.
-    """
+    """(4πi)^{-l/2}, l the rank of rs: the closed form's constant, unfitted."""
     return _free_constant(rs.rank)
 
 
@@ -216,10 +172,35 @@ def group_propagate_closed_form(rs: RootSystemSpec, field: BiInvariantField,
                                 out_grid: RadialGrid | None = None
                                 ) -> PropagationResult:
     """Closed-form evolution of bi-invariant data; returns u·φ, the
-    Euclidean evolution of g = f·φ times e^{-it|ρ|²}."""
-    return _closed_form(conjugated_values(rs, field), field.grid, t, mode,
-                        out_grid, float(rs.rho @ rs.rho),
-                        Representation.CONJUGATED, "conjugated profile")
+    Euclidean evolution of g = f·φ times e^{-it|ρ|²}, for 0 < t < ∞. With
+    y_sup read from |g|, h·y_sup/t (twice the chirp's phase step per node
+    at the data's edge) picks the regime: SCALED runs the sandwich up to
+    π, the multiplier beyond; FIXED refuses beyond 2π."""
+    if not 0 < t < math.inf:
+        raise InvalidTime(f"closed-form propagation needs 0 < t < inf, got {t}")
+    grid = field.grid
+    values = conjugated_values(rs, field)
+    mag = np.abs(values)
+    require_tail(mag, what="conjugated profile")
+    y_sup = max(support_radius(mag, grid), grid.spacing)
+    scale = np.exp(-1j * t * float(rs.rho @ rs.rho))
+    if mode is GridMode.SCALED and grid.spacing * y_sup / t > np.pi:
+        out, vals = _multiplier(values, grid, t, y_sup, scale)
+    else:
+        if mode is GridMode.FIXED:
+            _fixed_chirp_guard(grid, y_sup, t)
+        out, vals = _chirp_sandwich(values, grid, t, mode, out_grid,
+                                    scale * _free_constant(grid.rank))
+    result = BiInvariantField(out, vals, Representation.CONJUGATED)
+    return PropagationResult(result, t, Method.CLOSED_FORM, mode)
+
+
+def euclidean_propagate(field: BiInvariantField, t: float,
+                        mode: GridMode = GridMode.SCALED,
+                        out_grid: RadialGrid | None = None) -> PropagationResult:
+    """Free evolution e^{itΔ}f on R^n: the closed form on euclid:n."""
+    rs = build_root_system(f"euclid:{field.grid.rank}")
+    return group_propagate_closed_form(rs, field, t, mode, out_grid)
 
 
 # --- group propagator: spectral oracle -------------------------------------------
@@ -299,21 +280,6 @@ def group_propagate_spectral(rs: RootSystemSpec, field: BiInvariantField,
 
 # --- forced equation (Duhamel) -----------------------------------------------------
 
-def _free_kernel_spectrum(grid: RadialGrid, t: float, size: int) -> np.ndarray:
-    """FFT of the sampled free kernel e^{i(h·m)²/4t}, |m| < N, wrapped onto
-    `size` ≥ 2N − 1 points, so that a product with the spectrum of data
-    zero-padded to `size` is their linear convolution on the input grid.
-
-    The angle (h·m)²/4t is reduced mod 2π before exponentiation.
-    """
-    n = grid.points_per_axis
-    half = _chirp(grid.spacing * np.arange(n), t)
-    kernel = np.zeros(size, dtype=complex)
-    kernel[:n] = half
-    kernel[size - n + 1:] = half[:0:-1]
-    return np.fft.fft(kernel)
-
-
 def duhamel_solve(rs: RootSystemSpec, field: BiInvariantField, forcing,
                   t, steps: int) -> PropagationResult | list[PropagationResult]:
     """Solve -i u_t - Δu = ψ via u(t) = S(t)f + i ∫₀ᵗ S(t-s) ψ(s) ds.
@@ -327,13 +293,13 @@ def duhamel_solve(rs: RootSystemSpec, field: BiInvariantField, forcing,
 
     On its own input grid the FIXED closed form of S(τ) is the trapezoid
     sum τ^{-l/2}·h^l·e^{-iτ|ρ|²}·(4πi)^{-l/2}·Σ_k e^{i|x_j - x_k|²/4τ}·g_k,
-    the chirp–Fourier–chirp sandwich with its chirps multiplied out: a
-    linear convolution with the sampled free kernel, separable per axis.
-    With the data zero-padded to a length ≥ 2N − 1 per axis the whole
-    solve is one pass in the frequency domain: one forward FFT per
-    distinct sample (the data and each ψ(s)), one kernel spectrum per
-    distinct τ, and per output time a weighted sum of kernel-times-sample
-    spectra and one inverse FFT. The τ = 0 endpoint is added in space.
+    the sandwich with its chirps multiplied out: a linear convolution with
+    the sandwich's chirp-z kernel onto ξ = x/2τ, separable per axis. With
+    the data zero-padded per axis to that kernel's length ≥ 2N − 1 the
+    solve is one frequency-domain pass: one forward FFT per distinct
+    sample (the data and each ψ(s)), one kernel spectrum per distinct τ,
+    and per output time a weighted sum of kernel-times-sample spectra and
+    one inverse FFT. The τ = 0 endpoint is added in space.
 
     φ on the grid and the lattice maps of the Weyl antisymmetry check are
     built once per call. Every sample is checked for antisymmetry and
@@ -348,12 +314,13 @@ def duhamel_solve(rs: RootSystemSpec, field: BiInvariantField, forcing,
     for tk in times:
         if not tk > 0:
             raise InvalidTime(f"duhamel_solve needs t > 0, got {tk}")
-    if steps < 8 or steps % 2 != 0:
+    if not isinstance(steps, (int, np.integer)) or steps < 8 or steps % 2:
         raise ValueError("steps must be an even integer >= 8")
     grid = field.grid
     phi = denominator_on_grid(rs, grid)
     maps = _weyl_lattice_maps(grid, rs.weyl_matrices(), rs.weyl_signs())
-    size = _fast_fft_length(2 * grid.points_per_axis - 1)
+    n = grid.points_per_axis
+    size = _fast_fft_length(2 * n - 1)      # as _chirp_z_kernel's
     padded, axes = (size,) * grid.rank, tuple(range(grid.rank))
     rho_sq = float(rs.rho @ rs.rho)
     free = _free_constant(grid.rank) * grid.cell_volume()
@@ -363,8 +330,7 @@ def duhamel_solve(rs: RootSystemSpec, field: BiInvariantField, forcing,
     schedule = [[i * (tk / steps) for i in range(steps + 1)] for tk in times]
     uses: dict[float, list[tuple[int, complex, float]]] = {}
     for k, (tk, nodes) in enumerate(zip(times, schedule)):
-        for i, s in enumerate(nodes):
-            w = 1.0 if i in (0, steps) else (4.0 if i % 2 == 1 else 2.0)
+        for w, s in zip(simpson_weights(steps), nodes):
             uses.setdefault(s, []).append((k, 1j * w * (tk / steps) / 3.0,
                                            tk - s))
 
@@ -373,8 +339,9 @@ def duhamel_solve(rs: RootSystemSpec, field: BiInvariantField, forcing,
     kernels: dict[float, np.ndarray] = {}
 
     def add(spec: np.ndarray, k: int, w: complex, tau: float) -> None:
-        if tau not in kernels:
-            kernels[tau] = _free_kernel_spectrum(grid, tau, size)
+        if tau not in kernels:   # the plan's onto ξ = x/2τ, sign -1
+            half_w = -0.5 * (grid.spacing / (2.0 * tau)) * grid.spacing
+            kernels[tau] = _chirp_z_kernel(n, n, half_w, 0)
         coef = w * free * tau ** (-grid.rank / 2.0) * np.exp(-1j * tau * rho_sq)
         acc[k] += _times_axes(spec, kernels[tau], coef)
 
@@ -427,6 +394,4 @@ def _checked_forcing(forcing, s: float, grid: RadialGrid, phi: np.ndarray,
 
 def plain_magnitude(rs: RootSystemSpec, result: PropagationResult) -> np.ndarray:
     """|u| on the result grid (NaN at wall nodes), for reporting and fits."""
-    if result.field.representation is Representation.PLAIN:
-        return np.abs(result.field.values)
     return np.abs(to_plain(rs, result.field).values)

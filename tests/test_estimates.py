@@ -8,7 +8,8 @@ from lsg.estimates import (decay_exponent_fit, strichartz_inhomogeneous_check,
                            strichartz_norm, strichartz_pair, weighted_norm)
 from lsg.grids import (BiInvariantField, GridMode, RadialGrid, Representation,
                        l2_norm)
-from lsg.propagator import (gaussian_profile, group_propagate_closed_form)
+from lsg.propagator import (duhamel_solve, gaussian_profile,
+                            group_propagate_closed_form)
 from lsg.rootsystem import build_root_system
 from lsg.spherical import conjugated_values, denominator_on_grid
 
@@ -213,3 +214,27 @@ def test_inhomogeneous_stable_under_grid_refinement(a1):
         results.append(out["ratio"])
     assert results[0] == pytest.approx(results[1], rel=0.02)
     assert np.isfinite(results[0]) and results[0] > 0
+
+
+@pytest.mark.parametrize("arg,value", [
+    ("steps", 8.0), ("steps", 6), ("steps", 9),
+    ("time_panels", 0), ("time_panels", -2), ("time_panels", 4.0),
+    ("time_panels", 3),
+    ("refinements", 1), ("refinements", 0), ("refinements", 3.0),
+    ("dyadic_levels", 0), ("dyadic_levels", -1), ("dyadic_levels", 2.0),
+])
+def test_time_quadratures_refuse_bad_panel_counts(a1, arg, value):
+    """A panel or level count that is not a valid integer is a ValueError,
+    never a TypeError, an IndexError or a sequence too short to compare."""
+    f = gaussian_profile(RadialGrid(1, 8.0, 64), 1.0)
+    calls = {
+        "steps": lambda: duhamel_solve(a1, f, lambda s: f, 1.0, value),
+        "time_panels": lambda: strichartz_inhomogeneous_check(
+            a1, f, lambda s: f, 1.0, time_panels=value),
+        "refinements": lambda: strichartz_norm(a1, f, 1.0,
+                                               refinements=value),
+        "dyadic_levels": lambda: strichartz_norm(a1, f, 1.0,
+                                                 dyadic_levels=value),
+    }
+    with pytest.raises(ValueError):
+        calls[arg]()

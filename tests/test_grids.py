@@ -5,8 +5,8 @@ from lsg.errors import GridTooSmall
 from lsg.grids import (BiInvariantField, GridMode, RadialGrid, Representation,
                        _chirp_z_plan, _mapped_residual, _uniform_step,
                        _weyl_lattice_maps, boundary_tail, fourier_at,
-                       fourier_native, lq_norm, require_tail, support_radius,
-                       weyl_symmetry_residual)
+                       fourier_native, lq_norm, require_tail, simpson_weights,
+                       support_radius, weyl_symmetry_residual)
 from lsg.rootsystem import build_root_system
 from lsg.spherical import conjugated_values
 
@@ -243,6 +243,12 @@ def test_lq_norm_inf_and_two():
     assert lq_norm(vals, g, np.inf) == pytest.approx(1.0)
     ref = np.sqrt((vals**2).sum() * g.spacing)
     assert lq_norm(vals, g, 2.0) == pytest.approx(ref)
+
+
+def test_simpson_weights_accept_numpy_integers():
+    assert simpson_weights(2).tolist() == [1.0, 4.0, 1.0]
+    assert simpson_weights(np.int64(6)).tolist() == [1.0, 4.0, 2.0, 4.0,
+                                                     2.0, 4.0, 1.0]
 
 
 def test_weyl_symmetry_residual_flags_asymmetry(a1, a1_grid):
