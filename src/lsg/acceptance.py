@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimates import (CAUCHY_TOL, DECAY_SLOPE_TOL, decay_exponent_fit,
-                        strichartz_inhomogeneous_check, strichartz_norm,
-                        strichartz_pair)
+from .estimates import (CAUCHY_TOL, DECAY_SLOPE_TOL, L2_SLOPE_TOL,
+                        decay_exponent_fit, strichartz_inhomogeneous_check,
+                        strichartz_norm, strichartz_pair)
 from .grids import GridMode, RadialGrid, l2_norm, relative_l2
 from .hardy import Classification, fit_envelope_report, uniqueness_experiment
 from .heisenberg import (cutlocus_distance, projection_residual,
@@ -288,8 +288,8 @@ def criterion_dispersive_decay(params, seed) -> AcceptanceRow:
     f1 = gaussian_profile(RadialGrid(1, p["a1"][1], p["a1"][0]), 1.0)
     slope2, _, _ = decay_exponent_fit(rs1, f1, 2.0, times)
     details["A1:p=2"] = _f(slope2)
-    details["A1:p=2:tolerance"] = 0.02
-    ok = ok and abs(slope2) <= 0.02
+    details["A1:p=2:tolerance"] = L2_SLOPE_TOL
+    ok = ok and abs(slope2) <= L2_SLOPE_TOL
     return AcceptanceRow(8, "dispersive decay exponents", ok, details)
 
 

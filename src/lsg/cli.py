@@ -38,8 +38,8 @@ from .config import (InitData, config_args, finite, int_at_least, nonzero,
                      positive, preset_text)
 from .errors import (ConfigError, EvaluationAtSingularity, GridTooSmall,
                      LsgError)
-from .estimates import (CAUCHY_TOL, DECAY_SLOPE_TOL, decay_exponent_fit,
-                        strichartz_norm, strichartz_pair)
+from .estimates import (CAUCHY_TOL, DECAY_SLOPE_TOL, L2_SLOPE_TOL,
+                        decay_exponent_fit, strichartz_norm, strichartz_pair)
 from .grids import BiInvariantField, GridMode, RadialGrid
 from .hardy import TOL_CRIT_DEFAULT, uniqueness_experiment
 from .heisenberg import (geodesic_coords, heat_kernel, schrodinger_integrand,
@@ -270,13 +270,14 @@ def _cmd_decay_fit(args) -> ResultRecord:
     times = list(args.times or np.geomspace(1.0, 10.0, 8))
     slope, target, reports = decay_exponent_fit(rs, _profile(args, rs),
                                                 args.p, times)
-    passed = abs(slope - target) <= DECAY_SLOPE_TOL
+    tol = L2_SLOPE_TOL if args.p == 2 else DECAY_SLOPE_TOL
+    passed = abs(slope - target) <= tol
     artifacts = _put_csv(args.out, ["t", "weighted_norm"],
                          [([r.t for r in reports],
                            [r.weighted_norm for r in reports])]
                          ) if args.out else []
     summary = {"slope": float(slope), "target": float(target),
-               "tolerance": DECAY_SLOPE_TOL, "passed": bool(passed),
+               "tolerance": tol, "passed": bool(passed),
                "p": args.p}
     sys.stdout.write(_json(summary) + "\n")
     return ResultRecord("decay-fit", {"group": rs.name,

@@ -28,13 +28,14 @@ Duhamel's formula u(t) = S(t)f + i∫₀ᵗ S(t-s)ψ(s) ds needs S(τ) only on
 the input grid. There the FIXED sandwich's chirps multiply out,
 e^{i|x_j|²/4τ}·e^{-i⟨x_j,x_k⟩/2τ}·e^{i|x_k|²/4τ} = e^{i|x_j - x_k|²/4τ},
 so S(τ) convolves with the FIXED sandwich's chirp-z kernel onto the input
-axis, angles unreduced mod 2π as there. Linear, it sums every Simpson
-node of every output time in the frequency domain (`duhamel_solve`).
+axis, angles unreduced mod 2π as there. Linear, it sums each output
+time's Simpson nodes in the frequency domain (`duhamel_solve`).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -287,24 +288,22 @@ def duhamel_solve(rs: RootSystemSpec, field: BiInvariantField, forcing,
     `forcing` maps a time s to a BiInvariantField on the initial grid, and
     is called once per distinct s. `t` is one time, giving one result, or
     a 1-D sequence of times, giving one result per time in order. Each
-    time's s-integral is its own composite Simpson rule (`steps` even
-    panels, ≥ 8, on [0, t]); S(0) is the identity. Fourth-order in the
-    time step.
+    time's s-integral is its own composite Simpson rule, `steps` even
+    panels (≥ 8) on np.linspace(0, t, steps + 1), whose last node is
+    exactly t, where S(0) is the identity. Fourth-order in the time step.
 
     On its own input grid the FIXED closed form of S(τ) is the trapezoid
     sum τ^{-l/2}·h^l·e^{-iτ|ρ|²}·(4πi)^{-l/2}·Σ_k e^{i|x_j - x_k|²/4τ}·g_k,
     the sandwich with its chirps multiplied out: a linear convolution with
     the sandwich's chirp-z kernel onto ξ = x/2τ, separable per axis. With
-    the data zero-padded per axis to that kernel's length ≥ 2N − 1 the
-    solve is one frequency-domain pass: one forward FFT per distinct
-    sample (the data and each ψ(s)), one kernel spectrum per distinct τ,
-    and per output time a weighted sum of kernel-times-sample spectra and
-    one inverse FFT. The τ = 0 endpoint is added in space.
-
-    φ on the grid and the lattice maps of the Weyl antisymmetry check are
-    built once per call. Every sample is checked for antisymmetry and
-    every (sample, τ) pair against the FIXED chirp-resolution guard, in
-    the order a separate solve per time would meet them.
+    samples zero-padded per axis to that kernel's length ≥ 2N − 1, each
+    time is one loop in the frequency domain, S(t) of the data plus the
+    weighted S(t - s) of each node's sample, then one inverse FFT; the
+    node s = t is added in space. A sample (ψ(s)·φ, its support radius and
+    padded spectrum) is built at its first node and dropped after its
+    last: one forward FFT per distinct s, one kernel spectrum per distinct
+    τ. φ and the Weyl lattice maps are built once per call. Each sample is
+    checked for antisymmetry, each (sample, τ) by the FIXED chirp guard.
     """
     single = np.ndim(t) == 0
     times = np.atleast_1d(np.asarray(t, dtype=float))
@@ -312,8 +311,8 @@ def duhamel_solve(rs: RootSystemSpec, field: BiInvariantField, forcing,
         raise ValueError("t must be a time or a non-empty 1-D sequence")
     times = [float(x) for x in times]
     for tk in times:
-        if not tk > 0:
-            raise InvalidTime(f"duhamel_solve needs t > 0, got {tk}")
+        if not 0 < tk < math.inf:
+            raise InvalidTime(f"duhamel_solve needs 0 < t < inf, got {tk}")
     if not isinstance(steps, (int, np.integer)) or steps < 8 or steps % 2:
         raise ValueError("steps must be an even integer >= 8")
     grid = field.grid
@@ -324,53 +323,41 @@ def duhamel_solve(rs: RootSystemSpec, field: BiInvariantField, forcing,
     padded, axes = (size,) * grid.rank, tuple(range(grid.rank))
     rho_sq = float(rs.rho @ rs.rho)
     free = _free_constant(grid.rank) * grid.cell_volume()
-
-    # per time, its Simpson nodes s; per distinct s, the (time index,
-    # i·w·ds/3, τ = t - s) of every node at s
-    schedule = [[i * (tk / steps) for i in range(steps + 1)] for tk in times]
-    uses: dict[float, list[tuple[int, complex, float]]] = {}
-    for k, (tk, nodes) in enumerate(zip(times, schedule)):
-        for w, s in zip(simpson_weights(steps), nodes):
-            uses.setdefault(s, []).append((k, 1j * w * (tk / steps) / 3.0,
-                                           tk - s))
-
-    acc = np.zeros((len(times),) + padded, dtype=complex)
-    endpoint = np.zeros((len(times),) + grid.shape, dtype=complex)
     kernels: dict[float, np.ndarray] = {}
 
-    def add(spec: np.ndarray, k: int, w: complex, tau: float) -> None:
+    def evolved(spec: np.ndarray, y_sup: float, tau: float,
+                w: complex) -> np.ndarray:
+        """w·S(τ) of a padded sample spectrum, after the chirp guard."""
+        _fixed_chirp_guard(grid, y_sup, tau)
         if tau not in kernels:   # the plan's onto ξ = x/2τ, sign -1
             half_w = -0.5 * (grid.spacing / (2.0 * tau)) * grid.spacing
             kernels[tau] = _chirp_z_kernel(n, n, half_w, 0)
         coef = w * free * tau ** (-grid.rank / 2.0) * np.exp(-1j * tau * rho_sq)
-        acc[k] += _times_axes(spec, kernels[tau], coef)
+        return _times_axes(spec, kernels[tau], coef)
 
     g = conjugated_with(field, phi)
     g_sup = max(support_radius(g, grid), grid.spacing)
     g_spec = np.fft.fftn(g, s=padded, axes=axes)
-    for k, tk in enumerate(times):
-        add(g_spec, k, 1.0, tk)
-    del g_spec
-    y_sup: dict[float, float] = {}
-    for k, tk in enumerate(times):
-        _fixed_chirp_guard(grid, g_sup, tk)
-        for s in schedule[k]:
-            if s not in y_sup:
-                psi_phi = _checked_forcing(forcing, s, grid, phi, maps)
-                y_sup[s] = max(support_radius(psi_phi, grid), grid.spacing)
-                spec = np.fft.fftn(psi_phi, s=padded, axes=axes)
-                for kk, w, tt in uses[s]:
-                    if tt == 0.0:
-                        endpoint[kk] += w * psi_phi
-                    else:
-                        add(spec, kk, w, tt)
-                del spec
-            if s != tk:
-                _fixed_chirp_guard(grid, y_sup[s], tk - s)
-    crop = (slice(0, grid.points_per_axis),) * grid.rank
+    nodes = [np.linspace(0.0, tk, steps + 1).tolist() for tk in times]
+    pending = Counter(s for row in nodes for s in row)
+    samples: dict[float, tuple[np.ndarray, float, np.ndarray]] = {}
     results = []
-    for k, tk in enumerate(times):
-        total = np.fft.ifftn(acc[k])[crop] + endpoint[k]
+    for tk, row in zip(times, nodes):
+        acc = evolved(g_spec, g_sup, tk, 1.0)
+        for w, s in zip(simpson_weights(steps), row):
+            if s not in samples:
+                psi_phi = _checked_forcing(forcing, s, grid, phi, maps)
+                samples[s] = (psi_phi,
+                              max(support_radius(psi_phi, grid), grid.spacing),
+                              np.fft.fftn(psi_phi, s=padded, axes=axes))
+            pending[s] -= 1
+            psi_phi, y_sup, spec = samples[s] if pending[s] else samples.pop(s)
+            w = 1j * w * (tk / steps) / 3.0
+            if s == tk:
+                end = w * psi_phi
+            else:
+                acc += evolved(spec, y_sup, tk - s, w)
+        total = np.fft.ifftn(acc)[(slice(0, n),) * grid.rank] + end
         out = BiInvariantField(grid, total, Representation.CONJUGATED)
         results.append(PropagationResult(out, tk, Method.CLOSED_FORM,
                                          GridMode.FIXED))

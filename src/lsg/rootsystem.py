@@ -20,39 +20,23 @@ import numpy as np
 from .errors import (ClosureOverflow, ConfigError, DimensionError,
                      UnsupportedRootSystem)
 
-_WEYL_ORDER = {"A1": 2, "A2": 6, "B2": 8, "G2": 12}
 _CLOSURE_CAP = 10_000
+_S2 = np.sqrt(2.0)
 
-
-def _simple_roots(family: str) -> np.ndarray:
-    """Simple roots of one irreducible factor, long roots at squared length 2."""
-    s2 = np.sqrt(2.0)
-    if family == "A1":
-        return np.array([[s2]])
-    if family == "A2":
-        return np.array([[s2, 0.0], [-s2 / 2, np.sqrt(6.0) / 2]])
-    if family == "B2":
-        # long root (1,-1), short root (0,1)
-        return np.array([[1.0, -1.0], [0.0, 1.0]])
-    if family == "G2":
-        # short root first, |a1|^2 = 2/3; long second, |a2|^2 = 2, angle 150 deg
-        return np.array([[np.sqrt(2.0 / 3.0), 0.0], [-np.sqrt(6.0) / 2, s2 / 2]])
-    raise UnsupportedRootSystem(f"unknown root-system family {family!r}")
-
-
-def _positive_roots(family: str, simple: np.ndarray) -> np.ndarray:
-    a = simple
-    if family == "A1":
-        combos = [(1,)]
-    elif family == "A2":
-        combos = [(1, 0), (0, 1), (1, 1)]
-    elif family == "B2":
-        combos = [(1, 0), (0, 1), (1, 1), (1, 2)]
-    elif family == "G2":
-        combos = [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)]
-    else:
-        raise UnsupportedRootSystem(f"unknown root-system family {family!r}")
-    return np.array([sum(c * a[i] for i, c in enumerate(co)) for co in combos])
+# family: (simple roots, long roots at squared length 2; positive roots as
+# simple-root coefficients; |W|)
+_FAMILIES = {
+    "A1": (np.array([[_S2]]), [(1,)], 2),
+    "A2": (np.array([[_S2, 0.0], [-_S2 / 2, np.sqrt(6.0) / 2]]),
+           [(1, 0), (0, 1), (1, 1)], 6),
+    # long root (1,-1), short root (0,1)
+    "B2": (np.array([[1.0, -1.0], [0.0, 1.0]]),
+           [(1, 0), (0, 1), (1, 1), (1, 2)], 8),
+    # short root first, |a1|^2 = 2/3; long second, |a2|^2 = 2, angle 150 deg
+    "G2": (np.array([[np.sqrt(2.0 / 3.0), 0.0],
+                     [-np.sqrt(6.0) / 2, _S2 / 2]]),
+           [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)], 12),
+}
 
 
 @dataclass(frozen=True)
@@ -175,7 +159,7 @@ def _parse_name(name: str) -> tuple[str, list[str], int]:
             raise ConfigError(f"group {text!r}: dimension must be >= 1")
         return f"euclid:{rank}", [], rank
     factors = [f.strip().upper() for f in text.replace("×", "x").split("x")]
-    if any(f not in _WEYL_ORDER for f in factors):
+    if any(f not in _FAMILIES for f in factors):
         raise UnsupportedRootSystem(f"unsupported root system {name!r}")
     rank = sum(1 if f == "A1" else 2 for f in factors)
     return "x".join(factors), factors, rank
@@ -197,8 +181,9 @@ def build_root_system(name: str, normalization: float = 1.0) -> RootSystemSpec:
     positive_blocks = [np.zeros((0, rank))]
     offset = 0
     for f in factors:
-        simple = _simple_roots(f) * normalization
-        positive = _positive_roots(f, simple)
+        simple = _FAMILIES[f][0] * normalization
+        positive = np.array([sum(c * simple[i] for i, c in enumerate(co))
+                             for co in _FAMILIES[f][1]])
         simple_blocks.append(_embed(simple, offset, rank))
         positive_blocks.append(_embed(positive, offset, rank))
         offset += simple.shape[1]
@@ -208,7 +193,7 @@ def build_root_system(name: str, normalization: float = 1.0) -> RootSystemSpec:
     rho = 0.5 * positive_all.sum(axis=0)
 
     group = generate_weyl_group(simple_all)
-    expected = int(np.prod([_WEYL_ORDER[f] for f in factors]))
+    expected = int(np.prod([_FAMILIES[f][2] for f in factors]))
     if len(group) != expected:
         raise ClosureOverflow(
             f"closure produced {len(group)} elements for {canonical}, "

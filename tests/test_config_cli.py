@@ -456,6 +456,18 @@ def test_cli_decay_fit_summary(capsys):
     assert abs(summary["slope"] - summary["target"]) <= 0.05
 
 
+def test_cli_decay_fit_at_p2_uses_the_l2_bound(capsys):
+    # criterion 8's bound at p = 2, and a target of +0.0, not -0.0
+    code, out, _ = run_main(capsys, "decay-fit", "--group", "A1", "--grid",
+                            "1024,12", "--p", "2", "--times",
+                            "1,1.6,2.6,4.1,6.5,10")
+    assert code == 0
+    summary = json.loads(out.splitlines()[0])
+    assert summary["tolerance"] == 0.02
+    assert summary["target"] == 0.0 and not np.signbit(summary["target"])
+    assert summary["passed"] is True
+
+
 def test_cli_decay_fit_reads_the_preset_times(tmp_path, capsys):
     path = tmp_path / "decay.csv"
     code, _, _ = run_main(capsys, "decay-fit", "--preset", "thm4a-rank1",

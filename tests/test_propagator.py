@@ -683,6 +683,30 @@ def test_duhamel_calls_forcing_once_per_distinct_time(a1):
     assert len(expected) < 27     # the three rules share nodes
 
 
+def test_duhamel_calls_forcing_at_the_linspace_nodes_up_to_t(a1):
+    # at steps=14, 14·(0.9/14) = 0.9000000000000001 lies past t = 0.9
+    grid = RadialGrid(1, 12.0, 1024)
+    f = gaussian_profile(grid, 1.0)
+    calls = []
+    duhamel_solve(a1, f, lambda s: calls.append(s) or f, (0.45, 0.9),
+                  steps=14)
+    expected = {s for t in (0.45, 0.9) for s in np.linspace(0.0, t, 15)}
+    assert sorted(calls) == sorted(expected)
+    assert max(calls) == 0.9
+
+
+@pytest.mark.parametrize("steps", [10, 14])
+def test_duhamel_rule_ends_exactly_at_t(a1, steps):
+    # i·(t/steps) at i = steps misses t = 0.45 by an ulp: the last node
+    # then met the chirp guard at τ = 5.6e-17 (steps=10), or the kernel
+    # at τ < 0 (steps=14), a result 4e5 away from steps=16
+    grid = RadialGrid(1, 12.0, 1024)
+    f = gaussian_profile(grid, 1.0)
+    ref = duhamel_solve(a1, f, lambda s: f, 0.45, steps=16).field.values
+    got = duhamel_solve(a1, f, lambda s: f, 0.45, steps=steps).field.values
+    assert relative_l2(got, ref, grid) <= 1e-4
+
+
 def _widening_forcing(grid):
     """Conjugated forcing whose support grows with s, so that only late
     samples meet the FIXED chirp guard at small τ."""
@@ -771,6 +795,8 @@ def test_duhamel_step_validation(a1):
         duhamel_solve(a1, f, lambda s: f, 1.0, steps=4)
     with pytest.raises(InvalidTime):
         duhamel_solve(a1, f, lambda s: f, -1.0, steps=8)
+    with pytest.raises(InvalidTime):
+        duhamel_solve(a1, f, lambda s: f, np.inf, steps=8)
     with pytest.raises(InvalidTime):
         duhamel_solve(a1, f, lambda s: f, [1.0, 0.0], steps=8)
     for bad in ([], [[1.0, 2.0]]):
