@@ -80,13 +80,14 @@ def _f(x) -> float:
     return float(x)
 
 
-def _draw_regular_lambda(rs, rng, spacing, radius=2.5):
-    """λ off the Weyl walls whose O(h²) truncation error on grid spacing h,
-    |λ|⁴h²/12 relative, is at least 100× the rounding floor ε/h²; below
-    that a coarse/fine residual ratio measures rounding, not the order."""
+def _draw_regular_lambda(rs, rng, spacing):
+    """λ in [-2.5, 2.5]^l, off the Weyl walls, whose O(h²) truncation error
+    on grid spacing h, |λ|⁴h²/12 relative, is at least 100× the rounding
+    floor ε/h²; below that a coarse/fine residual ratio measures rounding,
+    not the order."""
     lam_min = (1200.0 * np.finfo(float).eps) ** 0.25 / spacing
     while True:
-        lam = rng.uniform(-radius, radius, rs.rank)
+        lam = rng.uniform(-2.5, 2.5, rs.rank)
         if (np.linalg.norm(lam) >= lam_min
                 and abs(float(pi_product(rs, lam))) > 1e-2):
             return lam
@@ -333,8 +334,7 @@ def criterion_strichartz(params, seed) -> AcceptanceRow:
             return _base.with_values(
                 _amp * np.exp(1j * _omega * s) * _base.values)
 
-        out = strichartz_inhomogeneous_check(rs, f, forcing, t_max,
-                                             steps=8, time_panels=4)
+        out = strichartz_inhomogeneous_check(rs, f, forcing, t_max)
         ratios.append(out["ratio"])
     spread = max(ratios) / min(ratios)
     details["ratio_spread"] = _f(spread)

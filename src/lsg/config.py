@@ -28,7 +28,7 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class InitData:
-    kind: str = "gaussian"
+    """A Gaussian e^{-rate·|H|² + i·chirp·|H|²}, the one kind of `--init`."""
     rate: float = 1.0
     chirp: float = 0.0
 
@@ -103,13 +103,13 @@ def parse_init(text: str) -> InitData:
         for item in rest.split(","):
             name, _, val = item.partition("=")
             name = name.strip().lower()
-            if name in ("a", "rate"):
+            if name == "a":
                 rate = positive(val)
             elif name == "chirp":
                 chirp = finite(val)
             else:
                 raise ConfigError(f"unknown init parameter {name!r}")
-    return InitData("gaussian", rate, chirp)
+    return InitData(rate, chirp)
 
 
 def config_args(text: str) -> list[str]:

@@ -11,16 +11,16 @@ Admissible space-time pair: p = 2(l+2)/(l+4), q = 2(l+2)/l.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import InsufficientTimes, UnsupportedExponent
-from .grids import (BiInvariantField, GridMode, RadialGrid, Representation,
-                    lq_norm, lq_power, simpson_weights)
-from .propagator import (PropagationResult, duhamel_solve,
-                         group_propagate_closed_form)
+from .errors import InsufficientTimes, InvalidTime, UnsupportedExponent
+from .grids import (BiInvariantField, GridMode, Representation, lq_norm,
+                    lq_power, simpson_weights)
+from .propagator import duhamel_solve, group_propagate_closed_form
 from .rootsystem import RootSystemSpec
 from .spherical import (conjugated_values, conjugated_with,
                         denominator_on_grid)
@@ -30,21 +30,18 @@ DECAY_SLOPE_TOL = 0.05      # |fitted slope - target slope|
 L2_SLOPE_TOL = 0.02         # the same at p = 2, where the L² norm is conserved
 CAUCHY_TOL = 0.02           # |N_r - N_{r-1}| / N_r, last two refinements
 
+# criterion 9's quadratures of the inhomogeneous check
+_DUHAMEL_STEPS = 8          # Simpson panels of each Duhamel s-integral
+_TIME_PANELS = 4            # Simpson panels of the space-time norms
+
 
 @dataclass(frozen=True)
 class NormReport:
     t: float
-    p: float
-    q: float
     weighted_norm: float
-    grid: str
 
 
-def _grid_descriptor(grid: RadialGrid) -> str:
-    return f"N={grid.points_per_axis},L={grid.half_width:g},rank={grid.rank}"
-
-
-def weighted_norm(rs: RootSystemSpec, result: PropagationResult | BiInvariantField,
+def weighted_norm(rs: RootSystemSpec, field: BiInvariantField,
                   q: float) -> float:
     """‖u|φ|^{1-2/q}‖_{L^q(G)} = L^q(dH) norm of the conjugated profile.
 
@@ -52,7 +49,6 @@ def weighted_norm(rs: RootSystemSpec, result: PropagationResult | BiInvariantFie
     """
     if not np.isinf(q) and q < 2:
         raise UnsupportedExponent(f"weighted norm needs q >= 2, got {q}")
-    field = result.field if isinstance(result, PropagationResult) else result
     return lq_norm(conjugated_values(rs, field), field.grid, q)
 
 
@@ -83,9 +79,7 @@ def decay_exponent_fit(rs: RootSystemSpec, field: BiInvariantField, p: float,
     reports = []
     for t in times:
         result = group_propagate_closed_form(rs, g, t, mode=GridMode.SCALED)
-        value = weighted_norm(rs, result, q)
-        reports.append(NormReport(t, p, q, value,
-                                  _grid_descriptor(result.field.grid)))
+        reports.append(NormReport(t, weighted_norm(rs, result.field, q)))
     slope = float(np.polyfit(np.log([r.t for r in reports]),
                              np.log([r.weighted_norm for r in reports]), 1)[0])
     target = rs.rank * (0.5 - 1.0 / p)
@@ -164,39 +158,53 @@ def strichartz_norm(rs: RootSystemSpec, field: BiInvariantField, t_max: float,
 
 def strichartz_inhomogeneous_check(rs: RootSystemSpec,
                                    field: BiInvariantField, forcing,
-                                   t_max: float, steps: int = 8,
-                                   time_panels: int = 4) -> dict:
+                                   t_max: float) -> dict:
     """Ratio of the forced solution's space-time norm to the data norm.
 
-    LHS: (∫₀ᵀ ‖uφ(t)‖_q^q dt)^{1/q}, composite Simpson over `time_panels`
+    LHS: (∫₀ᵀ ‖uφ(t)‖_q^q dt)^{1/q}, composite Simpson over _TIME_PANELS
     panels, with u at every nonzero node from one multi-time call of the
-    Duhamel solver (each node keeps its own `steps`-panel s-integral).
+    Duhamel solver (each node keeps its own _DUHAMEL_STEPS-panel
+    s-integral).
     RHS: ‖f‖_{L²(G)} + (∫₀ᵀ ‖ψφ(s)‖_p^p ds)^{1/p}.
     The constant in the bound is not pinned down; across a seeded family
-    only uniform boundedness of the ratio is meaningful. φ on the grid is
-    built once here, for the mass and every ψ·φ norm, and once in the
-    solver.
+    only uniform boundedness of the ratio is meaningful. InvalidTime
+    unless 0 < t_max < inf. ψ at the panel times is the solver's own
+    sample, since each panel time ends its Simpson rule and 0 starts
+    every rule, so the forcing is called once per distinct s. φ on the
+    grid is built once here, for the mass and every ψ·φ norm, and once
+    in the solver.
     """
+    if not 0 < t_max < math.inf:
+        raise InvalidTime(f"inhomogeneous check needs 0 < t_max < inf, "
+                          f"got {t_max}")
     p_frac, q_frac = strichartz_pair(rs.rank)
     p, q = float(p_frac), float(q_frac)
-    w = simpson_weights(time_panels)
+    w = simpson_weights(_TIME_PANELS)
     grid = field.grid
     phi = denominator_on_grid(rs, grid)
     g = conjugated_with(field, phi)
 
-    ts = np.linspace(0.0, t_max, time_panels + 1)
-    solutions = [g] + [r.field.values for r in
-                       duhamel_solve(rs, field, forcing, ts[1:], steps)]
-    lhs_q = float(t_max / time_panels / 3.0
+    ts = np.linspace(0.0, t_max, _TIME_PANELS + 1).tolist()
+    at_panels: dict[float, BiInvariantField] = {}
+
+    def recorded(s: float) -> BiInvariantField:
+        psi = forcing(s)
+        if s in ts:
+            at_panels[s] = psi
+        return psi
+
+    solutions = [g] + [r.field.values for r in duhamel_solve(
+        rs, field, recorded, ts[1:], _DUHAMEL_STEPS)]
+    lhs_q = float(t_max / _TIME_PANELS / 3.0
                   * sum(wi * lq_power(v, grid, q)
                         for wi, v in zip(w, solutions)))
     lhs = lhs_q ** (1.0 / q)
 
     mass = lq_norm(g, grid, 2.0)
-    # forcing lives on the data's grid; duhamel_solve checks that
-    psi_power = [lq_power(conjugated_with(forcing(t), phi), grid, p)
+    # the solver has checked each sample's grid and antisymmetry
+    psi_power = [lq_power(conjugated_with(at_panels[t], phi), grid, p)
                  for t in ts]
-    psi_term = (float(t_max / time_panels / 3.0
+    psi_term = (float(t_max / _TIME_PANELS / 3.0
                       * sum(wi * v for wi, v in zip(w, psi_power)))
                 ** (1.0 / p))
     rhs = mass + psi_term

@@ -7,9 +7,11 @@ boundary: spacing^rank times a pairwise sum.
 
 Two transform paths share one convention  F(xi) = h^l * sum_k e^{sign*i<xi,x_k>} v_k:
 
-* `fourier_native`  - FFT, output on the dual grid xi_j = (j - N/2)*2pi/(N h)
-* `fourier_at`      - chirp-z (Bluestein), any uniform output axis per axis,
-                      O((N+M) log(N+M)) per axis for M output nodes
+* `fourier_native`  - FFT, sign -1, output on the dual grid
+                      xi_j = (j - N/2)*2pi/(N h)
+* `fourier_at`      - chirp-z (Bluestein), either sign, any uniform output
+                      axis per axis, O((N+M) log(N+M)) per axis for M
+                      output nodes
 
 Both apply their 1-D factors per axis and run their FFTs in place.
 """
@@ -239,25 +241,20 @@ def _times_axes(values: np.ndarray, factor: np.ndarray, scale: complex = 1.0,
     return out
 
 
-def fourier_native(values: np.ndarray, grid: RadialGrid,
-                   sign: int = -1) -> tuple[RadialGrid, np.ndarray]:
-    """FFT evaluation of h^l Σ_k e^{sign·i⟨ξ,x⟩} v_k on the dual grid.
+def fourier_native(values: np.ndarray, grid: RadialGrid
+                   ) -> tuple[RadialGrid, np.ndarray]:
+    """FFT evaluation of h^l Σ_k e^{-i⟨ξ,x⟩} v_k on the dual grid.
 
     With x_k = -L + k h and ξ_j = (j - N/2)·2π/(N h), the kernel factors
     per axis into the standard DFT between (-1)^k and the boundary phase
-    e^{-sign·iξ_jL} = (-1)^{j-N/2}.
+    e^{iξ_jL} = (-1)^{j-N/2}.
     """
     n = grid.points_per_axis
     alt = (-1.0) ** np.arange(n)
     out = _times_axes(np.asarray(values, dtype=complex), alt)
-    if sign == -1:
-        np.fft.fftn(out, out=out)
-        scale = grid.spacing ** grid.rank
-    else:
-        np.fft.ifftn(out, out=out)
-        scale = (grid.spacing * n) ** grid.rank
-    return grid.dual(), _times_axes(out, (-1.0) ** (n // 2) * alt, scale,
-                                    out=out)
+    np.fft.fftn(out, out=out)
+    return grid.dual(), _times_axes(out, (-1.0) ** (n // 2) * alt,
+                                    grid.spacing ** grid.rank, out=out)
 
 
 def _fast_fft_length(n: int) -> int:
@@ -336,14 +333,12 @@ def _chirp_z_axis(values: np.ndarray, ax: int, pre: np.ndarray,
 
 
 def fourier_at(values: np.ndarray, grid: RadialGrid,
-               out_axes: list[np.ndarray], sign: int = -1,
-               weight: np.ndarray | float = 1.0) -> np.ndarray:
-    """The same sum on caller-chosen uniform output axes, by chirp-z.
+               out_axes: list[np.ndarray], sign: int = -1) -> np.ndarray:
+    """The same sum, with either sign, on caller-chosen uniform output
+    axes, by chirp-z.
 
     `out_axes` holds one uniform 1-D node array per axis (a single node
-    counts as uniform); any other axis raises ValueError. `weight`, a 1-D
-    array over `grid.axis`, multiplies the input by w(x_1)·…·w(x_l) at no
-    grid-sized cost: it is folded into each axis's pre-chirp. Each axis costs
+    counts as uniform); any other axis raises ValueError. Each axis costs
     three FFTs of a 5-smooth length >= N + M - 1 (Bluestein's chirp-z
     algorithm), O((N+M) log(N+M)); axes with equal (length, first, last)
     share one plan.
@@ -362,7 +357,7 @@ def fourier_at(values: np.ndarray, grid: RadialGrid,
         step = _uniform_step(xi)
         key = (xi.size, float(xi[0]), float(xi[-1]))
         if key not in plans:
-            plans[key] = _chirp_z_plan(grid, xi, step, sign, weight)
+            plans[key] = _chirp_z_plan(grid, xi, step, sign)
         out = _chirp_z_axis(out, ax, *plans[key])
     return out
 

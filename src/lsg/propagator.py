@@ -78,9 +78,9 @@ def gaussian_profile(grid: RadialGrid, rate: float,
     return BiInvariantField(grid, vals.astype(complex), Representation.PLAIN)
 
 
-def _chirp(axis: np.ndarray, t: float, sign: int = +1) -> np.ndarray:
-    """e^{±ix²/4t} on a 1-D axis, the angle reduced mod 2π beforehand."""
-    return np.exp(sign * 1j * np.mod(axis**2 / (4.0 * t), 2.0 * np.pi))
+def _chirp(axis: np.ndarray, t: float) -> np.ndarray:
+    """e^{ix²/4t} on a 1-D axis, the angle reduced mod 2π beforehand."""
+    return np.exp(1j * np.mod(axis**2 / (4.0 * t), 2.0 * np.pi))
 
 
 def _chirp_sandwich(values: np.ndarray, grid: RadialGrid, t: float,
@@ -209,7 +209,7 @@ def euclidean_propagate(field: BiInvariantField, t: float,
 def data_bandwidth(rs: RootSystemSpec, field: BiInvariantField) -> float:
     """Fourier support edge of the conjugated profile (1e-13·peak cutoff)."""
     g = conjugated_values(rs, field)
-    dual, ghat = fourier_native(g, field.grid, sign=-1)
+    dual, ghat = fourier_native(g, field.grid)
     return max(4.0, support_radius(ghat, dual, rel=1e-13))
 
 
@@ -249,10 +249,11 @@ def group_propagate_spectral(rs: RootSystemSpec, field: BiInvariantField,
                              ) -> PropagationResult:
     """Spectral-synthesis evolution ∫ e^{-it(|λ|²+|ρ|²)} φ_λ f̂(λ)|c|⁻² dλ.
 
-    The oracle the closed form is checked against: `spherical_transform`
-    then `synthesize_conjugated` at t, constants cancelled to (2π)^{-l},
-    per axis a chirp-z onto the spectral axis, e^{-itλ_d²} and a chirp-z
-    onto the output axis: no M^l spectral grid. t = 0 is plain synthesis
+    The oracle the closed form is checked against: `spherical_transform`,
+    the weight e^{-it(|λ|²+|ρ|²)}, then `synthesize_conjugated`, their
+    constants cancelled to (2π)^{-l}; per axis a chirp-z onto the spectral
+    axis, e^{-itλ_d²} folded into the inverse plan's pre-chirp, and a
+    chirp-z onto the output axis: no M^l spectral grid. t = 0 is plain synthesis
     of f̂. UnderResolvedPhase if the spectral spacing misses the chirp.
     """
     if t < 0:
@@ -282,12 +283,12 @@ def group_propagate_spectral(rs: RootSystemSpec, field: BiInvariantField,
 # --- forced equation (Duhamel) -----------------------------------------------------
 
 def duhamel_solve(rs: RootSystemSpec, field: BiInvariantField, forcing,
-                  t, steps: int) -> PropagationResult | list[PropagationResult]:
+                  t, steps: int) -> list[PropagationResult]:
     """Solve -i u_t - Δu = ψ via u(t) = S(t)f + i ∫₀ᵗ S(t-s) ψ(s) ds.
 
     `forcing` maps a time s to a BiInvariantField on the initial grid, and
-    is called once per distinct s. `t` is one time, giving one result, or
-    a 1-D sequence of times, giving one result per time in order. Each
+    is called once per distinct s. `t` is a non-empty 1-D sequence of
+    times, and the result one PropagationResult per time, in order. Each
     time's s-integral is its own composite Simpson rule, `steps` even
     panels (≥ 8) on np.linspace(0, t, steps + 1), whose last node is
     exactly t, where S(0) is the identity. Fourth-order in the time step.
@@ -305,10 +306,9 @@ def duhamel_solve(rs: RootSystemSpec, field: BiInvariantField, forcing,
     τ. φ and the Weyl lattice maps are built once per call. Each sample is
     checked for antisymmetry, each (sample, τ) by the FIXED chirp guard.
     """
-    single = np.ndim(t) == 0
-    times = np.atleast_1d(np.asarray(t, dtype=float))
+    times = np.asarray(t, dtype=float)
     if times.ndim != 1 or times.size == 0:
-        raise ValueError("t must be a time or a non-empty 1-D sequence")
+        raise ValueError("t must be a non-empty 1-D sequence of times")
     times = [float(x) for x in times]
     for tk in times:
         if not 0 < tk < math.inf:
@@ -361,7 +361,7 @@ def duhamel_solve(rs: RootSystemSpec, field: BiInvariantField, forcing,
         out = BiInvariantField(grid, total, Representation.CONJUGATED)
         results.append(PropagationResult(out, tk, Method.CLOSED_FORM,
                                          GridMode.FIXED))
-    return results[0] if single else results
+    return results
 
 
 def _checked_forcing(forcing, s: float, grid: RadialGrid, phi: np.ndarray,

@@ -100,13 +100,12 @@ def reflection_matrix(root: np.ndarray) -> np.ndarray:
     return np.eye(len(root)) - 2.0 * np.outer(root, root) / (root @ root)
 
 
-def generate_weyl_group(simple_roots: np.ndarray,
-                        cap: int = _CLOSURE_CAP) -> list[WeylElement]:
+def generate_weyl_group(simple_roots: np.ndarray) -> list[WeylElement]:
     """Breadth-first closure of the simple-root reflections.
 
     The identity comes first, then elements in discovery order. Matrices
     are deduplicated by rounding to 1e-9. Raises ClosureOverflow past
-    `cap` elements, which signals a non-crystallographic root set.
+    _CLOSURE_CAP elements, which signals a non-crystallographic root set.
     """
     rank = simple_roots.shape[1]
     gens = [reflection_matrix(a) for a in simple_roots]
@@ -125,9 +124,9 @@ def generate_weyl_group(simple_roots: np.ndarray,
                 p = g @ m
                 k = key(p)
                 if k not in seen:
-                    if len(elems) >= cap:
+                    if len(elems) >= _CLOSURE_CAP:
                         raise ClosureOverflow(
-                            f"Weyl closure exceeded {cap} elements")
+                            f"Weyl closure exceeded {_CLOSURE_CAP} elements")
                     seen.add(k)
                     elems.append(p)
                     nxt.append(p)

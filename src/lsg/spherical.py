@@ -23,7 +23,8 @@ transform times a constant and synthesis one inverse transform times
 rank-l Cartan subalgebra. Neither divides by π(λ) nor looks at a Weyl
 wall; `spectral_to_plain` does that when f̂ itself is wanted. Schrödinger
 evolution multiplies G by e^{-it|λ|²} = Π_d e^{-itλ_d²}, a 1-D factor per
-axis, and by the constant e^{-it|ρ|²}.
+axis, and by the constant e^{-it|ρ|²}; the spectral oracle in
+`propagator` folds both between its two chirp-z passes.
 
 Weyl's denominator identity turns the |W| sum into a product over the
 positive roots,
@@ -286,43 +287,19 @@ def spectral_to_plain(rs: RootSystemSpec, spectral: SpectralField
     return fhat, singular
 
 
-def spherical_transform_direct(rs: RootSystemSpec, field: BiInvariantField,
-                               lams: np.ndarray) -> np.ndarray:
-    """Direct-quadrature oracle for f̂ at arbitrary regular λ points.
-
-    Sums the pointwise integrand c(-λ)·A_{-λ}(H)·f(H)·φ(H) node by node
-    (the quotient and the density combined before any division, so wall
-    nodes cost nothing). Slow; used to cross-check the collapsed path.
-    """
-    g = conjugated_values(rs, field)
-    w = field.grid.cell_volume()
-    out = np.empty(len(lams), dtype=complex)
-    for i, lam in enumerate(np.atleast_2d(lams)):
-        neg = -np.asarray(lam, dtype=float)
-        c_neg = c_function(rs, neg)
-        a_neg = spherical_numerator(rs, neg, field.grid)
-        out[i] = c_neg * np.sum(a_neg * g) * w
-    return out
-
-
 # --- synthesis -------------------------------------------------------------------
 
 def synthesize_conjugated(rs: RootSystemSpec, spectral: SpectralField,
-                          out_axes: list[np.ndarray],
-                          t: float = 0.0) -> np.ndarray:
-    """u·φ from spectral data: κ·∫ A_λ(H)·c(λ)|c(λ)|⁻²·f̂(λ) dλ, collapsed,
-    after Schrödinger evolution for time t.
+                          out_axes: list[np.ndarray]) -> np.ndarray:
+    """u·φ from spectral data: κ·∫ A_λ(H)·c(λ)|c(λ)|⁻²·f̂(λ) dλ, collapsed.
 
     The Weyl sum collapses to κ·(-i)^m·|W|/π(ρ) times a single inverse
-    Fourier sum of G = π·f̂. At t ≠ 0 the evolution factor
-    e^{-it(|λ|²+|ρ|²)} enters as the 1-D weight e^{-itλ_d²} of that sum and
-    the constant e^{-it|ρ|²} of the prefactor.
+    Fourier sum of G = π·f̂ onto `out_axes`. Evolution is the oracle's
+    (`propagator.group_propagate_spectral`), not synthesis's.
     """
-    grid = spectral.grid
-    weight = np.exp(-1j * t * grid.axis**2) if t else 1.0
-    ft = fourier_at(spectral.values, grid, out_axes, sign=+1, weight=weight)
+    ft = fourier_at(spectral.values, spectral.grid, out_axes, sign=+1)
     pref = (plancherel_constant(rs) * (-1j) ** rs.n_positive * rs.weyl_order
-            / pi_product(rs, rs.rho) * np.exp(-1j * t * float(rs.rho @ rs.rho)))
+            / pi_product(rs, rs.rho))
     return np.multiply(pref, ft, out=ft)
 
 

@@ -117,7 +117,7 @@ def test_init_descriptor_parsing():
     assert init.rate == 0.5 and init.chirp == -0.25
     assert parse_init("gaussian").rate == 1.0
     for text in ("soliton:a=1", "gaussian:a=-1", "gaussian:a=nan",
-                 "gaussian:chirp=inf", "gaussian:b=1"):
+                 "gaussian:chirp=inf", "gaussian:b=1", "gaussian:rate=1"):
         with pytest.raises(ConfigError):
             parse_init(text)
 
@@ -550,6 +550,8 @@ _GRID_COMMANDS = {"spherical", "evolve", "hardy-check", "decay-fit",
     ("evolve", "--config", "t0 = 1"),
     ("evolve", "--init", "gaussian:a=nan"),
     ("evolve", "--init", "gaussian:a=1,chirp=inf"),
+    # the rate is spelled a= only
+    ("evolve", "--init", "gaussian:rate=1"),
     ("reproduce", "--seed", "-1"),
     ("heisenberg", "geodesic", "--smax", "nan"),
     ("heisenberg", "geodesic", "--beta", "inf"),

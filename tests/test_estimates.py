@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lsg.errors import InsufficientTimes, UnsupportedExponent
+from lsg.errors import InsufficientTimes, InvalidTime, UnsupportedExponent
 from lsg.estimates import (decay_exponent_fit, strichartz_inhomogeneous_check,
                            strichartz_norm, strichartz_pair, weighted_norm)
 from lsg.grids import (BiInvariantField, GridMode, RadialGrid, Representation,
@@ -31,7 +31,8 @@ def test_weighted_norm_q2_is_mass(a1, a1_grid):
     f = gaussian_profile(a1_grid, 1.0)
     base = l2_norm(conjugated_values(a1, f), a1_grid)
     res = group_propagate_closed_form(a1, f, 1.0, GridMode.SCALED)
-    assert weighted_norm(a1, res, 2.0) == pytest.approx(base, rel=1e-8)
+    assert weighted_norm(a1, res.field, 2.0) == pytest.approx(base,
+                                                              rel=1e-8)
 
 
 @pytest.mark.parametrize("q", [2.0, 4.0, 6.0])
@@ -56,7 +57,7 @@ def test_decay_fit_rank1(a1):
     slope, target, reports = decay_exponent_fit(a1, f, 1.0, times)
     assert target == pytest.approx(-0.5)
     assert abs(slope - target) <= 0.05
-    assert len(reports) == 6 and reports[0].q == np.inf
+    assert len(reports) == 6
 
     slope2, target2, _ = decay_exponent_fit(a1, f, 2.0, times)
     assert target2 == 0.0
@@ -70,7 +71,7 @@ def test_decay_fit_conjugates_once(a2, monkeypatch):
     times = list(np.geomspace(1.0, 10.0, 5))
     q = np.inf
     per_time = [weighted_norm(a2, group_propagate_closed_form(
-        a2, f, t, GridMode.SCALED), q) for t in times]
+        a2, f, t, GridMode.SCALED).field, q) for t in times]
     calls = []
     real = spherical.denominator_on_grid
 
@@ -194,8 +195,36 @@ def test_inhomogeneous_check_solves_once(a1, monkeypatch):
     monkeypatch.setattr(estimates, "duhamel_solve", counted)
     grid = RadialGrid(1, 8.0, 512)
     f = gaussian_profile(grid, 1.0)
-    strichartz_inhomogeneous_check(a1, f, lambda s: f, 1.5, time_panels=4)
+    strichartz_inhomogeneous_check(a1, f, lambda s: f, 1.5)
     assert times == [[0.375, 0.75, 1.125, 1.5]]
+
+
+def test_inhomogeneous_check_calls_the_forcing_once_per_time(a1):
+    """The ψ·φ norms at the panel times reuse the solver's samples: each
+    panel time ends its own Simpson rule and 0 starts every rule."""
+    grid = RadialGrid(1, 8.0, 640)
+    f = gaussian_profile(grid, 1.0)
+    calls = []
+
+    def forcing(s):
+        calls.append(s)
+        return f.with_values(np.exp(0.5j * s) * f.values)
+
+    strichartz_inhomogeneous_check(a1, f, forcing, 2.0)
+    assert len(calls) == len(set(calls)) == 21
+    assert set(np.linspace(0.0, 2.0, 5).tolist()) <= set(calls)
+
+
+@pytest.mark.parametrize("t_max", [np.inf, np.nan, 0.0, -1.0])
+def test_inhomogeneous_check_refuses_bad_t_max(a1, t_max):
+    """InvalidTime before any arithmetic: tier-1 turns RuntimeWarnings into
+    errors, and 0·inf in the panel times once warned first."""
+    f = gaussian_profile(RadialGrid(1, 8.0, 64), 1.0)
+    calls = []
+    with pytest.raises(InvalidTime, match="t_max"):
+        strichartz_inhomogeneous_check(a1, f, lambda s: calls.append(s) or f,
+                                       t_max)
+    assert calls == []
 
 
 def test_inhomogeneous_stable_under_grid_refinement(a1):
@@ -218,8 +247,6 @@ def test_inhomogeneous_stable_under_grid_refinement(a1):
 
 @pytest.mark.parametrize("arg,value", [
     ("steps", 8.0), ("steps", 6), ("steps", 9),
-    ("time_panels", 0), ("time_panels", -2), ("time_panels", 4.0),
-    ("time_panels", 3),
     ("refinements", 1), ("refinements", 0), ("refinements", 3.0),
     ("dyadic_levels", 0), ("dyadic_levels", -1), ("dyadic_levels", 2.0),
 ])
@@ -228,9 +255,7 @@ def test_time_quadratures_refuse_bad_panel_counts(a1, arg, value):
     never a TypeError, an IndexError or a sequence too short to compare."""
     f = gaussian_profile(RadialGrid(1, 8.0, 64), 1.0)
     calls = {
-        "steps": lambda: duhamel_solve(a1, f, lambda s: f, 1.0, value),
-        "time_panels": lambda: strichartz_inhomogeneous_check(
-            a1, f, lambda s: f, 1.0, time_panels=value),
+        "steps": lambda: duhamel_solve(a1, f, lambda s: f, [1.0], value),
         "refinements": lambda: strichartz_norm(a1, f, 1.0,
                                                refinements=value),
         "dyadic_levels": lambda: strichartz_norm(a1, f, 1.0,

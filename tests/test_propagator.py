@@ -6,8 +6,9 @@ import pytest
 from lsg.errors import (ForcingNotAntisymmetrizable, GridTooSmall,
                         InvalidTime, UnderResolvedPhase)
 from lsg.grids import (BiInvariantField, GridMode, RadialGrid, Representation,
-                       _times_axes, fourier_native, l2_norm, relative_l2,
-                       support_radius, weyl_symmetry_residual)
+                       SpectralField, _chirp_z_axis, _chirp_z_plan,
+                       _times_axes, _uniform_step, fourier_native, l2_norm,
+                       relative_l2, support_radius, weyl_symmetry_residual)
 from lsg.propagator import (_chirp, _chirp_sandwich, data_bandwidth,
                             duhamel_solve, euclidean_propagate,
                             gaussian_profile, group_propagate_closed_form,
@@ -222,7 +223,7 @@ def scaled_grid_by_native_rule(values, grid, t):
     y_sup = max(support_radius(values, grid), grid.spacing)
     if grid.spacing * y_sup / t <= np.pi:
         return "sandwich", grid.dual().scaled(2.0 * t)
-    dual, spec = fourier_native(values, grid, sign=-1)
+    dual, spec = fourier_native(values, grid)
     reach = y_sup + 2.0 * t * support_radius(spec, dual)
     pad = max(0, int(np.ceil((reach - grid.half_width) / grid.spacing)))
     return ("pad" if pad else "no pad"), RadialGrid(
@@ -291,13 +292,11 @@ def test_scaled_multiplier_grid_is_memory_guarded(a2, monkeypatch):
         group_propagate_closed_form(a2, f, 0.2, GridMode.SCALED)
 
 
-@pytest.mark.parametrize("sign", [-1, +1])
 @pytest.mark.parametrize("grid, t", [(RadialGrid(1, 12.0, 512), 0.7),
                                      (RadialGrid(2, 9.0, 96), 1.3)])
-def test_separable_chirp_matches_full_grid_phase(grid, t, sign):
-    expected = np.exp(sign * 1j * np.mod(grid.radius_sq() / (4.0 * t),
-                                         2.0 * np.pi))
-    got = _times_axes(np.ones(grid.shape), _chirp(grid.axis, t, sign))
+def test_separable_chirp_matches_full_grid_phase(grid, t):
+    expected = np.exp(1j * np.mod(grid.radius_sq() / (4.0 * t), 2.0 * np.pi))
+    got = _times_axes(np.ones(grid.shape), _chirp(grid.axis, t))
     assert got.shape == grid.shape
     assert np.abs(got - expected).max() <= 1e-13
 
@@ -366,7 +365,8 @@ def test_spectral_grid_past_the_node_cap_is_grid_too_small(a1, t):
 def test_spectral_propagation_is_the_public_composition(name, n, box,
                                                         spectral):
     """group_propagate_spectral, run axis by axis, agrees with the
-    transform, then synthesis at time t, up to rounding."""
+    transform, the evolution weight e^{-it(|λ|²+|ρ|²)} applied on the full
+    spectral grid, then synthesis, up to rounding."""
     rs = build_root_system(name)
     f = gaussian_profile(RadialGrid(rs.rank, box, n), 1.0, 0.1)
     out = RadialGrid(rs.rank, box + 5.0, n)
@@ -375,15 +375,18 @@ def test_spectral_propagation_is_the_public_composition(name, n, box,
              else RadialGrid(rs.rank, *spectral))
     res = group_propagate_spectral(rs, f, t, spectral_grid=sgrid, out_grid=out)
     spec = spherical_transform(rs, f, sgrid)
-    composed = synthesize_conjugated(rs, spec, [out.axis] * rs.rank, t)
+    weight = np.exp(-1j * t * (sgrid.radius_sq() + float(rs.rho @ rs.rho)))
+    evolved = SpectralField(sgrid, spec.values * weight)
+    composed = synthesize_conjugated(rs, evolved, [out.axis] * rs.rank)
     assert np.linalg.norm(res.field.values - composed) \
         <= 1e-13 * np.linalg.norm(composed)
 
 
 def test_single_mode_phase_factor(a1):
     """Evolution of a single-mode spectrum, a spike pair in f̂ stored as
-    G = π·f̂, is the global phase e^{-it(|lam0|^2+|rho|^2)}."""
-    from lsg.grids import SpectralField
+    G = π·f̂, is a global phase: the oracle's inverse chirp-z plan with its
+    weight e^{-it·lam^2} folded in is e^{-it·lam0^2} times the unweighted
+    plan."""
     from lsg.spherical import pi_product
     sgrid = RadialGrid(1, 10.0, 128)
     out_axis = np.linspace(-6, 6, 201)
@@ -393,12 +396,13 @@ def test_single_mode_phase_factor(a1):
     vals = np.zeros(sgrid.shape, dtype=complex)
     vals[k] = pi_product(a1, np.array([lam0]))
     vals[k_neg] = pi_product(a1, np.array([-lam0]))
-    spec = SpectralField(sgrid, vals)
     t = 0.8
-    rho_sq = float(a1.rho @ a1.rho)
-    full = synthesize_conjugated(a1, spec, [out_axis], t)
-    base = synthesize_conjugated(a1, spec, [out_axis])
-    assert np.abs(full - np.exp(-1j * t * (lam0**2 + rho_sq)) * base).max() \
+    step = _uniform_step(out_axis)
+    weight = np.exp(-1j * t * sgrid.axis**2)
+    full = _chirp_z_axis(vals, 0, *_chirp_z_plan(sgrid, out_axis, step, +1,
+                                                   weight))
+    base = _chirp_z_axis(vals, 0, *_chirp_z_plan(sgrid, out_axis, step, +1))
+    assert np.abs(full - np.exp(-1j * t * lam0**2) * base).max() \
         <= 1e-12 * np.abs(base).max()
 
 
@@ -575,7 +579,7 @@ def test_duhamel_zero_forcing_matches_closed_form(a1):
         return BiInvariantField(grid, np.zeros(grid.shape, dtype=complex),
                                 Representation.CONJUGATED)
 
-    duh = duhamel_solve(a1, f, zero, 1.0, steps=8)
+    [duh] = duhamel_solve(a1, f, zero, [1.0], steps=8)
     closed = group_propagate_closed_form(a1, f, 1.0, GridMode.FIXED)
     assert relative_l2(duh.field.values, closed.field.values, grid) <= 1e-13
 
@@ -587,7 +591,7 @@ def test_duhamel_manufactured_solution_fourth_order(a1):
     target = exact(t)
     errs = []
     for steps in (8, 16):
-        got = duhamel_solve(a1, f0, forcing, t, steps=steps)
+        [got] = duhamel_solve(a1, f0, forcing, [t], steps=steps)
         errs.append(relative_l2(got.field.values, target, grid))
     ratio = errs[0] / errs[1]
     assert errs[1] < errs[0]
@@ -635,7 +639,7 @@ def test_duhamel_equals_per_propagation_conjugation(name, n, box):
     def forcing(s):
         return base.with_values(0.8 * np.exp(0.9j * s) * base.values)
 
-    got = duhamel_solve(rs, f, forcing, 1.0, steps=8).field.values
+    got = duhamel_solve(rs, f, forcing, [1.0], steps=8)[0].field.values
     ref = _duhamel_conjugating_per_propagation(rs, f, forcing, 1.0, 8)
     # the solver convolves with the sampled kernel in one Fourier pass,
     # the oracle runs a chirp-z sandwich per propagation: the same sums
@@ -660,7 +664,7 @@ def test_duhamel_multi_time_matches_oracle_and_single_calls(name, n, box,
     results = duhamel_solve(rs, f, forcing, list(times), steps=8)
     assert [r.t for r in results] == list(times)
     for t, result in zip(times, results):
-        single = duhamel_solve(rs, f, forcing, t, steps=8).field.values
+        single = duhamel_solve(rs, f, forcing, [t], steps=8)[0].field.values
         ref = _duhamel_conjugating_per_propagation(rs, f, forcing, t, 8)
         assert relative_l2(result.field.values, single, grid) <= 1e-14
         assert relative_l2(result.field.values, ref, grid) <= 1e-13
@@ -702,8 +706,9 @@ def test_duhamel_rule_ends_exactly_at_t(a1, steps):
     # at τ < 0 (steps=14), a result 4e5 away from steps=16
     grid = RadialGrid(1, 12.0, 1024)
     f = gaussian_profile(grid, 1.0)
-    ref = duhamel_solve(a1, f, lambda s: f, 0.45, steps=16).field.values
-    got = duhamel_solve(a1, f, lambda s: f, 0.45, steps=steps).field.values
+    ref = duhamel_solve(a1, f, lambda s: f, [0.45], steps=16)[0].field.values
+    got = duhamel_solve(a1, f, lambda s: f, [0.45],
+                        steps=steps)[0].field.values
     assert relative_l2(got, ref, grid) <= 1e-4
 
 
@@ -762,7 +767,7 @@ def test_duhamel_builds_phi_and_lattice_maps_once(a1, monkeypatch):
                         counted("maps", prop._weyl_lattice_maps))
     grid = RadialGrid(1, 8.0, 256)
     f = gaussian_profile(grid, 1.0)
-    duhamel_solve(a1, f, lambda s: f, 1.0, steps=16)
+    duhamel_solve(a1, f, lambda s: f, [1.0], steps=16)
     assert calls == {"phi": 1, "maps": 1}
     duhamel_solve(a1, f, lambda s: f, [1.0, 1.5, 2.0], steps=16)
     assert calls == {"phi": 2, "maps": 2}
@@ -777,7 +782,7 @@ def test_duhamel_rejects_non_antisymmetrizable_forcing(a1):
         return BiInvariantField(grid, vals, Representation.CONJUGATED)
 
     with pytest.raises(ForcingNotAntisymmetrizable):
-        duhamel_solve(a1, f, lopsided, 1.0, steps=8)
+        duhamel_solve(a1, f, lopsided, [1.0], steps=8)
 
 
 def test_duhamel_rejects_forcing_on_another_grid(a1):
@@ -791,14 +796,14 @@ def test_duhamel_rejects_forcing_on_another_grid(a1):
 def test_duhamel_step_validation(a1):
     grid = RadialGrid(1, 12.0, 1024)
     f = gaussian_profile(grid, 1.0)
-    with pytest.raises(ValueError):
-        duhamel_solve(a1, f, lambda s: f, 1.0, steps=4)
+    with pytest.raises(ValueError, match="steps"):
+        duhamel_solve(a1, f, lambda s: f, [1.0], steps=4)
     with pytest.raises(InvalidTime):
-        duhamel_solve(a1, f, lambda s: f, -1.0, steps=8)
+        duhamel_solve(a1, f, lambda s: f, [-1.0], steps=8)
     with pytest.raises(InvalidTime):
-        duhamel_solve(a1, f, lambda s: f, np.inf, steps=8)
+        duhamel_solve(a1, f, lambda s: f, [np.inf], steps=8)
     with pytest.raises(InvalidTime):
         duhamel_solve(a1, f, lambda s: f, [1.0, 0.0], steps=8)
-    for bad in ([], [[1.0, 2.0]]):
+    for bad in (1.0, [], [[1.0, 2.0]]):
         with pytest.raises(ValueError):
             duhamel_solve(a1, f, lambda s: f, bad, steps=8)

@@ -100,8 +100,8 @@ def test_closure_overflow_on_noncrystallographic_angle():
     theta = 1.0
     simple = np.array([[1.0, 0.0],
                        [np.cos(theta), np.sin(theta)]])
-    with pytest.raises(ClosureOverflow):
-        generate_weyl_group(simple, cap=500)
+    with pytest.raises(ClosureOverflow, match="10000 elements"):
+        generate_weyl_group(simple)
 
 
 def test_g2_order_against_independent_enumeration(g2):
