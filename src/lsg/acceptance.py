@@ -20,8 +20,8 @@ from .grids import GridMode, RadialGrid, l2_norm, relative_l2
 from .hardy import Classification, fit_envelope_report, uniqueness_experiment
 from .heisenberg import (cutlocus_distance, projection_residual,
                          schrodinger_integrand, singularities)
-from .propagator import (data_bandwidth, gaussian_profile,
-                         group_propagate_closed_form, group_propagate_spectral)
+from .propagator import (gaussian_profile, group_propagate_closed_form,
+                         group_propagate_spectral, reach_box)
 from .rootsystem import build_root_system
 from .spherical import (conjugated_values, eigen_residual_field, pi_product,
                         roundtrip_error)
@@ -93,11 +93,6 @@ def _draw_regular_lambda(rs, rng, spacing):
             return lam
 
 
-def _adapted_grid(rs, field, t, n_out, min_box) -> RadialGrid:
-    box = max(min_box, 2.3 * t * data_bandwidth(rs, field))
-    return RadialGrid(rs.rank, box, n_out)
-
-
 # --- criteria ------------------------------------------------------------------
 
 def criterion_weyl_orders(params, seed) -> AcceptanceRow:
@@ -154,7 +149,7 @@ def criterion_propagator_equivalence(params, seed) -> AcceptanceRow:
         rs = build_root_system(name)
         f = gaussian_profile(RadialGrid(rs.rank, box, n), 1.0)
         for t in times:
-            out = _adapted_grid(rs, f, t, n_out, box)
+            out = RadialGrid(rs.rank, reach_box(rs, f, t), n_out)
             closed = group_propagate_closed_form(rs, f, t, GridMode.FIXED, out)
             oracle = group_propagate_spectral(rs, f, t, out_grid=out)
             a, b = closed.field.values, oracle.field.values
@@ -179,7 +174,7 @@ def criterion_mass_conservation(params, seed) -> AcceptanceRow:
     base = l2_norm(conjugated_values(rs, f), f.grid)
     drifts, ok = {}, True
     for t in p["times"]:
-        out = _adapted_grid(rs, f, t, p["n_out"], box)
+        out = RadialGrid(rs.rank, reach_box(rs, f, t), p["n_out"])
         for tag, result, tol in (
                 ("closed", group_propagate_closed_form(
                     rs, f, t, GridMode.FIXED, out), p["tol_closed"]),
@@ -222,9 +217,7 @@ def criterion_hardy_curve(params, seed) -> AcceptanceRow:
         f = gaussian_profile(grid_in, a)
         fit_f = fit_envelope_report(f, floor=1e-6)
         for t in np.linspace(0.25, 2.5, p["n_times"]):
-            b_exp = a / (1.0 + 16.0 * a * a * t * t)
-            box_out = max(box, 1.15 * np.sqrt(14.0 / b_exp))
-            out = RadialGrid(1, box_out, n)
+            out = RadialGrid(1, reach_box(r1, f, float(t)), n)
             res = group_propagate_closed_form(r1, f, float(t),
                                               GridMode.FIXED, out)
             mag = res.field.with_values(np.abs(res.field.values))

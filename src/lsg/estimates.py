@@ -104,11 +104,14 @@ def strichartz_norm(rs: RootSystemSpec, field: BiInvariantField, t_max: float,
     2^{r+1} panels per subinterval at refinement level r. The initial data
     is normalized to unit L²(G) mass first. The returned sequence must
     stabilize; the caller checks Cauchy agreement of the last two levels
-    (ValueError unless refinements ≥ 2 and dyadic_levels ≥ 1, integers).
+    (ValueError unless refinements ≥ 2 and dyadic_levels ≥ 1, integers;
+    InvalidTime unless 0 < t_max < inf).
 
     φ is built once per call, for the mass and the unit-mass data, which
     is propagated as a CONJUGATED field, so no time node rebuilds φ.
     """
+    if not 0 < t_max < math.inf:
+        raise InvalidTime(f"Strichartz norm needs 0 < t_max < inf, got {t_max}")
     integer = (int, np.integer)
     if not (isinstance(refinements, integer) and refinements >= 2
             and isinstance(dyadic_levels, integer) and dyadic_levels >= 1):

@@ -188,39 +188,37 @@ def relative_l2(a: np.ndarray, b: np.ndarray, grid: RadialGrid) -> float:
 
 
 def boundary_tail(values: np.ndarray) -> float:
-    """max |values| over the outermost node shells, relative to the peak."""
+    """max |values| over the outermost node shells, relative to the peak;
+    NaN where the peak is not finite."""
     a = np.abs(values)
     peak = a.max()
     if peak == 0:
         return 0.0
-    worst = 0.0
-    for ax in range(values.ndim):
-        first = a.take(0, axis=ax).max()
-        last = a.take(-1, axis=ax).max()
-        worst = max(worst, first, last)
-    return float(worst / peak)
+    worst = max(max(a.take(0, axis=ax).max(), a.take(-1, axis=ax).max())
+                for ax in range(a.ndim))
+    return float(worst / peak) if peak < np.inf else np.nan
 
 
 def require_tail(values: np.ndarray, tol: float = 1e-12,
                  what: str = "field") -> None:
     t = boundary_tail(values)
+    if not np.isfinite(t):
+        raise GridTooSmall(f"{what} is not finite")
     if t > tol:
         raise GridTooSmall(
             f"{what} boundary tail {t:.2e} exceeds {tol:.0e}; enlarge the box")
 
 
-def support_radius(values: np.ndarray, grid: RadialGrid,
-                   rel: float = 1e-12) -> float:
-    """Largest node |x|_inf where |values| still exceeds rel·peak."""
+def support_radius(values: np.ndarray, grid: RadialGrid) -> float:
+    """Largest node |x|_inf where |values| still exceeds 1e-12·peak, and at
+    least the grid spacing, so a support is never narrower than one cell."""
     a = np.abs(values)
     peak = a.max()
-    if peak == 0:
-        return 0.0
-    mask = a > rel * peak
-    if not mask.any():
-        return 0.0
+    if not 0 < peak < np.inf:
+        return grid.spacing
+    mask = a > 1e-12 * peak
     ax = np.abs(grid.axis)
-    out = 0.0
+    out = grid.spacing
     for d in range(values.ndim):
         keep = mask.any(axis=tuple(i for i in range(values.ndim) if i != d))
         out = max(out, float(ax[keep].max()))

@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, GridTooSmall, InsufficientDecaySamples,
-                     NotGaussianDecay)
+from .errors import ConfigError, InsufficientDecaySamples, NotGaussianDecay
 from .grids import BiInvariantField, GridMode, RadialGrid, Representation
-from .propagator import data_bandwidth, group_propagate_closed_form
+from .propagator import group_propagate_closed_form, reach_box
 from .rootsystem import RootSystemSpec
 from .spherical import conjugated_values
 
@@ -164,11 +163,11 @@ def uniqueness_experiment(system: RootSystemSpec,
     actually runs, and a Gaussian rate certified for u·φ certifies the
     same rate for u (the φ factors move only the amplitude). On R^n
     ("euclid:<n>", no roots) φ ≡ 1 and these are |f| and |u|. FIXED mode
-    evaluates u on a box of at least the input's half-width that holds
-    2.4·t₀ times the data's Fourier support (GridTooSmall when its width
-    overflows). Fits are restricted to radii beyond the magnitude peak. A
-    propagated field below the noise floor everywhere reports DEGENERATE
-    rather than a verdict. ConfigError unless 0 ≤ tol_crit < ∞.
+    evaluates u on max(L, y_sup + 2t₀·ξ_sup), the `reach_box` that holds
+    it (GridTooSmall when its width overflows). Fits are restricted to
+    radii beyond the magnitude peak. A propagated field below the noise
+    floor everywhere reports DEGENERATE rather than a verdict.
+    ConfigError unless 0 ≤ tol_crit < ∞.
     """
     if not 0 <= tol_crit < math.inf:
         raise ConfigError(f"tol_crit must be finite and >= 0, got {tol_crit}")
@@ -178,11 +177,8 @@ def uniqueness_experiment(system: RootSystemSpec,
 
     out_grid = None
     if mode is GridMode.FIXED:
-        box = max(field.grid.half_width,
-                  2.4 * t0 * data_bandwidth(system, field))
-        if not math.isfinite(2.0 * box):
-            raise GridTooSmall(f"t0 = {t0:g} needs a box wider than floats")
-        out_grid = RadialGrid(system.rank, box, field.grid.points_per_axis)
+        out_grid = RadialGrid(system.rank, reach_box(system, field, t0),
+                              field.grid.points_per_axis)
     result = group_propagate_closed_form(system, field, t0, mode=mode,
                                          out_grid=out_grid)
     sample_f = _tail_magnitudes(field.grid, conjugated_values(system, field))

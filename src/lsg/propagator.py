@@ -46,8 +46,7 @@ from .grids import (BiInvariantField, GridMode, Method, RadialGrid,
                     Representation, _chirp_z_axis, _chirp_z_kernel,
                     _chirp_z_plan, _fast_fft_length, _mapped_residual,
                     _times_axes, _weyl_lattice_maps, fourier_at,
-                    fourier_native, require_tail, simpson_weights,
-                    support_radius)
+                    require_tail, simpson_weights, support_radius)
 from .rootsystem import RootSystemSpec, build_root_system
 from .spherical import (conjugated_values, conjugated_with,
                         denominator_on_grid, spectral_input, to_plain)
@@ -71,8 +70,9 @@ class PropagationResult:
 def gaussian_profile(grid: RadialGrid, rate: float,
                      chirp: float = 0.0) -> BiInvariantField:
     """PLAIN profile e^{-a|H|² + ic|H|²}; radial, hence Weyl-invariant."""
-    if rate <= 0:
-        raise ValueError("gaussian rate must be positive")
+    if not (0 < rate < math.inf and math.isfinite(chirp)):
+        raise ValueError("gaussian rate must be positive and finite, the "
+                         f"chirp finite; got {rate}, {chirp}")
     rsq = grid.radius_sq()
     vals = np.exp(-(rate - 1j * chirp) * rsq)
     return BiInvariantField(grid, vals.astype(complex), Representation.PLAIN)
@@ -118,18 +118,16 @@ def _multiplier(values: np.ndarray, grid: RadialGrid, t: float,
                 ) -> tuple[RadialGrid, np.ndarray]:
     """scale·e^{itΔ} as the Fourier multiplier e^{-it|ξ|²}.
 
-    u(t) stays within reach = y_sup + 2t·ξ_sup of the origin, ξ_sup the
-    Fourier support of the data, so on the box zero-padded to reach the
-    periodic evolution does not wrap around. That box is the output grid.
-    ξ_sup is read from |fftn(values)| shifted onto the dual grid (the
-    Fourier sum's other factors are unimodular), and that spectrum is
-    reused when nothing is padded. The phase and scale multiply it in
-    place, per axis, before one in-place ifftn.
+    u(t) stays within reach = y_sup + 2t·ξ_sup of the origin (as in
+    `reach_box`), so on the box zero-padded to reach the periodic
+    evolution does not wrap around. That box is the output grid. ξ_sup is
+    read from the spectrum fftn(values), which is reused when nothing is
+    padded. The phase and scale multiply it in place, per axis, before one
+    in-place ifftn.
     """
     spec = np.array(values, dtype=complex)
     np.fft.fftn(spec, out=spec)
-    xi_sup = support_radius(np.fft.fftshift(np.abs(spec)), grid.dual())
-    reach = y_sup + 2.0 * t * xi_sup
+    reach = y_sup + 2.0 * t * _xi_sup(spec, grid)
     pad = max(0, math.ceil((reach - grid.half_width) / grid.spacing))
     n = grid.points_per_axis + 2 * pad
     if n ** grid.rank > _MAX_FFT_NODES:
@@ -145,6 +143,26 @@ def _multiplier(values: np.ndarray, grid: RadialGrid, t: float,
 
 
 _refine_fft = _multiplier   # the benchmark traces it by the upsampler's name
+
+
+def _xi_sup(spec: np.ndarray, grid: RadialGrid) -> float:
+    """Fourier support edge of data on `grid`, read from its fftn `spec` on
+    the dual grid (the Fourier sum's other factors are unimodular)."""
+    return support_radius(np.fft.fftshift(np.abs(spec)), grid.dual())
+
+
+def reach_box(rs: RootSystemSpec, field: BiInvariantField, t: float) -> float:
+    """Half-width max(L, y_sup + 2t·ξ_sup) of a box that holds u(t)·φ:
+    free evolution moves g = f·φ, within y_sup of the origin, by at most
+    2t·ξ_sup, ξ_sup its Fourier support edge. L is the field's half-width;
+    GridTooSmall where twice the box overflows a float."""
+    grid = field.grid
+    g = conjugated_values(rs, field)
+    box = max(grid.half_width, support_radius(g, grid)
+              + 2.0 * t * _xi_sup(np.fft.fftn(g), grid))
+    if not 2.0 * box < math.inf:
+        raise GridTooSmall(f"t = {t:g} needs a box wider than floats")
+    return box
 
 
 def _fixed_chirp_guard(grid: RadialGrid, y_sup: float, t: float) -> None:
@@ -183,7 +201,7 @@ def group_propagate_closed_form(rs: RootSystemSpec, field: BiInvariantField,
     values = conjugated_values(rs, field)
     mag = np.abs(values)
     require_tail(mag, what="conjugated profile")
-    y_sup = max(support_radius(mag, grid), grid.spacing)
+    y_sup = support_radius(mag, grid)
     scale = np.exp(-1j * t * float(rs.rho @ rs.rho))
     if mode is GridMode.SCALED and grid.spacing * y_sup / t > np.pi:
         out, vals = _multiplier(values, grid, t, y_sup, scale)
@@ -206,20 +224,13 @@ def euclidean_propagate(field: BiInvariantField, t: float,
 
 # --- group propagator: spectral oracle -------------------------------------------
 
-def data_bandwidth(rs: RootSystemSpec, field: BiInvariantField) -> float:
-    """Fourier support edge of the conjugated profile (1e-13·peak cutoff)."""
-    g = conjugated_values(rs, field)
-    dual, ghat = fourier_native(g, field.grid)
-    return max(4.0, support_radius(ghat, dual, rel=1e-13))
-
-
 def suggest_spectral_grid(rs: RootSystemSpec, field: BiInvariantField,
                           t: float,
                           out_grid: RadialGrid | None = None) -> RadialGrid:
     """Spectral grid sized for the data's bandwidth and the t-chirp.
 
-    Half-width covers the conjugated profile's Fourier support (1e-13
-    relative); spacing obeys Δλ·(L_out + 2t·λ_max) ≤ π/2, L_out the
+    Half-width λ_max = ξ_sup, the Fourier support edge of g = f·φ (as in
+    `reach_box`); spacing obeys Δλ·(L_out + 2t·λ_max) ≤ π/2, L_out the
     half-width of `out_grid` (default: the field's grid), which implies
     the documented precondition Δλ ≤ π/(4 t λ_max). The oracle transforms
     one axis at a time, so with M spectral nodes and n = max(N, N_out)
@@ -227,7 +238,7 @@ def suggest_spectral_grid(rs: RootSystemSpec, field: BiInvariantField,
     n^{l-1}·(M + n) complex values; GridTooSmall when that passes
     _MAX_FFT_NODES.
     """
-    half = 1.1 * data_bandwidth(rs, field)
+    half = _xi_sup(np.fft.fftn(conjugated_values(rs, field)), field.grid)
     out_grid = out_grid or field.grid
     dl = np.pi / (2.0 * (out_grid.half_width + 2.0 * max(t, 0.0) * half))
     nodes = 2.0 * half / dl if dl > 0 else math.inf
@@ -256,8 +267,8 @@ def group_propagate_spectral(rs: RootSystemSpec, field: BiInvariantField,
     chirp-z onto the output axis: no M^l spectral grid. t = 0 is plain synthesis
     of f̂. UnderResolvedPhase if the spectral spacing misses the chirp.
     """
-    if t < 0:
-        raise InvalidTime(f"spectral propagation needs t >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise InvalidTime(f"spectral propagation needs 0 <= t < inf, got {t}")
     if out_grid is None:
         scaled = mode is GridMode.SCALED and t > 0
         out_grid = field.grid.dual().scaled(2.0 * t) if scaled else field.grid
@@ -336,7 +347,7 @@ def duhamel_solve(rs: RootSystemSpec, field: BiInvariantField, forcing,
         return _times_axes(spec, kernels[tau], coef)
 
     g = conjugated_with(field, phi)
-    g_sup = max(support_radius(g, grid), grid.spacing)
+    g_sup = support_radius(g, grid)
     g_spec = np.fft.fftn(g, s=padded, axes=axes)
     nodes = [np.linspace(0.0, tk, steps + 1).tolist() for tk in times]
     pending = Counter(s for row in nodes for s in row)
@@ -347,8 +358,7 @@ def duhamel_solve(rs: RootSystemSpec, field: BiInvariantField, forcing,
         for w, s in zip(simpson_weights(steps), row):
             if s not in samples:
                 psi_phi = _checked_forcing(forcing, s, grid, phi, maps)
-                samples[s] = (psi_phi,
-                              max(support_radius(psi_phi, grid), grid.spacing),
+                samples[s] = (psi_phi, support_radius(psi_phi, grid),
                               np.fft.fftn(psi_phi, s=padded, axes=axes))
             pending[s] -= 1
             psi_phi, y_sup, spec = samples[s] if pending[s] else samples.pop(s)

@@ -227,6 +227,14 @@ def test_inhomogeneous_check_refuses_bad_t_max(a1, t_max):
     assert calls == []
 
 
+@pytest.mark.parametrize("t_max", [np.inf, np.nan, 0.0, -1.0])
+def test_strichartz_norm_refuses_bad_t_max(a1, t_max):
+    # checked before any arithmetic, so the message names t_max, not an edge
+    f = gaussian_profile(RadialGrid(1, 8.0, 64), 1.0)
+    with pytest.raises(InvalidTime, match="t_max"):
+        strichartz_norm(a1, f, t_max, refinements=2, dyadic_levels=2)
+
+
 def test_inhomogeneous_stable_under_grid_refinement(a1):
     def forcing_for(grid):
         base = gaussian_profile(grid, 0.9, 0.2)

@@ -229,6 +229,10 @@ def test_tail_checks():
         require_tail(wide)
     narrow = np.exp(-10.0 * g.axis**2)
     require_tail(narrow)
+    # a NaN tail compares False with any tolerance
+    for bad in (np.nan, np.inf):
+        with pytest.raises(GridTooSmall, match="not finite"):
+            require_tail(np.where(g.axis == 0.0, bad, narrow))
 
 
 def test_support_radius():

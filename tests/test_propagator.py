@@ -7,13 +7,14 @@ from lsg.errors import (ForcingNotAntisymmetrizable, GridTooSmall,
                         InvalidTime, UnderResolvedPhase)
 from lsg.grids import (BiInvariantField, GridMode, RadialGrid, Representation,
                        SpectralField, _chirp_z_axis, _chirp_z_plan,
-                       _times_axes, _uniform_step, fourier_native, l2_norm,
-                       relative_l2, support_radius, weyl_symmetry_residual)
-from lsg.propagator import (_chirp, _chirp_sandwich, data_bandwidth,
-                            duhamel_solve, euclidean_propagate,
-                            gaussian_profile, group_propagate_closed_form,
+                       _times_axes, _uniform_step, boundary_tail,
+                       fourier_native, l2_norm, relative_l2, support_radius,
+                       weyl_symmetry_residual)
+from lsg.propagator import (_chirp, _chirp_sandwich, duhamel_solve,
+                            euclidean_propagate, gaussian_profile,
+                            group_propagate_closed_form,
                             group_propagate_spectral, plain_magnitude,
-                            suggest_spectral_grid)
+                            reach_box, suggest_spectral_grid)
 from lsg.rootsystem import build_root_system
 from lsg.spherical import (conjugated_values, denominator_on_grid,
                            spherical_transform, synthesize_conjugated)
@@ -126,6 +127,18 @@ def test_non_finite_time_is_refused_before_any_work(a1, a1_grid, t):
             euclidean_propagate(f, t, mode)
         with pytest.raises(InvalidTime):
             group_propagate_closed_form(a1, f, t, mode)
+        with pytest.raises(InvalidTime, match="0 <= t < inf"):
+            group_propagate_spectral(a1, f, t, mode=mode)
+
+
+@pytest.mark.parametrize("rate,chirp", [(np.nan, 0.0), (np.inf, 0.0),
+                                        (1.0, np.nan), (1.0, np.inf),
+                                        (1.0, -np.inf)])
+def test_gaussian_profile_refuses_non_finite_rate_or_chirp(a1_grid, rate,
+                                                           chirp):
+    # a NaN profile would propagate to all-NaN values without an error
+    with pytest.raises(ValueError, match="gaussian rate"):
+        gaussian_profile(a1_grid, rate, chirp)
 
 
 def test_euclidean_tail_guard():
@@ -162,7 +175,7 @@ def test_no_root_spectral_oracle_matches_closed_form(n, points, box, times):
     rs = build_root_system(f"euclid:{n}")
     f = gaussian_profile(RadialGrid(n, box, points), 1.0)
     for t in times:
-        out = RadialGrid(n, max(box, 2.3 * t * data_bandwidth(rs, f)), points)
+        out = RadialGrid(n, reach_box(rs, f, t), points)
         closed = group_propagate_closed_form(rs, f, t, GridMode.FIXED, out)
         oracle = group_propagate_spectral(rs, f, t, out_grid=out)
         assert relative_l2(closed.field.values, oracle.field.values,
@@ -220,7 +233,7 @@ def scaled_grid_by_native_rule(values, grid, t):
     """(regime, output grid) of a SCALED step by the rule that reads ξ_sup
     from support_radius of fourier_native: "sandwich" where h·y_sup/t ≤ π,
     else the multiplier, "pad" or "no pad" by its zero padding."""
-    y_sup = max(support_radius(values, grid), grid.spacing)
+    y_sup = support_radius(values, grid)
     if grid.spacing * y_sup / t <= np.pi:
         return "sandwich", grid.dual().scaled(2.0 * t)
     dual, spec = fourier_native(values, grid)
@@ -307,8 +320,7 @@ def test_separable_chirp_matches_full_grid_phase(grid, t):
 def test_closed_form_matches_spectral_a1(a1, t):
     grid = RadialGrid(1, 12.0, 512)
     f = gaussian_profile(grid, 1.0)
-    box = max(12.0, 2.3 * t * data_bandwidth(a1, f))
-    out = RadialGrid(1, box, 1024)
+    out = RadialGrid(1, reach_box(a1, f, t), 1024)
     closed = group_propagate_closed_form(a1, f, t, GridMode.FIXED, out)
     oracle = group_propagate_spectral(a1, f, t, out_grid=out)
     assert relative_l2(closed.field.values, oracle.field.values, out) <= 1e-6
@@ -321,6 +333,48 @@ def test_closed_form_matches_spectral_a2(a2):
     closed = group_propagate_closed_form(a2, f, 1.0, GridMode.FIXED, out)
     oracle = group_propagate_spectral(a2, f, 1.0, out_grid=out)
     assert relative_l2(closed.field.values, oracle.field.values, out) <= 1e-4
+
+
+_REACH_SYSTEMS = (("A1", 512, 12.0), ("euclid:1", 512, 12.0),
+                  ("A2", 128, 10.0), ("B2", 128, 10.0), ("G2", 128, 10.0),
+                  ("A1xA1", 128, 10.0), ("euclid:2", 128, 10.0))
+
+
+def test_fixed_evolution_on_the_reach_box_is_exact():
+    """u(t)·φ lies within y_sup + 2t·ξ_sup of the origin, so FIXED on
+    reach_box with N nodes keeps the exact u·φ, tail included. Cases that
+    break the support-sum rule L_out + y_sup + 2t·ξ_sup ≤ 4πt/h alias in
+    the trapezoid sum, which no box mends; they are counted, not run."""
+    from lsg.propagator import _xi_sup
+    ran = skipped = 0
+    worst_tail = worst_err = 0.0
+    for name, n, box in _REACH_SYSTEMS:
+        rs = build_root_system(name)
+        grid = RadialGrid(rs.rank, box, n)
+        for a in (0.5, 1.0, 2.0):
+            for c in (-0.25, 0.0, 0.25):
+                f = gaussian_profile(grid, a, c)
+                g = conjugated_values(rs, f)
+                y_sup = support_radius(g, grid)
+                xi_sup = _xi_sup(np.fft.fftn(g), grid)
+                for t in (0.25, 0.5, 1.0, 4.0):
+                    out = RadialGrid(rs.rank, reach_box(rs, f, t), n)
+                    assert out.half_width == max(box, y_sup + 2 * t * xi_sup)
+                    if (out.half_width + y_sup + 2 * t * xi_sup
+                            > 4 * np.pi * t / grid.spacing):
+                        skipped += 1
+                        continue
+                    ran += 1
+                    got = group_propagate_closed_form(rs, f, t,
+                                                      GridMode.FIXED, out)
+                    want = gaussian_chirp_conjugated(rs, out.axis, a, c, t)
+                    peak = np.abs(want).max()
+                    worst_tail = max(worst_tail, boundary_tail(want))
+                    worst_err = max(worst_err, np.abs(got.field.values
+                                                      - want).max() / peak)
+    assert (ran, skipped) == (202, 50)
+    assert worst_tail <= 1e-11
+    assert worst_err <= 1e-11
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0])
@@ -427,8 +481,7 @@ def test_mass_conservation_and_antisymmetry(a1):
     base = l2_norm(conjugated_values(a1, f), grid)
     mats, signs = a1.weyl_matrices(), a1.weyl_signs()
     for t in (0.5, 2.0):
-        box = max(12.0, 2.3 * t * data_bandwidth(a1, f))
-        out = RadialGrid(1, box, 1024)
+        out = RadialGrid(1, reach_box(a1, f, t), 1024)
         for result, tol in (
                 (group_propagate_closed_form(a1, f, t, GridMode.FIXED, out), 1e-8),
                 (group_propagate_spectral(a1, f, t, out_grid=out), 1e-10)):

@@ -550,7 +550,7 @@ def test_numerator_on_a_grid_matches_the_stacked_sum(name, n, box):
     pytest.param("A1xA1", 96, 10.0, id="A1xA1"),
     pytest.param("A1xA2", 48, 10.0, id="A1xA2"),
     # oracle-sized spectral grids: for 96² data on box 9 the oracles draw
-    # about 260-630 nodes per axis at half-widths 12.3-13.8
+    # a few hundred nodes per axis at half-widths 10.5-11.2
     pytest.param("G2", 564, 13.06, id="G2-564"),
     pytest.param("A2", 808, 12.44, id="A2-808")])
 def test_separable_pi_and_spectral_mask_match_stacked(name, n, half):
