@@ -23,7 +23,7 @@ from .heisenberg import (cutlocus_distance, projection_residual,
 from .propagator import (gaussian_profile, group_propagate_closed_form,
                          group_propagate_spectral, reach_box)
 from .rootsystem import build_root_system
-from .spherical import (conjugated_values, eigen_residual_field, pi_product,
+from .spherical import (conjugated, eigen_residual_field, pi_product,
                         roundtrip_error)
 
 
@@ -147,7 +147,7 @@ def criterion_propagator_equivalence(params, seed) -> AcceptanceRow:
             continue
         name, n, box, times, n_out, tol = case
         rs = build_root_system(name)
-        f = gaussian_profile(RadialGrid(rs.rank, box, n), 1.0)
+        f = conjugated(rs, gaussian_profile(RadialGrid(rs.rank, box, n), 1.0))
         for t in times:
             out = RadialGrid(rs.rank, reach_box(rs, f, t), n_out)
             closed = group_propagate_closed_form(rs, f, t, GridMode.FIXED, out)
@@ -155,8 +155,10 @@ def criterion_propagator_equivalence(params, seed) -> AcceptanceRow:
             a, b = closed.field.values, oracle.field.values
             rel = relative_l2(a, b, out)
             # the constant (4πi)^{-l/2}: the least-squares scalar taking
-            # the closed form onto the oracle must be 1
-            fit_error = abs(np.vdot(a, b) / np.vdot(a, a) - 1.0)
+            # the closed form onto the oracle must be 1; numpy's pairwise
+            # sums, unlike BLAS's vdot, do not depend on the thread count
+            a_bar = np.conj(a)
+            fit_error = abs((a_bar * b).sum() / (a_bar * a).sum() - 1.0)
             details[f"{name}:t={t:g}"] = _f(rel)
             details[f"{name}:tolerance"] = tol
             details[f"{name}:constant_fit_error:t={t:g}"] = _f(fit_error)
@@ -170,8 +172,8 @@ def criterion_mass_conservation(params, seed) -> AcceptanceRow:
     p = params["mass"]
     rs = build_root_system("A1")
     n, box = p["grid"]
-    f = gaussian_profile(RadialGrid(rs.rank, box, n), 1.0)
-    base = l2_norm(conjugated_values(rs, f), f.grid)
+    f = conjugated(rs, gaussian_profile(RadialGrid(rs.rank, box, n), 1.0))
+    base = l2_norm(f.values, f.grid)
     drifts, ok = {}, True
     for t in p["times"]:
         out = RadialGrid(rs.rank, reach_box(rs, f, t), p["n_out"])
@@ -214,7 +216,7 @@ def criterion_hardy_curve(params, seed) -> AcceptanceRow:
     grid_in = RadialGrid(1, box, n)
     worst, max_product, ok = 0.0, 0.0, True
     for a in p["rates"]:
-        f = gaussian_profile(grid_in, a)
+        f = conjugated(r1, gaussian_profile(grid_in, a))
         fit_f = fit_envelope_report(f, floor=1e-6)
         for t in np.linspace(0.25, 2.5, p["n_times"]):
             out = RadialGrid(1, reach_box(r1, f, float(t)), n)

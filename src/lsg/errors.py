@@ -74,6 +74,10 @@ class InsufficientTimes(LsgError):
     """Decay fit needs at least five times spanning a decade."""
 
 
+class ZeroData(LsgError):
+    """An estimate is a ratio or a logarithm of norms that vanish."""
+
+
 # --- Heisenberg explorer ---------------------------------------------------
 
 class QuadratureFailure(LsgError):

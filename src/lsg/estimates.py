@@ -17,12 +17,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InsufficientTimes, InvalidTime, UnsupportedExponent
+from .errors import (InsufficientTimes, InvalidTime, UnsupportedExponent,
+                     ZeroData)
 from .grids import (BiInvariantField, GridMode, Representation, lq_norm,
                     lq_power, simpson_weights)
-from .propagator import duhamel_solve, group_propagate_closed_form
+from .propagator import (_scaled_evolutions, duhamel_solve,
+                         group_propagate_closed_form)
 from .rootsystem import RootSystemSpec
-from .spherical import (conjugated_values, conjugated_with,
+from .spherical import (conjugated, conjugated_values, conjugated_with,
                         denominator_on_grid)
 
 # pass/fail bounds of the CLI and the acceptance suite alike
@@ -64,8 +66,9 @@ def decay_exponent_fit(rs: RootSystemSpec, field: BiInvariantField, p: float,
 
     Needs at least five times spanning a decade, all in the asymptotic
     regime (t ≥ 1 by default convention). Returns (slope, target, reports).
-    The data is conjugated once and propagated as a CONJUGATED field, so
-    no time rebuilds φ.
+    The data is conjugated once, so no time rebuilds φ or remeasures the
+    data (see BiInvariantField). ZeroData where a norm is 0 (zero data),
+    whose logarithm the fit cannot take.
     """
     times = sorted(float(t) for t in times)
     if len(times) < 5 or times[-1] < 10.0 * times[0]:
@@ -74,12 +77,13 @@ def decay_exponent_fit(rs: RootSystemSpec, field: BiInvariantField, p: float,
     if not 1 <= p <= 2:
         raise UnsupportedExponent(f"decay estimate covers 1 <= p <= 2, got {p}")
     q = conjugate_exponent(p)
-    g = field.with_values(conjugated_values(rs, field),
-                          Representation.CONJUGATED)
+    g = conjugated(rs, field)
     reports = []
     for t in times:
         result = group_propagate_closed_form(rs, g, t, mode=GridMode.SCALED)
         reports.append(NormReport(t, weighted_norm(rs, result.field, q)))
+    if not all(r.weighted_norm > 0 for r in reports):
+        raise ZeroData("decay fit needs nonzero norms; the data is zero")
     slope = float(np.polyfit(np.log([r.t for r in reports]),
                              np.log([r.weighted_norm for r in reports]), 1)[0])
     target = rs.rank * (0.5 - 1.0 / p)
@@ -107,8 +111,9 @@ def strichartz_norm(rs: RootSystemSpec, field: BiInvariantField, t_max: float,
     (ValueError unless refinements ≥ 2 and dyadic_levels ≥ 1, integers;
     InvalidTime unless 0 < t_max < inf).
 
-    φ is built once per call, for the mass and the unit-mass data, which
-    is propagated as a CONJUGATED field, so no time node rebuilds φ.
+    φ is built once per call, for the mass and the unit-mass data. The
+    integrand is evaluated at the rules' distinct nodes in one pass, which
+    evolves that data, conjugated, to every node (`_scaled_evolutions`).
     """
     if not 0 < t_max < math.inf:
         raise InvalidTime(f"Strichartz norm needs 0 < t_max < inf, got {t_max}")
@@ -126,37 +131,29 @@ def strichartz_norm(rs: RootSystemSpec, field: BiInvariantField, t_max: float,
     unit = field.with_values(
         conjugated_with(field.with_values(field.values / mass), phi),
         Representation.CONJUGATED)
-    g_unit = g / mass
-
-    cache: dict[float, float] = {}
-
-    def integrand(t: float) -> float:
-        if t == 0.0:
-            return lq_power(g_unit, field.grid, q)
-        if t not in cache:
-            out = group_propagate_closed_form(rs, unit, t, GridMode.SCALED)
-            cache[t] = lq_power(out.field.values, out.field.grid, q)
-        return cache[t]
 
     edges = [t_max / 2.0**j for j in range(dyadic_levels + 1)][::-1]
+    # Simpson with 2^{r+1} panels on each dyadic interval, per level r
+    levels = [[(a, b, np.linspace(a, b, 2 ** (r + 1) + 1).tolist())
+               for a, b in zip(edges[:-1], edges[1:])]
+              for r in range(refinements)]
     # below the finest dyadic scale the integrand is at its t->0 plateau,
     # so one fixed trapezoid closes that head at every refinement level
     t_head = edges[0]
-    head = 0.5 * t_head * (integrand(0.0) + integrand(t_head))
+    nodes = {t_head}.union(*(xs for level in levels for _, _, xs in level))
+    power = {0.0: lq_power(g / mass, field.grid, q)}
+    power.update((t, lq_power(vals, grid, q)) for t, grid, vals
+                 in _scaled_evolutions(rs, unit, sorted(nodes - {0.0})))
+    head = 0.5 * t_head * (power[0.0] + power[t_head])
 
-    def simpson(a: float, b: float, panels: int) -> float:
-        xs = np.linspace(a, b, panels + 1)
-        ys = np.array([integrand(x) for x in xs])
+    def simpson(a: float, b: float, xs: list[float]) -> float:
+        panels = len(xs) - 1
+        ys = np.array([power[x] for x in xs])
         return float((b - a) / panels / 3.0
                      * (simpson_weights(panels) * ys).sum())
 
-    out = []
-    for r in range(refinements):
-        panels = 2 ** (r + 1)
-        total = head + sum(simpson(a, b, panels)
-                           for a, b in zip(edges[:-1], edges[1:]))
-        out.append(total ** (1.0 / q))
-    return out
+    return [(head + sum(simpson(*rule) for rule in level)) ** (1.0 / q)
+            for level in levels]
 
 
 def strichartz_inhomogeneous_check(rs: RootSystemSpec,
@@ -175,7 +172,8 @@ def strichartz_inhomogeneous_check(rs: RootSystemSpec,
     sample, since each panel time ends its Simpson rule and 0 starts
     every rule, so the forcing is called once per distinct s. φ on the
     grid is built once here, for the mass and every ψ·φ norm, and once
-    in the solver.
+    in the solver. ZeroData where the RHS is 0 (zero data, and the forcing
+    zero at every panel time), where the ratio has no value.
     """
     if not 0 < t_max < math.inf:
         raise InvalidTime(f"inhomogeneous check needs 0 < t_max < inf, "
@@ -211,5 +209,7 @@ def strichartz_inhomogeneous_check(rs: RootSystemSpec,
                       * sum(wi * v for wi, v in zip(w, psi_power)))
                 ** (1.0 / p))
     rhs = mass + psi_term
+    if rhs == 0.0:
+        raise ZeroData("inhomogeneous check needs nonzero data or forcing")
     return {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs,
             "p": p, "q": q, "mass": mass, "forcing_norm": psi_term}

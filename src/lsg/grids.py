@@ -19,6 +19,7 @@ Both apply their 1-D factors per axis and run their FFTs in place.
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ import numpy as np
 from .errors import GridTooSmall
 
 _UNIFORM_RTOL = 1e-12     # node drift allowed on a "uniform" fourier_at axis
+TAIL_TOL = 1e-12          # boundary tail allowed, relative to the peak
 
 
 class Representation(enum.Enum):
@@ -119,6 +121,15 @@ class BiInvariantField:
     `representation` records whether values are u (PLAIN, Weyl-invariant)
     or u·φ (CONJUGATED, Weyl-antisymmetric). PLAIN fields recovered by
     dividing by φ carry NaN at wall nodes.
+
+    A CONJUGATED field holds g = u·φ, and it resolves itself: `tail`,
+    `y_sup` and `xi_sup` are worked out on first use and kept with the
+    field, as three floats, so one field propagated to many times, boxed
+    and gridded is measured once. `xi_sup` costs an FFT, run only when a
+    caller reads it. The record relies on `values` being read-only, which
+    __post_init__ makes them; writing through another view of the same
+    memory would leave it stale. A PLAIN field keeps nothing: callers
+    conjugate it once per call (`spherical.conjugated`).
     """
 
     grid: RadialGrid
@@ -135,6 +146,42 @@ class BiInvariantField:
                     representation: Representation | None = None) -> "BiInvariantField":
         return BiInvariantField(self.grid, np.ascontiguousarray(values),
                                 representation or self.representation)
+
+    def _resolution(self) -> dict:
+        """The kept scalars, in the instance dict, which the frozen
+        dataclass's fields, equality and repr do not see; the tail and
+        y_sup come together, from one |g|."""
+        if self.representation is not Representation.CONJUGATED:
+            raise ValueError("only a CONJUGATED field keeps its resolution")
+        kept = self.__dict__.get("_record")
+        if kept is None:
+            mag = np.abs(self.values)
+            kept = {"tail": _tail_of(mag), "y_sup": _support_of(mag, self.grid)}
+            self.__dict__["_record"] = kept
+        return kept
+
+    @property
+    def tail(self) -> float:
+        """`boundary_tail` of g: NaN if g is not finite."""
+        return self._resolution()["tail"]
+
+    @property
+    def y_sup(self) -> float:
+        """g's spatial support edge, the `support_radius` of g."""
+        return self._resolution()["y_sup"]
+
+    @property
+    def xi_sup(self) -> float:
+        """g's Fourier support edge, read from fftn(g) by `_xi_sup`."""
+        return self.fourier_edge(lambda: np.fft.fftn(self.values))
+
+    def fourier_edge(self, spectrum: Callable[[], np.ndarray]) -> float:
+        """`xi_sup`, on first use read from spectrum(), which returns
+        fftn(g): a caller that needs that spectrum anyway saves the FFT."""
+        kept = self._resolution()
+        if "xi_sup" not in kept:
+            kept["xi_sup"] = _xi_sup(spectrum(), self.grid)
+        return kept["xi_sup"]
 
 
 @dataclass(frozen=True)
@@ -190,7 +237,11 @@ def relative_l2(a: np.ndarray, b: np.ndarray, grid: RadialGrid) -> float:
 def boundary_tail(values: np.ndarray) -> float:
     """max |values| over the outermost node shells, relative to the peak;
     NaN where the peak is not finite."""
-    a = np.abs(values)
+    return _tail_of(np.abs(values))
+
+
+def _tail_of(a: np.ndarray) -> float:
+    """`boundary_tail` of the magnitudes `a`."""
     peak = a.max()
     if peak == 0:
         return 0.0
@@ -199,30 +250,45 @@ def boundary_tail(values: np.ndarray) -> float:
     return float(worst / peak) if peak < np.inf else np.nan
 
 
-def require_tail(values: np.ndarray, tol: float = 1e-12,
+def require_tail(values: np.ndarray, tol: float = TAIL_TOL,
                  what: str = "field") -> None:
-    t = boundary_tail(values)
-    if not np.isfinite(t):
+    check_tail(boundary_tail(values), tol, what)
+
+
+def check_tail(tail: float, tol: float, what: str) -> None:
+    """GridTooSmall unless a measured boundary tail is finite and <= tol."""
+    if not np.isfinite(tail):
         raise GridTooSmall(f"{what} is not finite")
-    if t > tol:
+    if tail > tol:
         raise GridTooSmall(
-            f"{what} boundary tail {t:.2e} exceeds {tol:.0e}; enlarge the box")
+            f"{what} boundary tail {tail:.2e} exceeds {tol:.0e}; "
+            "enlarge the box")
 
 
 def support_radius(values: np.ndarray, grid: RadialGrid) -> float:
     """Largest node |x|_inf where |values| still exceeds 1e-12·peak, and at
     least the grid spacing, so a support is never narrower than one cell."""
-    a = np.abs(values)
+    return _support_of(np.abs(values), grid)
+
+
+def _support_of(a: np.ndarray, grid: RadialGrid) -> float:
+    """`support_radius` of the magnitudes `a`."""
     peak = a.max()
     if not 0 < peak < np.inf:
         return grid.spacing
     mask = a > 1e-12 * peak
     ax = np.abs(grid.axis)
     out = grid.spacing
-    for d in range(values.ndim):
-        keep = mask.any(axis=tuple(i for i in range(values.ndim) if i != d))
+    for d in range(a.ndim):
+        keep = mask.any(axis=tuple(i for i in range(a.ndim) if i != d))
         out = max(out, float(ax[keep].max()))
     return out
+
+
+def _xi_sup(spec: np.ndarray, grid: RadialGrid) -> float:
+    """Fourier support edge of data on `grid`, read from its fftn `spec` on
+    the dual grid (the Fourier sum's other factors are unimodular)."""
+    return _support_of(np.fft.fftshift(np.abs(spec)), grid.dual())
 
 
 # --- Fourier kernels --------------------------------------------------------
@@ -369,16 +435,18 @@ def _weyl_lattice_maps(grid: RadialGrid, matrices: np.ndarray,
 
     v[src] is v(sH) on the valid nodes; a signed permutation matrix is
     lattice-compatible, except that a reflected axis loses its node -L.
-    Elements whose matrices move nodes off the lattice are skipped; every
-    supported system keeps at least one nontrivial element (e.g. -1 on a
-    rank-1 factor) lattice-compatible.
+    Elements whose matrices move nodes off the lattice are skipped, and so
+    is the identity, whose residual is exactly 0; every supported system
+    keeps at least one nontrivial element (e.g. -1 on a rank-1 factor)
+    lattice-compatible.
     """
     n = grid.points_per_axis
     grids_idx = np.meshgrid(*([np.arange(n)] * grid.rank), indexing="ij")
     maps = []
     for mat, sgn in zip(matrices, signs):
         rounded = np.round(mat)
-        if np.abs(mat - rounded).max() > 1e-12:
+        if (np.abs(mat - rounded).max() > 1e-12
+                or np.array_equal(rounded, np.eye(grid.rank))):
             continue
         if not np.all(np.isin(rounded, (-1.0, 0.0, 1.0))):
             continue

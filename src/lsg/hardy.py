@@ -24,7 +24,7 @@ from .errors import ConfigError, InsufficientDecaySamples, NotGaussianDecay
 from .grids import BiInvariantField, GridMode, RadialGrid, Representation
 from .propagator import group_propagate_closed_form, reach_box
 from .rootsystem import RootSystemSpec
-from .spherical import conjugated_values
+from .spherical import conjugated
 
 TOL_CRIT_DEFAULT = 0.02
 NOISE_FLOOR = 1e-13
@@ -91,8 +91,12 @@ def fit_envelope_report(field: BiInvariantField,
             f"only {int(sel.sum())} nodes in the decay annulus (need 16)")
     x = rsq[sel]
     y = np.log(mag[sel])
-    slope, intercept = np.polyfit(x, y, 1)
-    rate = -float(slope)
+    # least squares in closed form, about the centroid of the samples
+    x_mean, y_mean = x.mean(), y.mean()
+    dx = x - x_mean
+    slope = float((dx * (y - y_mean)).sum() / (dx * dx).sum())
+    intercept = y_mean - slope * x_mean
+    rate = -slope
     if rate <= 0:
         raise NotGaussianDecay(f"fitted rate {rate:.3e} is not positive")
     resid = y - (slope * x + intercept)
@@ -175,13 +179,14 @@ def uniqueness_experiment(system: RootSystemSpec,
     if peak0 <= NOISE_FLOOR:
         return UniquenessReport(None, None, None, 0.0, 0.0, 0.0, True)
 
+    g = conjugated(system, field)
     out_grid = None
     if mode is GridMode.FIXED:
-        out_grid = RadialGrid(system.rank, reach_box(system, field, t0),
+        out_grid = RadialGrid(system.rank, reach_box(system, g, t0),
                               field.grid.points_per_axis)
-    result = group_propagate_closed_form(system, field, t0, mode=mode,
+    result = group_propagate_closed_form(system, g, t0, mode=mode,
                                          out_grid=out_grid)
-    sample_f = _tail_magnitudes(field.grid, conjugated_values(system, field))
+    sample_f = _tail_magnitudes(field.grid, g.values)
     sample_u = _tail_magnitudes(result.field.grid, result.field.values)
 
     sup_u = float(np.nanmax(np.abs(result.field.values)))

@@ -24,37 +24,53 @@ carry every chirp, DFT sign and constant (h^l, t^{-l/2}, C, e^{-it|ρ|²}).
 FIXED always runs the sandwich, evaluated at the caller's uniform output
 grid by chirp-z, O((N+M) log(N+M)) per axis, grid-aligned for time series.
 
+Every regime, guard and box reads the same few numbers of g: its boundary
+tail, its support edge y_sup and its Fourier edge ξ_sup. A CONJUGATED
+field works them out on first use and keeps them (`BiInvariantField`),
+so a caller that evolves one profile to many times conjugates it once
+(`spherical.conjugated`) and passes that on; a PLAIN input is conjugated
+once per call. `_scaled_evolutions` evolves one field to many SCALED times
+in one pass, sharing the multiplier's spectra and stacking the sandwich's
+FFTs.
+
 Duhamel's formula u(t) = S(t)f + i∫₀ᵗ S(t-s)ψ(s) ds needs S(τ) only on
 the input grid. There the FIXED sandwich's chirps multiply out,
 e^{i|x_j|²/4τ}·e^{-i⟨x_j,x_k⟩/2τ}·e^{i|x_k|²/4τ} = e^{i|x_j - x_k|²/4τ},
 so S(τ) convolves with the FIXED sandwich's chirp-z kernel onto the input
 axis, angles unreduced mod 2π as there. Linear, it sums each output
-time's Simpson nodes in the frequency domain (`duhamel_solve`).
+time's Simpson nodes in the frequency domain (`duhamel_solve`), and it
+keeps the kernel spectra of its last call for the next one.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (ForcingNotAntisymmetrizable, GridTooSmall, InvalidTime,
                      UnderResolvedPhase)
-from .grids import (BiInvariantField, GridMode, Method, RadialGrid,
-                    Representation, _chirp_z_axis, _chirp_z_kernel,
-                    _chirp_z_plan, _fast_fft_length, _mapped_residual,
-                    _times_axes, _weyl_lattice_maps, fourier_at,
-                    require_tail, simpson_weights, support_radius)
+from .grids import (TAIL_TOL, BiInvariantField, GridMode, Method,
+                    RadialGrid, Representation, _chirp_z_axis,
+                    _chirp_z_kernel, _chirp_z_plan, _fast_fft_length,
+                    _mapped_residual, _times_axes, _weyl_lattice_maps,
+                    check_tail, fourier_at, simpson_weights, support_radius)
 from .rootsystem import RootSystemSpec, build_root_system
-from .spherical import (conjugated_values, conjugated_with,
-                        denominator_on_grid, spectral_input, to_plain)
+from .spherical import (conjugated, conjugated_with, denominator_on_grid,
+                        spectral_input, to_plain)
 
 _MAX_FFT_NODES = 2**24          # memory guard, in complex values, on the
                                 # padded multiplier grid and on the spectral
                                 # oracle's largest per-axis chirp-z buffer
+_STACK_VALUES = 2**16           # complex values per stack of SCALED FFTs
 _ANTISYMMETRY_TOL = 1e-8
+
+# duhamel_solve's kernel spectra from its last call, keyed by (N, h, τ):
+# the only state that outlives a call (see duhamel_solve)
+_last_kernels: dict[tuple[int, float, float], np.ndarray] = {}
 
 
 @dataclass(frozen=True)
@@ -84,71 +100,119 @@ def _chirp(axis: np.ndarray, t: float) -> np.ndarray:
 
 
 def _chirp_sandwich(values: np.ndarray, grid: RadialGrid, t: float,
-                    mode: GridMode, out_grid: RadialGrid | None,
+                    out_grid: RadialGrid | None,
                     scale: complex) -> tuple[RadialGrid, np.ndarray]:
-    """scale·t^{-l/2}·e^{i|H'|²/4t}·R̂(H'/2t) with R = e^{i|y|²/4t}·values.
+    """scale·t^{-l/2}·e^{i|H'|²/4t}·R̂(H'/2t) with R = e^{i|y|²/4t}·values,
+    R̂ evaluated at `out_grid` (default: `grid`) by chirp-z: the FIXED
+    sandwich."""
+    rank = grid.rank
+    out = out_grid or grid
+    rhat = fourier_at(_times_axes(values, _chirp(grid.axis, t)), grid,
+                      [out.axis / (2.0 * t)] * rank, sign=-1)
+    return out, _times_axes(rhat, _chirp(out.axis, t),
+                            scale * t ** (-rank / 2.0), out=rhat)
 
-    SCALED puts H' = 2t·ξ on the dual grid, where R̂ is, per axis,
-    h·(-1)^{j-N/2}·DFT((-1)^k·R)_j (see fourier_native): the input chirp
-    and (-1)^k make the pre-factor, the sign, the output chirp and every
-    constant the post-factor, around one in-place fftn. FIXED evaluates R̂
-    at `out_grid` by chirp-z between the same chirps and constants.
+
+def _scaled_sandwiches(values: np.ndarray, grid: RadialGrid, jobs
+                       ) -> Iterator[tuple[float, RadialGrid, np.ndarray]]:
+    """(t, H' grid, sandwich) for each (t, scale) job: `_chirp_sandwich`
+    with H' = 2t·ξ on the dual grid, where R̂ is, per axis,
+    h·(-1)^{j-N/2}·DFT((-1)^k·R)_j (see fourier_native).
+
+    The input chirp and (-1)^k make the pre-factor, the sign, the output
+    chirp and every constant the post-factor, around one in-place FFT.
+    The FFTs of several times run as one, over a stack of at most
+    _STACK_VALUES complex values (or of one time); each yielded array is a
+    row of that stack.
     """
-    rank, n = grid.rank, grid.points_per_axis
-    scale = scale * t ** (-rank / 2.0)
-    pre, post_sign = _chirp(grid.axis, t), 1.0
-    if mode is GridMode.SCALED:
-        out = grid.dual().scaled(2.0 * t)
-        alt = (-1.0) ** np.arange(n)
-        pre *= alt
-        post_sign = (-1.0) ** (n // 2) * alt
-        scale *= grid.spacing ** rank
-        rhat = _times_axes(values, pre)
-        np.fft.fftn(rhat, out=rhat)
-    else:
-        out = out_grid or grid
-        rhat = fourier_at(_times_axes(values, pre), grid,
-                          [out.axis / (2.0 * t)] * rank, sign=-1)
-    return out, _times_axes(rhat, post_sign * _chirp(out.axis, t), scale,
-                            out=rhat)
+    n, rank = grid.points_per_axis, grid.rank
+    alt = np.where(np.arange(n) % 2, -1.0, 1.0)    # (-1)^k, without pow
+    post_sign = (-1.0) ** (n // 2) * alt
+    dual = grid.dual()
+    per_stack = max(1, _STACK_VALUES // values.size)
+    for first in range(0, len(jobs), per_stack):
+        chunk = jobs[first:first + per_stack]
+        stack = np.empty((len(chunk),) + grid.shape, dtype=complex)
+        for row, (t, _) in zip(stack, chunk):
+            pre = _chirp(grid.axis, t)
+            pre *= alt
+            _times_axes(values, pre, out=row)
+        np.fft.fftn(stack, axes=tuple(range(1, rank + 1)), out=stack)
+        for row, (t, scale) in zip(stack, chunk):
+            out = dual.scaled(2.0 * t)
+            yield t, out, _times_axes(
+                row, post_sign * _chirp(out.axis, t),
+                scale * t ** (-rank / 2.0) * grid.spacing ** rank, out=row)
 
 
-def _multiplier(values: np.ndarray, grid: RadialGrid, t: float,
-                y_sup: float, scale: complex
-                ) -> tuple[RadialGrid, np.ndarray]:
-    """scale·e^{itΔ} as the Fourier multiplier e^{-it|ξ|²}.
+def _multiplier(field: BiInvariantField, jobs
+                ) -> Iterator[tuple[float, RadialGrid, np.ndarray]]:
+    """(t, padded grid, scale·e^{itΔ}g) for each (t, scale) job, g the
+    values of the CONJUGATED `field`, by the Fourier multiplier e^{-it|ξ|²}.
 
     u(t) stays within reach = y_sup + 2t·ξ_sup of the origin (as in
     `reach_box`), so on the box zero-padded to reach the periodic
-    evolution does not wrap around. That box is the output grid. ξ_sup is
-    read from the spectrum fftn(values), which is reused when nothing is
-    padded. The phase and scale multiply it in place, per axis, before one
-    in-place ifftn.
+    evolution does not wrap around. That box is the output grid. Times
+    with one padding share one spectrum of the padded data. Where ξ_sup
+    is not yet known it is read from the unpadded spectrum, which then
+    serves padding 0. Each time is one `_multiplier_step`, in place on
+    the spectrum for its padding's last time.
     """
-    spec = np.array(values, dtype=complex)
-    np.fft.fftn(spec, out=spec)
-    reach = y_sup + 2.0 * t * _xi_sup(spec, grid)
+    grid = field.grid
+    spectra: dict[int, np.ndarray] = {}     # by padding
+
+    def unpadded() -> np.ndarray:
+        spectra[0] = _padded_spectrum(field.values, 0)
+        return spectra[0]
+
+    groups: dict[int, list] = {}
+    for t, scale in jobs:
+        pad = _padding(field, t, field.fourier_edge(unpadded))
+        groups.setdefault(pad, []).append((t, scale))
+    for pad, group in sorted(groups.items()):
+        spec = spectra.pop(pad, None)
+        spectra.clear()
+        if spec is None:
+            spec = _padded_spectrum(field.values, pad)
+        n = grid.points_per_axis + 2 * pad
+        out = RadialGrid(grid.rank, grid.half_width + pad * grid.spacing, n)
+        xi = 2.0 * np.pi * np.fft.fftfreq(n, grid.spacing)
+        for k, (t, scale) in enumerate(group):
+            last = k == len(group) - 1
+            yield t, out, _multiplier_step(spec, xi, t, scale,
+                                           spec if last else None)
+
+
+def _multiplier_step(spec: np.ndarray, xi: np.ndarray, t: float,
+                     scale: complex, out: np.ndarray | None) -> np.ndarray:
+    """scale·e^{itΔ} from a padded spectrum on the frequencies ξ of each
+    axis: e^{-it|ξ|²} and the scale per axis into `out` (new if None),
+    then one in-place ifftn."""
+    vals = _times_axes(spec, np.exp(-1j * np.mod(t * xi**2, 2.0 * np.pi)),
+                       scale, out=out)
+    return np.fft.ifftn(vals, out=vals)
+
+
+_refine_fft = _multiplier_step  # the benchmark traces it by the upsampler's name
+
+
+def _padding(field: BiInvariantField, t: float, xi_sup: float) -> int:
+    """Nodes added per side so the box holds reach = y_sup + 2t·ξ_sup;
+    GridTooSmall where the padded grid passes _MAX_FFT_NODES."""
+    grid = field.grid
+    reach = field.y_sup + 2.0 * t * xi_sup
     pad = max(0, math.ceil((reach - grid.half_width) / grid.spacing))
     n = grid.points_per_axis + 2 * pad
     if n ** grid.rank > _MAX_FFT_NODES:
         raise GridTooSmall(f"SCALED multiplier needs {n} nodes/axis at t={t:g}")
-    if pad:
-        spec = np.pad(np.asarray(values, dtype=complex), pad)
-        np.fft.fftn(spec, out=spec)
-    xi = 2.0 * np.pi * np.fft.fftfreq(n, grid.spacing)
-    _times_axes(spec, np.exp(-1j * np.mod(t * xi**2, 2.0 * np.pi)), scale,
-                out=spec)
-    out = RadialGrid(grid.rank, grid.half_width + pad * grid.spacing, n)
-    return out, np.fft.ifftn(spec, out=spec)
+    return pad
 
 
-_refine_fft = _multiplier   # the benchmark traces it by the upsampler's name
-
-
-def _xi_sup(spec: np.ndarray, grid: RadialGrid) -> float:
-    """Fourier support edge of data on `grid`, read from its fftn `spec` on
-    the dual grid (the Fourier sum's other factors are unimodular)."""
-    return support_radius(np.fft.fftshift(np.abs(spec)), grid.dual())
+def _padded_spectrum(values: np.ndarray, pad: int) -> np.ndarray:
+    """fftn of the values zero-padded by `pad` nodes per side, in place."""
+    spec = (np.pad(np.asarray(values, dtype=complex), pad) if pad
+            else np.array(values, dtype=complex))
+    return np.fft.fftn(spec, out=spec)
 
 
 def reach_box(rs: RootSystemSpec, field: BiInvariantField, t: float) -> float:
@@ -156,22 +220,21 @@ def reach_box(rs: RootSystemSpec, field: BiInvariantField, t: float) -> float:
     free evolution moves g = f·φ, within y_sup of the origin, by at most
     2t·ξ_sup, ξ_sup its Fourier support edge. L is the field's half-width;
     GridTooSmall where twice the box overflows a float."""
-    grid = field.grid
-    g = conjugated_values(rs, field)
-    box = max(grid.half_width, support_radius(g, grid)
-              + 2.0 * t * _xi_sup(np.fft.fftn(g), grid))
+    g = conjugated(rs, field)
+    box = max(g.grid.half_width, g.y_sup + 2.0 * t * g.xi_sup)
     if not 2.0 * box < math.inf:
         raise GridTooSmall(f"t = {t:g} needs a box wider than floats")
     return box
 
 
-def _fixed_chirp_guard(grid: RadialGrid, y_sup: float, t: float) -> None:
+def _fixed_chirp_guard(grid: RadialGrid, y_sup: float, t: float,
+                       remedy: str) -> None:
     """GridTooSmall where h·y_sup/t > 2π: the FIXED sandwich's chirp is not
-    resolved on data supported within y_sup."""
+    resolved on data supported within y_sup. `remedy` ends the message."""
     if grid.spacing * y_sup / t > 2.0 * np.pi:
         raise GridTooSmall(
             f"grid spacing {grid.spacing:.3g} cannot resolve the t={t:g} "
-            "chirp on the data support; use SCALED mode or refine")
+            f"chirp on the data support; {remedy}")
 
 
 def _free_constant(rank: int) -> complex:
@@ -194,24 +257,44 @@ def group_propagate_closed_form(rs: RootSystemSpec, field: BiInvariantField,
     Euclidean evolution of g = f·φ times e^{-it|ρ|²}, for 0 < t < ∞. With
     y_sup read from |g|, h·y_sup/t (twice the chirp's phase step per node
     at the data's edge) picks the regime: SCALED runs the sandwich up to
-    π, the multiplier beyond; FIXED refuses beyond 2π."""
+    π, the multiplier beyond; FIXED refuses beyond 2π. A CONJUGATED
+    `field` keeps y_sup and its other resolution scalars between calls."""
     if not 0 < t < math.inf:
         raise InvalidTime(f"closed-form propagation needs 0 < t < inf, got {t}")
-    grid = field.grid
-    values = conjugated_values(rs, field)
-    mag = np.abs(values)
-    require_tail(mag, what="conjugated profile")
-    y_sup = support_radius(mag, grid)
-    scale = np.exp(-1j * t * float(rs.rho @ rs.rho))
-    if mode is GridMode.SCALED and grid.spacing * y_sup / t > np.pi:
-        out, vals = _multiplier(values, grid, t, y_sup, scale)
+    if mode is GridMode.SCALED:
+        _, out, vals = next(_scaled_evolutions(rs, field, [t]))
     else:
-        if mode is GridMode.FIXED:
-            _fixed_chirp_guard(grid, y_sup, t)
-        out, vals = _chirp_sandwich(values, grid, t, mode, out_grid,
-                                    scale * _free_constant(grid.rank))
+        g = _resolved(rs, field)
+        _fixed_chirp_guard(g.grid, g.y_sup, t, "use SCALED mode or refine")
+        scale = np.exp(-1j * t * float(rs.rho @ rs.rho))
+        out, vals = _chirp_sandwich(g.values, g.grid, t, out_grid,
+                                    scale * _free_constant(rs.rank))
     result = BiInvariantField(out, vals, Representation.CONJUGATED)
     return PropagationResult(result, t, Method.CLOSED_FORM, mode)
+
+
+def _resolved(rs: RootSystemSpec,
+              field: BiInvariantField) -> BiInvariantField:
+    """The field as g = f·φ (`conjugated`), its boundary tail checked."""
+    g = conjugated(rs, field)
+    check_tail(g.tail, TAIL_TOL, "conjugated profile")
+    return g
+
+
+def _scaled_evolutions(rs: RootSystemSpec, field: BiInvariantField, times
+                       ) -> Iterator[tuple[float, RadialGrid, np.ndarray]]:
+    """(t, grid, u·φ) of the SCALED closed form at each of `times`
+    (0 < t < ∞), multiplier times first: one field to many times, where
+    the multiplier shares spectra between times of one padding and the
+    sandwich stacks its FFTs."""
+    g = _resolved(rs, field)
+    rho_sq = float(rs.rho @ rs.rho)
+    edge = g.grid.spacing * g.y_sup
+    wide = [(t, np.exp(-1j * t * rho_sq)) for t in times if edge / t > np.pi]
+    near = [(t, np.exp(-1j * t * rho_sq) * _free_constant(rs.rank))
+            for t in times if not edge / t > np.pi]
+    yield from _multiplier(g, wide)
+    yield from _scaled_sandwiches(g.values, g.grid, near)
 
 
 def euclidean_propagate(field: BiInvariantField, t: float,
@@ -238,7 +321,7 @@ def suggest_spectral_grid(rs: RootSystemSpec, field: BiInvariantField,
     n^{l-1}·(M + n) complex values; GridTooSmall when that passes
     _MAX_FFT_NODES.
     """
-    half = _xi_sup(np.fft.fftn(conjugated_values(rs, field)), field.grid)
+    half = conjugated(rs, field).xi_sup
     out_grid = out_grid or field.grid
     dl = np.pi / (2.0 * (out_grid.half_width + 2.0 * max(t, 0.0) * half))
     nodes = 2.0 * half / dl if dl > 0 else math.inf
@@ -266,9 +349,11 @@ def group_propagate_spectral(rs: RootSystemSpec, field: BiInvariantField,
     axis, e^{-itλ_d²} folded into the inverse plan's pre-chirp, and a
     chirp-z onto the output axis: no M^l spectral grid. t = 0 is plain synthesis
     of f̂. UnderResolvedPhase if the spectral spacing misses the chirp.
+    The data is conjugated once, for the grid and the transform alike.
     """
     if not 0 <= t < math.inf:
         raise InvalidTime(f"spectral propagation needs 0 <= t < inf, got {t}")
+    field = conjugated(rs, field)
     if out_grid is None:
         scaled = mode is GridMode.SCALED and t > 0
         out_grid = field.grid.dual().scaled(2.0 * t) if scaled else field.grid
@@ -314,8 +399,14 @@ def duhamel_solve(rs: RootSystemSpec, field: BiInvariantField, forcing,
     node s = t is added in space. A sample (ψ(s)·φ, its support radius and
     padded spectrum) is built at its first node and dropped after its
     last: one forward FFT per distinct s, one kernel spectrum per distinct
-    τ. φ and the Weyl lattice maps are built once per call. Each sample is
-    checked for antisymmetry, each (sample, τ) by the FIXED chirp guard.
+    τ. The kernel spectra of the previous call are kept, keyed by
+    (N, h, τ): a call reuses those its own τ set shares and drops the
+    rest, so a series of solves on one grid and one set of times builds
+    its kernels once. φ and the Weyl lattice maps are built once per
+    call. Each sample is checked for antisymmetry, each (sample, τ) by
+    the FIXED chirp guard; an unresolved chirp is refused (GridTooSmall)
+    with the remedies that fit the solver: a finer grid, or fewer steps,
+    whose smallest τ is t/steps.
     """
     times = np.asarray(t, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -334,22 +425,27 @@ def duhamel_solve(rs: RootSystemSpec, field: BiInvariantField, forcing,
     padded, axes = (size,) * grid.rank, tuple(range(grid.rank))
     rho_sq = float(rs.rho @ rs.rho)
     free = _free_constant(grid.rank) * grid.cell_volume()
-    kernels: dict[float, np.ndarray] = {}
+    nodes = [np.linspace(0.0, tk, steps + 1).tolist() for tk in times]
+    taus = {(n, grid.spacing, tk - s)
+            for tk, row in zip(times, nodes) for s in row if s != tk}
+    kernels = {key: _last_kernels[key] for key in taus & _last_kernels.keys()}
+    _last_kernels.clear()
 
     def evolved(spec: np.ndarray, y_sup: float, tau: float,
                 w: complex) -> np.ndarray:
         """w·S(τ) of a padded sample spectrum, after the chirp guard."""
-        _fixed_chirp_guard(grid, y_sup, tau)
-        if tau not in kernels:   # the plan's onto ξ = x/2τ, sign -1
+        _fixed_chirp_guard(grid, y_sup, tau,
+                           "refine the grid or take fewer steps")
+        key = (n, grid.spacing, tau)
+        if key not in kernels:   # the plan's onto ξ = x/2τ, sign -1
             half_w = -0.5 * (grid.spacing / (2.0 * tau)) * grid.spacing
-            kernels[tau] = _chirp_z_kernel(n, n, half_w, 0)
+            kernels[key] = _chirp_z_kernel(n, n, half_w, 0)
         coef = w * free * tau ** (-grid.rank / 2.0) * np.exp(-1j * tau * rho_sq)
-        return _times_axes(spec, kernels[tau], coef)
+        return _times_axes(spec, kernels[key], coef)
 
     g = conjugated_with(field, phi)
     g_sup = support_radius(g, grid)
     g_spec = np.fft.fftn(g, s=padded, axes=axes)
-    nodes = [np.linspace(0.0, tk, steps + 1).tolist() for tk in times]
     pending = Counter(s for row in nodes for s in row)
     samples: dict[float, tuple[np.ndarray, float, np.ndarray]] = {}
     results = []
@@ -371,6 +467,7 @@ def duhamel_solve(rs: RootSystemSpec, field: BiInvariantField, forcing,
         out = BiInvariantField(grid, total, Representation.CONJUGATED)
         results.append(PropagationResult(out, tk, Method.CLOSED_FORM,
                                          GridMode.FIXED))
+    _last_kernels.update(kernels)
     return results
 
 

@@ -46,8 +46,9 @@ import numpy as np
 
 from .errors import (ChamberWallEvaluation, GridTooSmall,
                      SingularSpectralParameter)
-from .grids import (BiInvariantField, RadialGrid, Representation,
-                    SpectralField, fourier_at, l2_norm, require_tail)
+from .grids import (TAIL_TOL, BiInvariantField, RadialGrid, Representation,
+                    SpectralField, check_tail, fourier_at, l2_norm,
+                    require_tail)
 from .rootsystem import RootSystemSpec
 
 WALL_RTOL = 1e-8          # |φ| below this fraction of its scale e^m is wall
@@ -236,6 +237,16 @@ def conjugated_values(rs: RootSystemSpec, field: BiInvariantField) -> np.ndarray
     return field.values * denominator_on_grid(rs, field.grid)
 
 
+def conjugated(rs: RootSystemSpec, field: BiInvariantField) -> BiInvariantField:
+    """The field as g = u·φ, CONJUGATED: itself if it already is. Only this
+    form keeps its resolution (see BiInvariantField), so a caller that uses
+    one profile several times conjugates it once and passes this on."""
+    if field.representation is Representation.CONJUGATED:
+        return field
+    return field.with_values(conjugated_values(rs, field),
+                             Representation.CONJUGATED)
+
+
 def conjugated_with(field: BiInvariantField, phi: np.ndarray) -> np.ndarray:
     """conjugated_values with φ = denominator_on_grid(rs, field.grid) given,
     so that many fields on one grid share one φ."""
@@ -251,14 +262,14 @@ def spectral_input(rs: RootSystemSpec, field: BiInvariantField,
     """g = f·φ, checked for a sum onto `spectral_grid`: h·λ_max ≤ π."""
     if spectral_grid.rank != rs.rank:
         raise GridTooSmall("spectral grid rank does not match root system")
-    g = conjugated_values(rs, field)
-    require_tail(g, what="conjugated profile")
+    g = conjugated(rs, field)
+    check_tail(g.tail, TAIL_TOL, "conjugated profile")
     h, lam_max = field.grid.spacing, spectral_grid.half_width
     if h * lam_max > np.pi:
         raise GridTooSmall(
             f"space grid spacing {h:.3g} cannot resolve "
             f"e^(-i lambda H) up to |lambda| = {lam_max:.3g} per axis")
-    return g
+    return g.values
 
 
 def spherical_transform(rs: RootSystemSpec, field: BiInvariantField,
@@ -325,12 +336,16 @@ def roundtrip_error(rs: RootSystemSpec, field: BiInvariantField,
     """Relative L²(φ²dH) error of inverse(transform(f)) against f.
 
     Evaluated on conjugated profiles, which is the identical integral
-    ∫|u-f|²φ²dH = ∫|uφ-fφ|²dH without dividing at wall nodes.
+    ∫|u-f|²φ²dH = ∫|uφ-fφ|²dH without dividing at wall nodes. Where f·φ
+    is 0 at every node the error is absolute, and it is 0: both passes
+    are linear, so zero data comes back exactly.
     """
-    g = conjugated_values(rs, field)
-    spec = spherical_transform(rs, field, spectral_grid)
+    g = conjugated(rs, field)
+    spec = spherical_transform(rs, g, spectral_grid)
     uphi = synthesize_conjugated(rs, spec, [field.grid.axis] * rs.rank)
-    return l2_norm(uphi - g, field.grid) / l2_norm(g, field.grid)
+    err = l2_norm(uphi - g.values, field.grid)
+    norm = l2_norm(g.values, field.grid)
+    return err / norm if norm else err
 
 
 # --- radial Laplacian -------------------------------------------------------------

@@ -1,9 +1,15 @@
 """Acceptance gate: every criterion at its stated tolerance, one
 pass/fail line per criterion (run pytest with -s to see them all)."""
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
+
+import lsg
 
 from lsg.acceptance import (CRITERIA, PROFILES, AcceptanceRow, core_rows,
                             criterion_eigen_relation, serialize_rows)
@@ -67,3 +73,24 @@ def test_eigen_relation_passes_for_every_seed(seed):
     # floor ε/h² gave coarse/fine ratios of 2.1-3.3 at seeds 1, 4, 5, 10
     row = criterion_eigen_relation(PROFILES["full"], seed)
     assert row.passed, row.details
+
+
+_CRITERION_4 = ("from lsg.acceptance import PROFILES, "
+                "criterion_propagator_equivalence, serialize_rows; "
+                "print(serialize_rows([criterion_propagator_equivalence("
+                "PROFILES['full'], 42)]), end='')")
+
+
+def test_criterion_4_rows_do_not_depend_on_the_blas_thread_count():
+    """The constant fit's sums are numpy's pairwise reductions; OpenBLAS's
+    zdotc (np.vdot) summed in an order that depended on its threads."""
+    rows = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(lsg.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", _CRITERION_4], env=env,
+                              capture_output=True, text=True, check=True)
+        rows.append(proc.stdout)
+    assert rows[0] == rows[1]
+    assert '"passed":true' in rows[0]

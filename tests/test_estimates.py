@@ -1,9 +1,11 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from lsg.errors import InsufficientTimes, InvalidTime, UnsupportedExponent
+from lsg.errors import (InsufficientTimes, InvalidTime, UnsupportedExponent,
+                        ZeroData)
 from lsg.estimates import (decay_exponent_fit, strichartz_inhomogeneous_check,
                            strichartz_norm, strichartz_pair, weighted_norm)
 from lsg.grids import (BiInvariantField, GridMode, RadialGrid, Representation,
@@ -102,6 +104,32 @@ def test_strichartz_pairs_exact():
         # admissibility: 2/q = l(1/p' ... ) reduces to q = 2(l+2)/l
         assert q == Fraction(2 * (rank + 2), rank)
         assert p == Fraction(2 * (rank + 2), rank + 4)
+
+
+def _zero_field(grid):
+    return BiInvariantField(grid, np.zeros(grid.shape, dtype=complex),
+                            Representation.PLAIN)
+
+
+def test_decay_fit_of_zero_data_raises_zero_data(a1, a1_grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ZeroData):
+            decay_exponent_fit(a1, _zero_field(a1_grid), 1.0,
+                               list(np.geomspace(1.0, 10.0, 5)))
+
+
+def test_inhomogeneous_check_of_zero_data_raises_zero_data(a1):
+    grid = RadialGrid(1, 8.0, 256)
+    zero = _zero_field(grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ZeroData):
+            strichartz_inhomogeneous_check(a1, zero, lambda s: zero, 4.0)
+        # zero data with a nonzero forcing is an ordinary case
+        out = strichartz_inhomogeneous_check(
+            a1, zero, lambda s: gaussian_profile(grid, 1.0), 4.0)
+    assert out["mass"] == 0.0 and 0.0 < out["ratio"] < np.inf
 
 
 def test_strichartz_zero_data(a1, a1_grid):

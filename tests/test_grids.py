@@ -297,6 +297,32 @@ def _residual_by_node_lookup(values, grid, matrices, signs, odd):
 
 
 @pytest.mark.parametrize("name,n,box", [("A1", 64, 8.0), ("A2", 48, 7.0),
+                                        ("B2", 48, 7.0), ("A1xA1", 32, 6.0)])
+def test_lattice_maps_leave_out_the_identity(name, n, box):
+    """The identity's residual is exactly 0, so the maps skip it, and the
+    residual is the same to the bit as with the identity's map put back."""
+    rs = build_root_system(name)
+    grid = RadialGrid(rs.rank, box, n)
+    maps = _weyl_lattice_maps(grid, rs.weyl_matrices(), rs.weyl_signs())
+    same = tuple(np.meshgrid(*([np.arange(n)] * rs.rank), indexing="ij"))
+    assert maps
+    assert not any(all(np.array_equal(a, b) for a, b in zip(src, same))
+                   for _, src, _ in maps)
+    identity = (1.0, same, np.ones(grid.shape, dtype=bool))
+    rng = np.random.default_rng(7)
+    plain = BiInvariantField(grid, np.exp(-grid.radius_sq()).astype(complex),
+                             Representation.PLAIN)
+    fields = [plain.values, conjugated_values(rs, plain),
+              rng.standard_normal(grid.shape)
+              + 1j * rng.standard_normal(grid.shape),
+              np.zeros(grid.shape)]
+    for values in fields:
+        for odd in (False, True):
+            assert (_mapped_residual(values, maps, odd)
+                    == _mapped_residual(values, [identity] + maps, odd))
+
+
+@pytest.mark.parametrize("name,n,box", [("A1", 64, 8.0), ("A2", 48, 7.0),
                                         ("B2", 48, 7.0), ("G2", 48, 7.0),
                                         ("A1xA1", 32, 6.0)])
 def test_weyl_symmetry_residual_prebuilt_maps_match_fresh(name, n, box):
@@ -304,7 +330,7 @@ def test_weyl_symmetry_residual_prebuilt_maps_match_fresh(name, n, box):
     grid = RadialGrid(rs.rank, box, n)
     mats, signs = rs.weyl_matrices(), rs.weyl_signs()
     maps = _weyl_lattice_maps(grid, mats, signs)
-    assert len(maps) >= 2           # identity and a nontrivial element
+    assert len(maps) >= 1           # a nontrivial element (no identity)
     rsq = grid.radius_sq()
     even = np.exp(-rsq).astype(complex)
     odd = conjugated_values(

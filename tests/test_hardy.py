@@ -70,6 +70,23 @@ def test_fit_scale_equivariance(scale):
     assert e1.amplitude == pytest.approx(scale * e0.amplitude, rel=1e-10)
 
 
+def test_fit_line_matches_polyfit():
+    """The centred closed-form least squares is polyfit's line, to rounding."""
+    grid = RadialGrid(1, 12.0, 2048)
+    rng = np.random.default_rng(3)
+    x = grid.axis
+    for values in (2.0 * np.exp(-0.7 * x**2),
+                   np.exp(-0.3 * x**2) * (1.0 + 0.1 * np.cos(5.0 * x)),
+                   np.exp(-np.abs(x)) * rng.uniform(0.5, 1.5, x.size)):
+        fit = fit_envelope_report(magnitude_field(grid, values))
+        mag = np.abs(values)
+        sel = (mag >= 1e-10 * mag.max()) & (mag <= 1e-2 * mag.max())
+        slope, intercept = np.polyfit(x[sel]**2, np.log(mag[sel]), 1)
+        assert fit.envelope.rate == pytest.approx(-slope, rel=1e-12)
+        assert fit.envelope.amplitude == pytest.approx(np.exp(intercept),
+                                                       rel=1e-10)
+
+
 # --- products and classification ---------------------------------------------
 
 def test_hardy_product_examples():

@@ -345,7 +345,7 @@ def test_fixed_evolution_on_the_reach_box_is_exact():
     reach_box with N nodes keeps the exact u·φ, tail included. Cases that
     break the support-sum rule L_out + y_sup + 2t·ξ_sup ≤ 4πt/h alias in
     the trapezoid sum, which no box mends; they are counted, not run."""
-    from lsg.propagator import _xi_sup
+    from lsg.grids import _xi_sup
     ran = skipped = 0
     worst_tail = worst_err = 0.0
     for name, n, box in _REACH_SYSTEMS:
@@ -524,7 +524,7 @@ def oracle_fitted_constant(rs, t=1.0):
     n, box = _FIT_GRIDS[rs.rank]
     f = gaussian_profile(RadialGrid(rs.rank, box, n), 1.0)
     g = conjugated_values(rs, f)
-    out, core = _chirp_sandwich(g, f.grid, t, GridMode.FIXED, None, 1.0)
+    out, core = _chirp_sandwich(g, f.grid, t, None, 1.0)
     unnormalized = np.exp(-1j * t * float(rs.rho @ rs.rho)) * core
     target = group_propagate_spectral(rs, f, t, out_grid=out).field.values
     const = complex(np.vdot(unnormalized, target)
@@ -801,7 +801,9 @@ def test_duhamel_chirp_guard_raises_where_per_propagation_does(a1, times):
     else:
         with pytest.raises(GridTooSmall) as err:
             duhamel_solve(a1, f, forcing, times, steps=8)
-        assert str(err.value) == expected
+        # the same refusal, with the solver's own remedy: it has no mode
+        assert str(err.value) == expected.replace(
+            "use SCALED mode or refine", "refine the grid or take fewer steps")
 
 
 def test_duhamel_builds_phi_and_lattice_maps_once(a1, monkeypatch):
@@ -860,3 +862,173 @@ def test_duhamel_step_validation(a1):
     for bad in (1.0, [], [[1.0, 2.0]]):
         with pytest.raises(ValueError):
             duhamel_solve(a1, f, lambda s: f, bad, steps=8)
+
+
+# --- the resolution record: one field, measured once -------------------------------
+
+_RECORD_CASES = [("A1", 256, 10.0), ("A2", 64, 8.0), ("G2", 64, 8.0),
+                 ("A1xA1", 64, 8.0), ("euclid:2", 64, 8.0)]
+
+
+def _fresh(field):
+    """A copy of a CONJUGATED field that has measured nothing yet."""
+    return BiInvariantField(field.grid, field.values.copy(),
+                            Representation.CONJUGATED)
+
+
+@pytest.mark.parametrize("name,n,box", _RECORD_CASES)
+def test_a_resolved_field_propagates_as_a_fresh_copy_does(name, n, box):
+    """One conjugated field taken to many times, boxes and oracle grids
+    gives, bit for bit, what a fresh copy gives at each: SCALED on both
+    sides of h·y_sup/t = π, FIXED on the reach box, the spectral grid."""
+    from lsg.spherical import conjugated
+    rs = build_root_system(name)
+    grid = RadialGrid(rs.rank, box, n)
+    plain = gaussian_profile(grid, 1.0, 0.2)
+    g = conjugated(rs, plain)
+    edge = grid.spacing * g.y_sup
+    # the multiplier at k > 1, the sandwich (on the dual grid) below
+    for k in (3.0, 1.5, 0.7, 0.2):
+        t = edge / (np.pi * k)
+        kept = group_propagate_closed_form(rs, g, t).field
+        assert (kept.grid == grid.dual().scaled(2.0 * t)) == (k < 1.0)
+        for other in (_fresh(g), plain):
+            again = group_propagate_closed_form(rs, other, t).field
+            assert kept.grid == again.grid
+            assert np.array_equal(kept.values, again.values)
+    for t in (edge / np.pi, 0.5, 2.0):
+        box_t = reach_box(rs, g, t)
+        assert box_t == reach_box(rs, _fresh(g), t)
+        out = RadialGrid(rs.rank, box_t, n)
+        kept = group_propagate_closed_form(rs, g, t, GridMode.FIXED, out)
+        again = group_propagate_closed_form(rs, _fresh(g), t,
+                                            GridMode.FIXED, out)
+        assert np.array_equal(kept.field.values, again.field.values)
+        assert (suggest_spectral_grid(rs, g, t, out)
+                == suggest_spectral_grid(rs, _fresh(g), t, out))
+    assert set(g.__dict__["_record"]) == {"tail", "y_sup", "xi_sup"}
+    assert "_record" not in plain.__dict__
+
+
+def test_only_a_conjugated_field_keeps_a_resolution(a1, a1_grid):
+    plain = gaussian_profile(a1_grid, 1.0)
+    with pytest.raises(ValueError, match="CONJUGATED"):
+        plain.y_sup
+    group_propagate_closed_form(a1, plain, 0.5)
+    reach_box(a1, plain, 0.5)
+    assert "_record" not in plain.__dict__
+
+
+@pytest.mark.parametrize("name,n,box", [("A1", 256, 10.0), ("A2", 64, 8.0)])
+def test_scaled_evolutions_match_single_propagations(name, n, box,
+                                                     monkeypatch):
+    """The one-pass series, with stacks of a few times and spectra shared
+    between times of one padding, equals one closed-form call per time."""
+    from lsg import propagator
+    from lsg.spherical import conjugated
+    rs = build_root_system(name)
+    g = conjugated(rs, gaussian_profile(RadialGrid(rs.rank, box, n), 1.0))
+    edge = g.grid.spacing * g.y_sup
+    times = sorted({edge / (np.pi * k) for k in (8.0, 4.0, 2.0, 1.2)}
+                   | {edge / np.pi * (1 + 1e-9)} | {0.3, 0.7, 1.1, 3.0, 9.0})
+    monkeypatch.setattr(propagator, "_STACK_VALUES", 3 * g.values.size)
+    seen = []
+    for t, out, vals in propagator._scaled_evolutions(rs, g, times):
+        single = group_propagate_closed_form(rs, _fresh(g), t).field
+        assert out == single.grid
+        assert np.array_equal(vals, single.values)
+        seen.append(t)
+    assert sorted(seen) == times
+
+
+def _count_fftn(monkeypatch):
+    calls = []
+    real = np.fft.fftn
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(np.fft, "fftn", counted)
+    return calls
+
+
+def test_plain_input_runs_no_more_ffts_than_before(a1, monkeypatch):
+    """Per call on PLAIN data: the sandwich and the unpadded multiplier one
+    fftn (the multiplier reads ξ_sup off the spectrum it then evolves),
+    the padded multiplier two, FIXED none, reach_box, the oracle grid and
+    the oracle one each. A kept ξ_sup saves the padded multiplier's first."""
+    from lsg.spherical import conjugated
+    wide = gaussian_profile(RadialGrid(1, 12.0, 512), 1.0)
+    tight = gaussian_profile(RadialGrid(1, 6.0, 256), 1.0)
+    calls = _count_fftn(monkeypatch)
+
+    def count(run):
+        calls.clear()
+        result = run()
+        return len(calls), result
+
+    n, out = count(lambda: group_propagate_closed_form(a1, wide, 2.0))
+    assert n == 1
+    n, out = count(lambda: group_propagate_closed_form(a1, wide, 0.01))
+    assert n == 1 and out.field.grid == wide.grid
+    n, out = count(lambda: group_propagate_closed_form(a1, tight, 0.05))
+    assert n == 2 and out.field.grid.half_width > tight.grid.half_width
+    assert count(lambda: group_propagate_closed_form(
+        a1, wide, 2.0, GridMode.FIXED))[0] == 0
+    assert count(lambda: reach_box(a1, wide, 1.0))[0] == 1
+    assert count(lambda: suggest_spectral_grid(a1, wide, 1.0))[0] == 1
+    assert count(lambda: group_propagate_spectral(a1, wide, 1.0))[0] == 1
+    g = conjugated(a1, tight)
+    assert count(lambda: group_propagate_closed_form(a1, g, 0.05))[0] == 2
+    assert count(lambda: group_propagate_closed_form(a1, g, 0.05))[0] == 1
+
+
+def test_duhamel_builds_criterion_9s_kernels_once(monkeypatch):
+    """Criterion 9's 20 solves share one grid and one set of τ: 20 kernel
+    spectra in all, where building them per call took 400."""
+    from lsg import acceptance
+    from lsg import propagator as prop
+    built = []
+    real = prop._chirp_z_kernel
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+    monkeypatch.setattr(prop, "_chirp_z_kernel", counted)
+    monkeypatch.setattr(prop, "_last_kernels", {})
+    params = dict(acceptance.PROFILES["full"])
+    params["strichartz"] = dict(params["strichartz"], a1=None, a2=None)
+    row = acceptance.criterion_strichartz(params, 42)
+    assert row.passed
+    assert len(built) == 20
+    assert len(prop._last_kernels) == 20
+
+
+def test_duhamel_keeps_only_its_last_calls_kernels(a1, monkeypatch):
+    from lsg import propagator as prop
+    monkeypatch.setattr(prop, "_last_kernels", {})
+
+    def keys(grid, times, steps=8):
+        return {(grid.points_per_axis, grid.spacing, t - s)
+                for t in times for s in np.linspace(0.0, t, steps + 1).tolist()
+                if s != t}
+
+    coarse, fine = RadialGrid(1, 8.0, 256), RadialGrid(1, 8.0, 512)
+    for grid, times in ((coarse, [1.0, 2.0]), (fine, [1.0, 2.0]),
+                        (fine, [1.5]), (fine, [1.5, 3.0])):
+        f = gaussian_profile(grid, 1.0)
+        before = dict(prop._last_kernels)
+        duhamel_solve(a1, f, lambda s, f=f: f, times, steps=8)
+        assert set(prop._last_kernels) == keys(grid, times)
+        for key, kernel in before.items():      # shared ones are reused
+            if key in prop._last_kernels:
+                assert prop._last_kernels[key] is kernel
+
+
+def test_duhamel_refusal_names_its_own_remedies(a1):
+    grid = RadialGrid(1, 16.0, 256)
+    f = gaussian_profile(grid, 4.0)
+    with pytest.raises(GridTooSmall, match="refine the grid or take fewer "
+                       "steps$") as err:
+        duhamel_solve(a1, f, _widening_forcing(grid), [0.1], steps=8)
+    assert "SCALED" not in str(err.value)

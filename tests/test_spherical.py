@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,19 @@ def test_inverse_of_zero(a1, a1_grid):
     spec = SpectralField(sgrid, np.zeros(sgrid.shape, dtype=complex))
     out = inverse_spherical_transform(a1, spec, a1_grid)
     assert np.nanmax(np.abs(out.values)) == 0.0
+
+
+def test_roundtrip_of_zero_data_is_exact(a1, a2):
+    """Both passes are linear: zero data comes back as 0, error 0."""
+    for rs, grid, sgrid in ((a1, RadialGrid(1, 12.0, 256),
+                             RadialGrid(1, 16.0, 384)),
+                            (a2, RadialGrid(2, 8.0, 64),
+                             RadialGrid(2, 6.0, 48))):
+        zero = BiInvariantField(grid, np.zeros(grid.shape, dtype=complex),
+                                Representation.PLAIN)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert roundtrip_error(rs, zero, sgrid) == 0.0
 
 
 @pytest.mark.parametrize("rate", [0.5, 1.0, 2.0])
