@@ -19,10 +19,9 @@ import numpy as np
 
 from .errors import (InsufficientTimes, InvalidTime, UnsupportedExponent,
                      ZeroData)
-from .grids import (BiInvariantField, GridMode, Representation, lq_norm,
-                    lq_power, simpson_weights)
-from .propagator import (_scaled_evolutions, duhamel_solve,
-                         group_propagate_closed_form)
+from .grids import (BiInvariantField, Representation, lq_norm, lq_power,
+                    simpson_weights)
+from .propagator import _scaled_evolutions, duhamel_solve
 from .rootsystem import RootSystemSpec
 from .spherical import (conjugated, conjugated_values, conjugated_with,
                         denominator_on_grid)
@@ -65,10 +64,12 @@ def decay_exponent_fit(rs: RootSystemSpec, field: BiInvariantField, p: float,
     """Fitted log-log slope of the weighted norm against the target -l(1/p - 1/2).
 
     Needs at least five times spanning a decade, all in the asymptotic
-    regime (t ≥ 1 by default convention). Returns (slope, target, reports).
-    The data is conjugated once, so no time rebuilds φ or remeasures the
-    data (see BiInvariantField). ZeroData where a norm is 0 (zero data),
-    whose logarithm the fit cannot take.
+    regime (t ≥ 1 by default convention). Returns (slope, target, reports),
+    the reports in order of t. The data is conjugated once and evolved to
+    every time in one pass (`_scaled_evolutions`, as in `strichartz_norm`),
+    so no time rebuilds φ or remeasures the data (see BiInvariantField).
+    ZeroData where a norm is 0 (zero data), whose logarithm the fit cannot
+    take.
     """
     times = sorted(float(t) for t in times)
     if len(times) < 5 or times[-1] < 10.0 * times[0]:
@@ -76,12 +77,12 @@ def decay_exponent_fit(rs: RootSystemSpec, field: BiInvariantField, p: float,
             "need >= 5 times spanning at least one decade")
     if not 1 <= p <= 2:
         raise UnsupportedExponent(f"decay estimate covers 1 <= p <= 2, got {p}")
+    if not all(0 < t < math.inf for t in times):
+        raise InvalidTime(f"decay fit needs 0 < t < inf, got {times}")
     q = conjugate_exponent(p)
-    g = conjugated(rs, field)
-    reports = []
-    for t in times:
-        result = group_propagate_closed_form(rs, g, t, mode=GridMode.SCALED)
-        reports.append(NormReport(t, weighted_norm(rs, result.field, q)))
+    reports = sorted((NormReport(t, lq_norm(vals, grid, q)) for t, grid, vals
+                      in _scaled_evolutions(rs, conjugated(rs, field), times)),
+                     key=lambda r: r.t)
     if not all(r.weighted_norm > 0 for r in reports):
         raise ZeroData("decay fit needs nonzero norms; the data is zero")
     slope = float(np.polyfit(np.log([r.t for r in reports]),
@@ -104,12 +105,13 @@ def strichartz_norm(rs: RootSystemSpec, field: BiInvariantField, t_max: float,
     """Homogeneous space-time norm (∫₀ᵀ ‖uφ(t)‖_q^q dt)^{1/q} per refinement.
 
     Time quadrature: dyadic subintervals toward t = 0 (the integrand turns
-    over from ‖gφ...‖ to the decay regime there), composite Simpson with
-    2^{r+1} panels per subinterval at refinement level r. The initial data
-    is normalized to unit L²(G) mass first. The returned sequence must
-    stabilize; the caller checks Cauchy agreement of the last two levels
-    (ValueError unless refinements ≥ 2 and dyadic_levels ≥ 1, integers;
-    InvalidTime unless 0 < t_max < inf).
+    over from ‖gφ...‖ to the decay regime there), the first of them
+    [0, t_max/2^dyadic_levels]; composite Simpson with 2^{r+1} panels per
+    subinterval at refinement level r, so the whole of [0, t_max] refines
+    with r. The initial data is normalized to unit L²(G) mass first. The
+    returned sequence must stabilize; the caller checks Cauchy agreement of
+    the last two levels (ValueError unless refinements ≥ 2 and
+    dyadic_levels ≥ 1, integers; InvalidTime unless 0 < t_max < inf).
 
     φ is built once per call, for the mass and the unit-mass data. The
     integrand is evaluated at the rules' distinct nodes in one pass, which
@@ -132,19 +134,15 @@ def strichartz_norm(rs: RootSystemSpec, field: BiInvariantField, t_max: float,
         conjugated_with(field.with_values(field.values / mass), phi),
         Representation.CONJUGATED)
 
-    edges = [t_max / 2.0**j for j in range(dyadic_levels + 1)][::-1]
-    # Simpson with 2^{r+1} panels on each dyadic interval, per level r
+    edges = [0.0] + [t_max / 2.0**j for j in range(dyadic_levels + 1)][::-1]
+    # Simpson with 2^{r+1} panels on each interval, per level r
     levels = [[(a, b, np.linspace(a, b, 2 ** (r + 1) + 1).tolist())
                for a, b in zip(edges[:-1], edges[1:])]
               for r in range(refinements)]
-    # below the finest dyadic scale the integrand is at its t->0 plateau,
-    # so one fixed trapezoid closes that head at every refinement level
-    t_head = edges[0]
-    nodes = {t_head}.union(*(xs for level in levels for _, _, xs in level))
+    nodes = set().union(*(xs for level in levels for _, _, xs in level))
     power = {0.0: lq_power(g / mass, field.grid, q)}
     power.update((t, lq_power(vals, grid, q)) for t, grid, vals
                  in _scaled_evolutions(rs, unit, sorted(nodes - {0.0})))
-    head = 0.5 * t_head * (power[0.0] + power[t_head])
 
     def simpson(a: float, b: float, xs: list[float]) -> float:
         panels = len(xs) - 1
@@ -152,7 +150,7 @@ def strichartz_norm(rs: RootSystemSpec, field: BiInvariantField, t_max: float,
         return float((b - a) / panels / 3.0
                      * (simpson_weights(panels) * ys).sum())
 
-    return [(head + sum(simpson(*rule) for rule in level)) ** (1.0 / q)
+    return [sum(simpson(*rule) for rule in level) ** (1.0 / q)
             for level in levels]
 
 

@@ -8,7 +8,9 @@ boundary: spacing^rank times a pairwise sum.
 Two transform paths share one convention  F(xi) = h^l * sum_k e^{sign*i<xi,x_k>} v_k:
 
 * `fourier_native`  - FFT, sign -1, output on the dual grid
-                      xi_j = (j - N/2)*2pi/(N h)
+                      xi_j = (j - N/2)*2pi/(N h); no library path calls it:
+                      the tests hold the SCALED sandwich's dual-grid sum to
+                      it, and the benchmark's tracer wraps it
 * `fourier_at`      - chirp-z (Bluestein), either sign, any uniform output
                       axis per axis, O((N+M) log(N+M)) per axis for M
                       output nodes
@@ -80,18 +82,11 @@ class RadialGrid:
         """1-D node coordinates (shared by every axis)."""
         return -self.half_width + self.spacing * np.arange(self.points_per_axis)
 
-    def meshes(self) -> list[np.ndarray]:
-        return list(np.meshgrid(*([self.axis] * self.rank), indexing="ij"))
-
     def broadcast_axes(self) -> list[np.ndarray]:
         """The axis once per dimension, the d-th shaped to vary along axis
         d only; sums and products of them broadcast to the grid's shape."""
         return [self.axis.reshape((-1,) + (1,) * (self.rank - 1 - d))
                 for d in range(self.rank)]
-
-    def nodes(self) -> np.ndarray:
-        """All nodes as an (N^rank, rank) array, C-ordered."""
-        return np.stack([m.ravel() for m in self.meshes()], axis=-1)
 
     def radius_sq(self) -> np.ndarray:
         """|x|^2 at every node, shape = self.shape."""
@@ -470,7 +465,9 @@ def _weyl_lattice_maps(grid: RadialGrid, matrices: np.ndarray,
 
 
 def _mapped_residual(values: np.ndarray, maps, odd: bool) -> float:
-    """weyl_symmetry_residual on maps built by `_weyl_lattice_maps`."""
+    """Max |v(sH) - (det s)^k v(H)| relative to max |v|, over the maps
+    built by `_weyl_lattice_maps`: k = 1 for antisymmetric (odd=True)
+    fields, 0 for invariant ones."""
     scale = np.abs(values).max()
     if scale == 0:
         return 0.0
@@ -483,15 +480,3 @@ def _mapped_residual(values: np.ndarray, maps, odd: bool) -> float:
             worst = max(worst, float(diff.max() / scale))
     return worst
 
-
-def weyl_symmetry_residual(values: np.ndarray, grid: RadialGrid,
-                           matrices: np.ndarray, signs: np.ndarray,
-                           odd: bool) -> float:
-    """Max |v(sH) - (det s)^k v(H)| over lattice-compatible Weyl elements.
-
-    k = 1 for antisymmetric (odd=True) fields, 0 for invariant ones.
-    Elements whose matrices move nodes off the lattice are skipped (see
-    `_weyl_lattice_maps`).
-    """
-    return _mapped_residual(
-        values, _weyl_lattice_maps(grid, matrices, signs), odd)

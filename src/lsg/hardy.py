@@ -49,9 +49,9 @@ class GaussianEnvelope:
     rate: float
 
     def __post_init__(self):
-        if self.amplitude <= 0 or self.rate <= 0:
+        if not (0 < self.amplitude < math.inf and 0 < self.rate < math.inf):
             raise NotGaussianDecay(
-                f"envelope needs positive amplitude and rate, got "
+                f"envelope needs finite positive amplitude and rate, got "
                 f"({self.amplitude}, {self.rate})")
 
 
@@ -110,8 +110,8 @@ def fit_envelope_report(field: BiInvariantField,
 def hardy_product(env_f: GaussianEnvelope, env_u: GaussianEnvelope, t0: float,
                   tol_crit: float = TOL_CRIT_DEFAULT) -> HardyVerdict:
     """Verdict for the evolution threshold 16·a·b·t₀² against 1."""
-    if t0 <= 0:
-        raise ValueError("t0 must be positive")
+    if not 0 < t0 < math.inf:
+        raise ValueError(f"t0 must be positive and finite, got {t0}")
     product = 16.0 * env_f.rate * env_u.rate * t0 * t0
     if abs(product - 1.0) <= tol_crit:
         verdict = Classification.CRITICAL

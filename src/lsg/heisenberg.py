@@ -189,8 +189,8 @@ def cutlocus_distance(k: int, t_param: float) -> float:
     Coincides with singularities(t, ·) of the continued integrand — the
     central observation this module exists to exhibit.
     """
-    if k < 1 or int(k) != k:
+    if not (1 <= k < np.inf and int(k) == k):
         raise ValueError("k must be a positive integer")
-    if t_param <= 0:
-        raise ValueError("t_param must be positive")
+    if not 0 < t_param < np.inf:
+        raise ValueError("t_param must be positive and finite")
     return k * np.pi / t_param

@@ -49,9 +49,6 @@ class WeylElement:
     def __post_init__(self):
         self.matrix.setflags(write=False)
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
-
 
 @dataclass(frozen=True)
 class RootSystemSpec:
@@ -244,8 +241,8 @@ def dominant_representative(
     the operation is idempotent.
     """
     h = np.asarray(h, dtype=float)
-    if h.shape != (rs.rank,):
-        raise DimensionError(f"expected vector of length {rs.rank}")
+    if h.shape != (rs.rank,) or not np.isfinite(h).all():
+        raise DimensionError(f"expected a finite vector of length {rs.rank}")
     for w in rs.weyl_group:
         image = w.matrix @ h
         if is_dominant(rs, image):

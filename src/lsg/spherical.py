@@ -137,11 +137,6 @@ def denominator_on_grid(rs: RootSystemSpec, grid: RadialGrid) -> np.ndarray:
     return weyl_denominator(rs, grid)
 
 
-def wall_mask(rs: RootSystemSpec, grid: RadialGrid) -> np.ndarray:
-    """Grid nodes on the chamber-wall band (see _scaled_denominator)."""
-    return _scaled_denominator(rs, grid)[2]
-
-
 # --- c-function ---------------------------------------------------------------
 
 def pi_product(rs: RootSystemSpec, mu) -> np.ndarray | float:

@@ -19,7 +19,8 @@ from lsg.errors import ConfigError
 from lsg.grids import RadialGrid
 from lsg.heisenberg import geodesic_coords
 from lsg.rootsystem import build_root_system
-from lsg.spherical import wall_mask
+
+from grid_helpers import grid_nodes, wall_mask
 
 PRESETS = os.path.join(os.path.dirname(cli.__file__), "presets")
 
@@ -798,7 +799,7 @@ def test_field_csv_is_byte_identical_to_row_wise(tmp_path, monkeypatch):
     path = tmp_path / "field.csv"
     cli._put_csv(str(path), header, cli._field_csv_rows(
         grid, vals.real, vals.imag, mask), blank=("re", "im"))
-    nodes = grid.nodes()
+    nodes = grid_nodes(grid)
     rows = [(*map(float, nodes[i]), vals.real.ravel()[i],
              vals.imag.ravel()[i], int(mask.ravel()[i]))
             for i in range(len(nodes))]

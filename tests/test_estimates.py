@@ -15,6 +15,8 @@ from lsg.propagator import (duhamel_solve, gaussian_profile,
 from lsg.rootsystem import build_root_system
 from lsg.spherical import conjugated_values, denominator_on_grid
 
+from grid_helpers import grid_meshes
+
 
 def test_weighted_norm_zero_field(a1, a1_grid):
     f = BiInvariantField(a1_grid, np.zeros(a1_grid.shape, dtype=complex),
@@ -42,7 +44,7 @@ def test_norm_reduction_identity(q, b2, rng):
     """Group assembly sum |u|^q |phi|^{q-2} phi^2 h^l against the conjugated
     assembly sum |u phi|^q h^l: identical up to rounding."""
     grid = RadialGrid(2, 6.0, 48)
-    x, y = grid.meshes()
+    x, y = grid_meshes(grid)
     u = (np.exp(-(x**2 + y**2)) * (np.cosh(x) + np.cosh(0.5 * y))
          * (1.0 + 0.2j))
     phi = denominator_on_grid(b2, grid)
@@ -67,25 +69,44 @@ def test_decay_fit_rank1(a1):
 
 
 def test_decay_fit_conjugates_once(a2, monkeypatch):
+    """φ is built once, and one `_scaled_evolutions` call takes the
+    conjugated data to every time, multiplier and sandwich times alike;
+    the reports come back in order of t."""
+    import lsg.estimates as estimates
     import lsg.spherical as spherical
     grid = RadialGrid(2, 8.0, 48)
     f = gaussian_profile(grid, 1.0)
-    times = list(np.geomspace(1.0, 10.0, 5))
+    times = [10.0, 0.1, 3.0, 0.3, 1.0]
     q = np.inf
     per_time = [weighted_norm(a2, group_propagate_closed_form(
-        a2, f, t, GridMode.SCALED).field, q) for t in times]
-    calls = []
+        a2, f, t, GridMode.SCALED).field, q) for t in sorted(times)]
+    calls, passes = [], []
     real = spherical.denominator_on_grid
+    real_pass = estimates._scaled_evolutions
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
+    def one_pass(rs, field, ts):
+        passes.append(list(ts))
+        return real_pass(rs, field, ts)
+
     monkeypatch.setattr(spherical, "denominator_on_grid", counted)
+    monkeypatch.setattr(estimates, "_scaled_evolutions", one_pass)
     _, _, reports = decay_exponent_fit(a2, f, 1.0, times)
     assert len(calls) == 1
+    assert passes == [sorted(times)]
+    assert [r.t for r in reports] == sorted(times)
     # propagating the CONJUGATED field reads the same bits per time
     assert [r.weighted_norm for r in reports] == per_time
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+def test_decay_fit_refuses_a_time_outside_zero_to_inf(a1, a1_grid, bad):
+    f = gaussian_profile(a1_grid, 1.0)
+    with pytest.raises(InvalidTime):
+        decay_exponent_fit(a1, f, 1.0, [1.0, 2.0, 5.0, 10.0, 20.0, bad])
 
 
 def test_decay_fit_needs_decade(a1, a1_grid):
@@ -169,8 +190,7 @@ def _strichartz_norm_conjugating_per_propagation(rs, field, t_max,
                              * res.field.grid.cell_volume())
         return cache[t]
 
-    edges = [t_max / 2.0**j for j in range(dyadic_levels + 1)][::-1]
-    head = 0.5 * edges[0] * (integrand(0.0) + integrand(edges[0]))
+    edges = [0.0] + [t_max / 2.0**j for j in range(dyadic_levels + 1)][::-1]
 
     def simpson(a, b, panels):
         xs = np.linspace(a, b, panels + 1)
@@ -181,8 +201,8 @@ def _strichartz_norm_conjugating_per_propagation(rs, field, t_max,
 
     out = []
     for r in range(refinements):
-        total = head + sum(simpson(a, b, 2 ** (r + 1))
-                           for a, b in zip(edges[:-1], edges[1:]))
+        total = sum(simpson(a, b, 2 ** (r + 1))
+                    for a, b in zip(edges[:-1], edges[1:]))
         out.append(total ** (1.0 / q))
     return out
 
@@ -194,6 +214,16 @@ def test_strichartz_norm_equals_per_propagation_conjugation(name, n, box):
     got = strichartz_norm(rs, f, 1.0, refinements=2, dyadic_levels=4)
     ref = _strichartz_norm_conjugating_per_propagation(rs, f, 1.0, 2, 4)
     assert got == ref
+
+
+def test_strichartz_norm_head_refines_with_the_levels(a2, a2_grid):
+    """[0, t_max/2^levels] takes the same Simpson rule as every other
+    dyadic interval, so 6 and 12 dyadic levels agree to the quadrature
+    error, not to a fixed trapezoid's bias near t = 0."""
+    f = gaussian_profile(a2_grid, 1.0)
+    coarse = strichartz_norm(a2, f, 1.5, refinements=4, dyadic_levels=6)[-1]
+    fine = strichartz_norm(a2, f, 1.5, refinements=4, dyadic_levels=12)[-1]
+    assert abs(coarse - fine) <= 1e-7 * fine
 
 
 def test_inhomogeneous_scaling_invariance(a1):

@@ -4,12 +4,13 @@ import pytest
 from lsg.errors import GridTooSmall
 from lsg.grids import (BiInvariantField, GridMode, RadialGrid, Representation,
                        _chirp_z_axis, _chirp_z_plan, _mapped_residual,
-                       _uniform_step,
-                       _weyl_lattice_maps, boundary_tail, fourier_at,
-                       fourier_native, lq_norm, require_tail, simpson_weights,
-                       support_radius, weyl_symmetry_residual)
+                       _uniform_step, _weyl_lattice_maps, boundary_tail,
+                       fourier_at, fourier_native, lq_norm, require_tail,
+                       simpson_weights, support_radius)
 from lsg.rootsystem import build_root_system
 from lsg.spherical import conjugated_values
+
+from grid_helpers import grid_meshes, grid_nodes, weyl_symmetry_residual
 
 
 def test_grid_basic_properties():
@@ -17,7 +18,7 @@ def test_grid_basic_properties():
     assert g.spacing == pytest.approx(20.0 / 64)
     assert g.shape == (64, 64)
     assert 0.0 in g.axis
-    assert g.nodes().shape == (64 * 64, 2)
+    assert grid_nodes(g).shape == (64 * 64, 2)
 
 
 def test_grid_rejects_odd_or_bad_sizes():
@@ -66,7 +67,7 @@ def test_fourier_native_matches_direct(rng):
 def test_fourier_native_matches_direct_2d(rng):
     g = RadialGrid(2, 6.0, 32)
     r2 = g.radius_sq()
-    vals = np.exp(-r2) * (g.meshes()[0] + 0.2j)
+    vals = np.exp(-r2) * (grid_meshes(g)[0] + 0.2j)
     dual, fast = fourier_native(vals, g)
     direct = fourier_at(vals, g, [dual.axis, dual.axis], sign=-1)
     assert np.abs(fast - direct).max() <= 1e-11 * np.abs(direct).max()
@@ -118,7 +119,7 @@ def test_fourier_at_matches_dense_native_4096(sign):
 @pytest.mark.parametrize("sign", [-1, +1])
 def test_fourier_at_matches_dense_rank2(sign):
     g = RadialGrid(2, 9.0, 96)
-    x, y = g.meshes()
+    x, y = grid_meshes(g)
     vals = np.exp(-(x - 0.3)**2 - 0.7 * (y + 0.2)**2) * (x + 0.5j)
     for axes in ([np.linspace(-5.0, 5.0, 530)] * 2,
                  [np.linspace(-5.0, 5.0, 530), np.linspace(-3.0, 8.0, 211)]):
@@ -131,7 +132,7 @@ def test_fourier_at_matches_dense_rank2(sign):
 @pytest.mark.parametrize("sign", [-1, +1])
 def test_fourier_at_matches_dense_rank3(sign):
     g = RadialGrid(3, 7.0, 24)
-    x, y, z = g.meshes()
+    x, y, z = grid_meshes(g)
     vals = (np.exp(-(x - 0.4)**2 - 0.6 * y**2 - 1.3 * (z + 0.3)**2)
             * (1.0 + 0.4j * y - 0.2 * x * z))
     # M != N on every axis; the middle axis is off-centre, odd and longer
@@ -268,7 +269,7 @@ def test_weyl_symmetry_residual_flags_asymmetry(a1, a1_grid):
 
 def test_weyl_symmetry_residual_b2(b2):
     grid = RadialGrid(2, 6.0, 32)
-    x, y = grid.meshes()
+    x, y = grid_meshes(grid)
     env = np.exp(-(x**2 + y**2))
     invariant = env * (np.cosh(x) + np.cosh(y))
     mats, signs = b2.weyl_matrices(), b2.weyl_signs()
@@ -280,7 +281,7 @@ def _residual_by_node_lookup(values, grid, matrices, signs, odd):
     """Oracle for weyl_symmetry_residual: map every node H to sH, keep the
     elements that send all nodes onto the lattice, look v(sH) up by index."""
     n, h, half = grid.points_per_axis, grid.spacing, grid.half_width
-    nodes = grid.nodes()
+    nodes = grid_nodes(grid)
     flat = values.ravel()
     scale = np.abs(flat).max()
     worst = 0.0
@@ -335,7 +336,7 @@ def test_weyl_symmetry_residual_prebuilt_maps_match_fresh(name, n, box):
     even = np.exp(-rsq).astype(complex)
     odd = conjugated_values(
         rs, BiInvariantField(grid, even, Representation.PLAIN))
-    shifted = np.exp(-sum((m - 0.7) ** 2 for m in grid.meshes()))
+    shifted = np.exp(-sum((m - 0.7) ** 2 for m in grid_meshes(grid)))
     residuals = {}
     for label, v in (("even", even), ("odd", odd), ("shifted", shifted)):
         for parity in (False, True):

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lsg.errors import InsufficientDecaySamples, NotGaussianDecay
+from lsg.errors import (DimensionError, InsufficientDecaySamples,
+                        NotGaussianDecay)
 from lsg.grids import BiInvariantField, GridMode, RadialGrid, Representation
 from lsg.hardy import (Classification, GaussianEnvelope, fit_envelope_report,
                        hardy_product, uniqueness_experiment)
+from lsg.heisenberg import cutlocus_distance
 from lsg.propagator import gaussian_profile
-from lsg.rootsystem import build_root_system
+from lsg.rootsystem import build_root_system, dominant_representative
 
 
 def magnitude_field(grid, values):
@@ -197,3 +199,33 @@ def test_euclid_product_curve_formula():
         rep = uniqueness_experiment(r1, f, t, mode=GridMode.SCALED)
         expected = 16 * a * a * t * t / (1.0 + 16 * a * a * t * t)
         assert rep.verdict.product == pytest.approx(expected, abs=1e-6)
+
+
+# --- non-finite numbers -----------------------------------------------------
+
+_UNIT = GaussianEnvelope(1.0, 1.0)
+_A2 = build_root_system("A2")
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: hardy_product(_UNIT, _UNIT, np.inf), ValueError, "t0"),
+    (lambda: hardy_product(_UNIT, _UNIT, np.nan), ValueError, "t0"),
+    (lambda: GaussianEnvelope(np.nan, 1.0), NotGaussianDecay, "finite"),
+    (lambda: GaussianEnvelope(1.0, np.inf), NotGaussianDecay, "finite"),
+    (lambda: dominant_representative(_A2, [np.nan, 1.0]), DimensionError,
+     "finite"),
+    (lambda: dominant_representative(_A2, [1.0, -np.inf]), DimensionError,
+     "finite"),
+    (lambda: cutlocus_distance(np.nan, 1.0), ValueError, "k must"),
+    (lambda: cutlocus_distance(np.inf, 1.0), ValueError, "k must"),
+    (lambda: cutlocus_distance(1, np.nan), ValueError, "t_param"),
+    (lambda: cutlocus_distance(1, np.inf), ValueError, "t_param"),
+], ids=["hardy-t0-inf", "hardy-t0-nan", "envelope-amplitude-nan",
+        "envelope-rate-inf", "dominant-nan", "dominant-inf", "cutlocus-k-nan",
+        "cutlocus-k-inf", "cutlocus-t-nan", "cutlocus-t-inf"])
+def test_entry_points_refuse_non_finite_numbers(call, error, match):
+    """Each refuses as it does an out-of-range value, not with a false
+    verdict, a NaN, an int() error or an assertion; the tier-1 warning
+    filters make any RuntimeWarning on the way an error too."""
+    with pytest.raises(error, match=match):
+        call()

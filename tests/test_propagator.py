@@ -8,8 +8,7 @@ from lsg.errors import (ForcingNotAntisymmetrizable, GridTooSmall,
 from lsg.grids import (BiInvariantField, GridMode, RadialGrid, Representation,
                        SpectralField, _chirp_z_axis, _chirp_z_plan,
                        _times_axes, _uniform_step, boundary_tail,
-                       fourier_native, l2_norm, relative_l2, support_radius,
-                       weyl_symmetry_residual)
+                       fourier_native, l2_norm, relative_l2, support_radius)
 from lsg.propagator import (_chirp, _chirp_sandwich, duhamel_solve,
                             euclidean_propagate, gaussian_profile,
                             group_propagate_closed_form,
@@ -18,6 +17,8 @@ from lsg.propagator import (_chirp, _chirp_sandwich, duhamel_solve,
 from lsg.rootsystem import build_root_system
 from lsg.spherical import (conjugated_values, denominator_on_grid,
                            spherical_transform, synthesize_conjugated)
+
+from grid_helpers import grid_nodes, weyl_symmetry_residual
 
 
 def gaussian_exact_evolution(x, a, c, t):
@@ -593,7 +594,7 @@ def _mms_pieces(rs, grid, a):
     """
     orbit = rs.orbit(rs.rho)
     signs = rs.weyl_signs()
-    nodes = grid.nodes()
+    nodes = grid_nodes(grid)
     rsq = grid.radius_sq()
     rho_sq = float(rs.rho @ rs.rho)
     gauss = np.exp(-a * rsq)

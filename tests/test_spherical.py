@@ -16,8 +16,9 @@ from lsg.spherical import (c_function, conjugated_values,
                            spherical_function, spherical_function_field,
                            spherical_numerator,
                            spherical_transform, synthesize_conjugated,
-                           to_plain, wall_mask,
-                           weyl_denominator)
+                           to_plain, weyl_denominator)
+
+from grid_helpers import grid_nodes, wall_mask
 
 RHO1 = np.sqrt(2.0) / 2.0   # A1 rho as a number
 
@@ -50,7 +51,7 @@ def test_denominator_antisymmetry(b2, rng):
     base = weyl_denominator(b2, h)
     scale = max(1.0, abs(base))
     for w in b2.weyl_group:
-        assert abs(weyl_denominator(b2, w.apply(h)) - w.sign * base) \
+        assert abs(weyl_denominator(b2, w.matrix @ h) - w.sign * base) \
             <= 1e-12 * scale * np.exp(2.0)
 
 
@@ -59,7 +60,7 @@ def test_density_nonnegative_and_invariant(a2, rng):
     d = density(a2, h)
     assert d >= 0
     for w in a2.weyl_group:
-        assert density(a2, w.apply(h)) == pytest.approx(d, rel=1e-11)
+        assert density(a2, w.matrix @ h) == pytest.approx(d, rel=1e-11)
     assert density(a2, np.zeros(2)) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -88,7 +89,7 @@ def test_plancherel_density_even_and_vanishing(a2, rng):
     lam = rng.uniform(0.2, 2.0, 2)
     base = density_at(lam)
     for w in a2.weyl_group:
-        assert density_at(w.apply(lam)) == pytest.approx(base, rel=1e-11)
+        assert density_at(w.matrix @ lam) == pytest.approx(base, rel=1e-11)
     tiny = density_at(1e-6 * lam)
     assert tiny < 1e-12 * base
 
@@ -126,9 +127,9 @@ def test_spherical_function_weyl_invariance(a2, rng):
     h = rng.uniform(0.3, 1.5, 2)
     base = spherical_function(a2, lam, h)
     for w in a2.weyl_group:
-        assert spherical_function(a2, w.apply(lam), h) == pytest.approx(
+        assert spherical_function(a2, w.matrix @ lam, h) == pytest.approx(
             base, rel=1e-10)
-        assert spherical_function(a2, lam, w.apply(h)) == pytest.approx(
+        assert spherical_function(a2, lam, w.matrix @ h) == pytest.approx(
             base, rel=1e-10)
 
 
@@ -299,7 +300,7 @@ def test_single_mode_synthesis_matches_spherical_function(a1, a1_grid):
     uphi = synthesize_conjugated(a1, spec, [a1_grid.axis])
     target = (c_function(a1, np.array([lam0]))
               * np.asarray(spherical_numerator(
-                  a1, np.array([lam0]), a1_grid.nodes())).reshape(-1))
+                  a1, np.array([lam0]), grid_nodes(a1_grid))).reshape(-1))
     # proportional: compare after scaling by the leading coefficient
     scale = np.vdot(target, uphi) / np.vdot(target, target)
     assert np.abs(uphi - scale * target).max() <= 1e-10 * np.abs(uphi).max()
@@ -434,7 +435,7 @@ def test_denominator_grid_consistency(a2, a2_grid):
 def test_wall_mask_uses_the_local_scale(g2):
     """|φ| < 1e-8·Σ_s e^{⟨sρ,H⟩} node by node, not 1e-8 of the grid max."""
     grid = RadialGrid(2, 9.0, 96)
-    nodes = grid.nodes()
+    nodes = grid_nodes(grid)
     scale = np.exp(nodes @ g2.orbit(g2.rho).T).sum(axis=-1)
     phi = np.abs(np.asarray(weyl_denominator(g2, nodes)))
     mask = wall_mask(g2, grid)
@@ -473,7 +474,7 @@ def weyl_sum_scaled(rs, nodes):
 def sum_rule_wall(rs, grid, chunk=1 << 15):
     """The sum-based chamber-wall rule |φ| < 1e-8·Σ_s e^{⟨sρ,H⟩}, node by
     node, in chunks so the N^l × |W| terms stay small."""
-    nodes = grid.nodes()
+    nodes = grid_nodes(grid)
     out = np.empty(len(nodes), dtype=bool)
     for lo in range(0, len(nodes), chunk):
         phi, scale, _ = weyl_sum_scaled(rs, nodes[lo:lo + chunk])
@@ -501,7 +502,7 @@ def test_product_denominator_matches_weyl_sum(name, normalization):
     plain = np.asarray(weyl_denominator(rs, nodes))
     assert np.all(np.abs(plain * np.exp(-top) - phi_sum) <= 1e-13 * scale)
     grid = RadialGrid(rs.rank, 3.0, 8 if rs.rank > 2 else 24)
-    phi_sum, scale, top = weyl_sum_scaled(rs, grid.nodes())
+    phi_sum, scale, top = weyl_sum_scaled(rs, grid_nodes(grid))
     on_grid = denominator_on_grid(rs, grid).ravel()
     assert np.all(np.abs(on_grid * np.exp(-top) - phi_sum) <= 1e-13 * scale)
 
@@ -552,7 +553,7 @@ def test_numerator_on_a_grid_matches_the_stacked_sum(name, n, box):
     for _ in range(3):
         lam = rng.uniform(-8.0, 8.0, rs.rank)
         got = spherical_numerator(rs, lam, grid)
-        want = np.asarray(spherical_numerator(rs, lam, grid.nodes()))
+        want = np.asarray(spherical_numerator(rs, lam, grid_nodes(grid)))
         assert got.shape == grid.shape
         assert np.abs(got - want.reshape(grid.shape)).max() <= 1e-13
 
@@ -574,7 +575,7 @@ def test_separable_pi_and_spectral_mask_match_stacked(name, n, half):
                                _root_pairings)
     rs = build_root_system(name)
     sgrid = RadialGrid(rs.rank, half, n)
-    nodes = sgrid.nodes()
+    nodes = grid_nodes(sgrid)
     separable, singular = _pi_and_spectral_wall(
         rs, _root_pairings(rs, sgrid), np.sqrt(sgrid.radius_sq()))
     stacked = np.asarray(pi_product(rs, nodes)).reshape(sgrid.shape)
@@ -591,8 +592,8 @@ def test_separable_pi_and_spectral_mask_match_stacked(name, n, half):
     fhat, singular = spectral_to_plain(rs, spec)
     assert np.array_equal(
         singular,
-        _is_spectral_singular(rs, spec.grid.nodes()).reshape(spec.grid.shape))
-    pi_vals = np.asarray(pi_product(rs, spec.grid.nodes())).reshape(
+        _is_spectral_singular(rs, grid_nodes(spec.grid)).reshape(spec.grid.shape))
+    pi_vals = np.asarray(pi_product(rs, grid_nodes(spec.grid))).reshape(
         spec.grid.shape)
     assert np.all(fhat[singular] == 0)
     assert np.allclose(fhat[~singular] * pi_vals[~singular],
