@@ -17,8 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (InsufficientTimes, InvalidTime, UnsupportedExponent,
-                     ZeroData)
+from .errors import (GridTooSmall, InsufficientTimes, InvalidTime,
+                     UnsupportedExponent, ZeroData)
 from .grids import (BiInvariantField, Representation, lq_norm, lq_power,
                     simpson_weights)
 from .propagator import _scaled_evolutions, duhamel_solve
@@ -46,9 +46,9 @@ def weighted_norm(rs: RootSystemSpec, field: BiInvariantField,
                   q: float) -> float:
     """‖u|φ|^{1-2/q}‖_{L^q(G)} = L^q(dH) norm of the conjugated profile.
 
-    q must be ≥ 2 (q = inf gives the nodewise sup).
+    q must be ≥ 2 (q = inf gives the nodewise sup; NaN is refused).
     """
-    if not np.isinf(q) and q < 2:
+    if not q >= 2:
         raise UnsupportedExponent(f"weighted norm needs q >= 2, got {q}")
     return lq_norm(conjugated_values(rs, field), field.grid, q)
 
@@ -130,6 +130,8 @@ def strichartz_norm(rs: RootSystemSpec, field: BiInvariantField, t_max: float,
     mass = lq_norm(g, field.grid, 2.0)
     if mass == 0.0:
         return [0.0] * refinements
+    if not mass < math.inf:
+        raise GridTooSmall("Strichartz data is not finite")
     unit = field.with_values(
         conjugated_with(field.with_values(field.values / mass), phi),
         Representation.CONJUGATED)

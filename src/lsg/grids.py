@@ -162,7 +162,7 @@ class BiInvariantField:
 
     @property
     def y_sup(self) -> float:
-        """g's spatial support edge, the `support_radius` of g."""
+        """g's spatial support edge, `_support_of` of |g|."""
         return self._resolution()["y_sup"]
 
     @property
@@ -260,14 +260,10 @@ def check_tail(tail: float, tol: float, what: str) -> None:
             "enlarge the box")
 
 
-def support_radius(values: np.ndarray, grid: RadialGrid) -> float:
-    """Largest node |x|_inf where |values| still exceeds 1e-12·peak, and at
-    least the grid spacing, so a support is never narrower than one cell."""
-    return _support_of(np.abs(values), grid)
-
-
 def _support_of(a: np.ndarray, grid: RadialGrid) -> float:
-    """`support_radius` of the magnitudes `a`."""
+    """Support radius of the magnitudes `a`: the largest node |x|_inf where
+    `a` still exceeds 1e-12·peak, and at least the grid spacing, so a
+    support is never narrower than one cell."""
     peak = a.max()
     if not 0 < peak < np.inf:
         return grid.spacing

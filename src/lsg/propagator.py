@@ -34,18 +34,17 @@ in one pass, sharing the multiplier's spectra and stacking the sandwich's
 FFTs.
 
 Duhamel's formula u(t) = S(t)f + i∫₀ᵗ S(t-s)ψ(s) ds needs S(τ) only on
-the input grid. There the FIXED sandwich's chirps multiply out,
-e^{i|x_j|²/4τ}·e^{-i⟨x_j,x_k⟩/2τ}·e^{i|x_k|²/4τ} = e^{i|x_j - x_k|²/4τ},
-so S(τ) convolves with the FIXED sandwich's chirp-z kernel onto the input
-axis, angles unreduced mod 2π as there. Linear, it sums each output
-time's Simpson nodes in the frequency domain (`duhamel_solve`), and it
-keeps the kernel spectra of its last call for the next one.
+the input grid, where it is the multiplier e^{-iτ(|ξ|²+|ρ|²)} on a box
+zero-padded to the reach of the data and of every forcing sample. The
+S(t - s) of one output time's Simpson nodes are powers of one step
+S(t/steps), so `duhamel_solve` sums them in Horner form on the samples'
+spectra: one FFT of the stacked samples per call, one inverse FFT per
+time, and nothing kept between calls.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -55,9 +54,9 @@ from .errors import (ForcingNotAntisymmetrizable, GridTooSmall, InvalidTime,
                      UnderResolvedPhase)
 from .grids import (TAIL_TOL, BiInvariantField, GridMode, Method,
                     RadialGrid, Representation, _chirp_z_axis,
-                    _chirp_z_kernel, _chirp_z_plan, _fast_fft_length,
-                    _mapped_residual, _times_axes, _weyl_lattice_maps,
-                    check_tail, fourier_at, simpson_weights, support_radius)
+                    _chirp_z_plan, _fast_fft_length, _mapped_residual,
+                    _support_of, _tail_of, _times_axes, _weyl_lattice_maps,
+                    _xi_sup, check_tail, fourier_at, simpson_weights)
 from .rootsystem import RootSystemSpec, build_root_system
 from .spherical import (conjugated, conjugated_with, denominator_on_grid,
                         spectral_input, to_plain)
@@ -67,10 +66,6 @@ _MAX_FFT_NODES = 2**24          # memory guard, in complex values, on the
                                 # oracle's largest per-axis chirp-z buffer
 _STACK_VALUES = 2**16           # complex values per stack of SCALED FFTs
 _ANTISYMMETRY_TOL = 1e-8
-
-# duhamel_solve's kernel spectra from its last call, keyed by (N, h, τ):
-# the only state that outlives a call (see duhamel_solve)
-_last_kernels: dict[tuple[int, float, float], np.ndarray] = {}
 
 
 @dataclass(frozen=True)
@@ -227,14 +222,13 @@ def reach_box(rs: RootSystemSpec, field: BiInvariantField, t: float) -> float:
     return box
 
 
-def _fixed_chirp_guard(grid: RadialGrid, y_sup: float, t: float,
-                       remedy: str) -> None:
+def _fixed_chirp_guard(grid: RadialGrid, y_sup: float, t: float) -> None:
     """GridTooSmall where h·y_sup/t > 2π: the FIXED sandwich's chirp is not
-    resolved on data supported within y_sup. `remedy` ends the message."""
+    resolved on data supported within y_sup."""
     if grid.spacing * y_sup / t > 2.0 * np.pi:
         raise GridTooSmall(
             f"grid spacing {grid.spacing:.3g} cannot resolve the t={t:g} "
-            f"chirp on the data support; {remedy}")
+            "chirp on the data support; use SCALED mode or refine")
 
 
 def _free_constant(rank: int) -> complex:
@@ -265,7 +259,7 @@ def group_propagate_closed_form(rs: RootSystemSpec, field: BiInvariantField,
         _, out, vals = next(_scaled_evolutions(rs, field, [t]))
     else:
         g = _resolved(rs, field)
-        _fixed_chirp_guard(g.grid, g.y_sup, t, "use SCALED mode or refine")
+        _fixed_chirp_guard(g.grid, g.y_sup, t)
         scale = np.exp(-1j * t * float(rs.rho @ rs.rho))
         out, vals = _chirp_sandwich(g.values, g.grid, t, out_grid,
                                     scale * _free_constant(rs.rank))
@@ -389,24 +383,22 @@ def duhamel_solve(rs: RootSystemSpec, field: BiInvariantField, forcing,
     panels (≥ 8) on np.linspace(0, t, steps + 1), whose last node is
     exactly t, where S(0) is the identity. Fourth-order in the time step.
 
-    On its own input grid the FIXED closed form of S(τ) is the trapezoid
-    sum τ^{-l/2}·h^l·e^{-iτ|ρ|²}·(4πi)^{-l/2}·Σ_k e^{i|x_j - x_k|²/4τ}·g_k,
-    the sandwich with its chirps multiplied out: a linear convolution with
-    the sandwich's chirp-z kernel onto ξ = x/2τ, separable per axis. With
-    samples zero-padded per axis to that kernel's length ≥ 2N − 1, each
-    time is one loop in the frequency domain, S(t) of the data plus the
-    weighted S(t - s) of each node's sample, then one inverse FFT; the
-    node s = t is added in space. A sample (ψ(s)·φ, its support radius and
-    padded spectrum) is built at its first node and dropped after its
-    last: one forward FFT per distinct s, one kernel spectrum per distinct
-    τ. The kernel spectra of the previous call are kept, keyed by
-    (N, h, τ): a call reuses those its own τ set shares and drops the
-    rest, so a series of solves on one grid and one set of times builds
-    its kernels once. φ and the Weyl lattice maps are built once per
-    call. Each sample is checked for antisymmetry, each (sample, τ) by
-    the FIXED chirp guard; an unresolved chirp is refused (GridTooSmall)
-    with the remedies that fit the solver: a finer grid, or fewer steps,
-    whose smallest τ is t/steps.
+    S(τ) is the multiplier e^{-iτ(|ξ|²+|ρ|²)} on the conjugated profile,
+    as in SCALED. The data g = f·φ and each distinct sample ψ(s)·φ make
+    one stack, measured once: each row's magnitude over its own peak, the
+    maximum over rows, gives the boundary tail (checked against TAIL_TOL,
+    so non-finite input is refused), y_sup and, from one unpadded FFT,
+    ξ_sup. Every row then stays within reach = y_sup + 2·t_max·ξ_sup of
+    the origin up to the largest time t_max (as in `reach_box`), so on P
+    ≥ (L + reach)/h nodes per axis, zero-padded past the box [-L, L), the
+    periodic evolution does not wrap back into the box. The padded stack,
+    one FFT, holds rows·P^l complex values, rows being one plus the
+    number of distinct s; GridTooSmall where that passes _MAX_FFT_NODES.
+    Each output time t, with δ = t/steps and E = e^{-iδ(|ξ|²+|ρ|²)}, sums
+    its nodes in Horner form, A ← E·A + w_j·ψ̂_j from A = ĝ + w_0·ψ̂_0,
+    then takes one inverse FFT of E·A, cropped to the box, and adds the
+    node s = t in space. φ and the Weyl lattice maps are built once per
+    call; each sample is checked for antisymmetry.
     """
     times = np.asarray(t, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -418,56 +410,61 @@ def duhamel_solve(rs: RootSystemSpec, field: BiInvariantField, forcing,
     if not isinstance(steps, (int, np.integer)) or steps < 8 or steps % 2:
         raise ValueError("steps must be an even integer >= 8")
     grid = field.grid
+    rank, n = grid.rank, grid.points_per_axis
+    axes = tuple(range(1, rank + 1))
     phi = denominator_on_grid(rs, grid)
     maps = _weyl_lattice_maps(grid, rs.weyl_matrices(), rs.weyl_signs())
-    n = grid.points_per_axis
-    size = _fast_fft_length(2 * n - 1)      # as _chirp_z_kernel's
-    padded, axes = (size,) * grid.rank, tuple(range(grid.rank))
-    rho_sq = float(rs.rho @ rs.rho)
-    free = _free_constant(grid.rank) * grid.cell_volume()
     nodes = [np.linspace(0.0, tk, steps + 1).tolist() for tk in times]
-    taus = {(n, grid.spacing, tk - s)
-            for tk, row in zip(times, nodes) for s in row if s != tk}
-    kernels = {key: _last_kernels[key] for key in taus & _last_kernels.keys()}
-    _last_kernels.clear()
+    row_of = {s: k + 1 for k, s in
+              enumerate(sorted({s for row in nodes for s in row}))}
+    rows, t_max = 1 + len(row_of), max(times)
 
-    def evolved(spec: np.ndarray, y_sup: float, tau: float,
-                w: complex) -> np.ndarray:
-        """w·S(τ) of a padded sample spectrum, after the chirp guard."""
-        _fixed_chirp_guard(grid, y_sup, tau,
-                           "refine the grid or take fewer steps")
-        key = (n, grid.spacing, tau)
-        if key not in kernels:   # the plan's onto ξ = x/2τ, sign -1
-            half_w = -0.5 * (grid.spacing / (2.0 * tau)) * grid.spacing
-            kernels[key] = _chirp_z_kernel(n, n, half_w, 0)
-        coef = w * free * tau ** (-grid.rank / 2.0) * np.exp(-1j * tau * rho_sq)
-        return _times_axes(spec, kernels[key], coef)
+    def guard(size: int) -> None:
+        if rows * size ** rank > _MAX_FFT_NODES:
+            raise GridTooSmall(
+                f"duhamel_solve needs {rows} rows of {size} nodes/axis at "
+                f"t={t_max:g}; take fewer steps or times")
 
-    g = conjugated_with(field, phi)
-    g_sup = support_radius(g, grid)
-    g_spec = np.fft.fftn(g, s=padded, axes=axes)
-    pending = Counter(s for row in nodes for s in row)
-    samples: dict[float, tuple[np.ndarray, float, np.ndarray]] = {}
+    guard(n)
+    stack = np.empty((rows,) + grid.shape, dtype=complex)
+    stack[0] = conjugated_with(field, phi)
+    for s, k in row_of.items():
+        stack[k] = _checked_forcing(forcing, s, grid, phi, maps)
+
+    def relative_max(a: np.ndarray) -> np.ndarray:
+        """max over rows of |row| over its own peak (zero rows stay 0)."""
+        mag = np.abs(a)
+        peak = mag.max(axis=axes, keepdims=True)
+        return (mag / np.where((0 < peak) & (peak < np.inf), peak, 1.0)
+                ).max(axis=0)
+
+    mag = relative_max(stack)
+    check_tail(_tail_of(mag), TAIL_TOL, "Duhamel data and forcing")
+    reach = (_support_of(mag, grid) + 2.0 * t_max
+             * _xi_sup(relative_max(np.fft.fftn(stack, axes=axes)), grid))
+    need = (grid.half_width + reach) / grid.spacing
+    size = _fast_fft_length(max(n, math.ceil(min(need, _MAX_FFT_NODES))))
+    guard(size)
+    spec = np.fft.fftn(stack, s=(size,) * rank, axes=axes)
+    xi_sq = (2.0 * np.pi * np.fft.fftfreq(size, grid.spacing)) ** 2
+    rho_sq = float(rs.rho @ rs.rho)
+    box = (slice(0, n),) * rank
+    weights = simpson_weights(steps)
     results = []
     for tk, row in zip(times, nodes):
-        acc = evolved(g_spec, g_sup, tk, 1.0)
-        for w, s in zip(simpson_weights(steps), row):
-            if s not in samples:
-                psi_phi = _checked_forcing(forcing, s, grid, phi, maps)
-                samples[s] = (psi_phi, support_radius(psi_phi, grid),
-                              np.fft.fftn(psi_phi, s=padded, axes=axes))
-            pending[s] -= 1
-            psi_phi, y_sup, spec = samples[s] if pending[s] else samples.pop(s)
-            w = 1j * w * (tk / steps) / 3.0
-            if s == tk:
-                end = w * psi_phi
-            else:
-                acc += evolved(spec, y_sup, tk - s, w)
-        total = np.fft.ifftn(acc)[(slice(0, n),) * grid.rank] + end
+        delta = tk / steps
+        step = np.exp(-1j * np.mod(delta * xi_sq, 2.0 * np.pi))
+        rho_phase = np.exp(-1j * delta * rho_sq)
+        w = 1j * weights * delta / 3.0
+        acc = spec[0] + w[0] * spec[row_of[row[0]]]
+        for wj, s in zip(w[1:-1], row[1:-1]):
+            _times_axes(acc, step, rho_phase, out=acc)
+            acc += wj * spec[row_of[s]]
+        _times_axes(acc, step, rho_phase, out=acc)
+        total = np.fft.ifftn(acc, out=acc)[box] + w[-1] * stack[row_of[tk]]
         out = BiInvariantField(grid, total, Representation.CONJUGATED)
         results.append(PropagationResult(out, tk, Method.CLOSED_FORM,
                                          GridMode.FIXED))
-    _last_kernels.update(kernels)
     return results
 
 

@@ -1,10 +1,11 @@
-"""What only the tests need of a grid: its nodes as coordinates, and the
-Weyl-symmetry and wall-band checks built from the library's own lattice
-maps and scaled denominator."""
+"""What only the tests need of a grid: its nodes as coordinates, the
+support radius of a field, and the Weyl-symmetry and wall-band checks
+built from the library's own support rule, lattice maps and scaled
+denominator."""
 
 import numpy as np
 
-from lsg.grids import _mapped_residual, _weyl_lattice_maps
+from lsg.grids import _mapped_residual, _support_of, _weyl_lattice_maps
 from lsg.spherical import _scaled_denominator
 
 
@@ -16,6 +17,12 @@ def grid_meshes(grid):
 def grid_nodes(grid):
     """All nodes as an (N^rank, rank) array, C-ordered."""
     return np.stack([m.ravel() for m in grid_meshes(grid)], axis=-1)
+
+
+def support_radius(values, grid):
+    """Largest node |x|_inf where |values| still exceeds 1e-12·peak, and at
+    least the grid spacing (`lsg.grids._support_of` of |values|)."""
+    return _support_of(np.abs(values), grid)
 
 
 def weyl_symmetry_residual(values, grid, matrices, signs, odd):

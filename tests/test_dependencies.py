@@ -125,14 +125,13 @@ def test_every_option_is_set_outside_the_tests():
 # reason it names, which `test_every_uncalled_name_keeps_its_reason` checks:
 # "advertised" is library surface that lsg/__init__ exports and README
 # describes; "benchmark-bound" is a name the benchmark looks up by string,
-# kept until the benchmark is realigned (ROADMAP item 4). The scan matches
-# bare names, so it cannot see that `weighted_norm` (advertised) has no
-# caller either: `NormReport.weighted_norm` shares its name.
+# kept until the benchmark is realigned (ROADMAP item 4).
 _UNCALLED_ON_PURPOSE = {
     "spherical_function": "advertised",
     "inverse_spherical_transform": "advertised",
     "density": "advertised",
     "dominant_representative": "advertised",
+    "weighted_norm": "advertised",
     # benchmark/worker.py calibrates with it in set-up
     "calibrate_constant": "benchmark-bound",
     # tracer.TARGETS wraps it, and test_benchmark.py expects to find it
@@ -159,24 +158,52 @@ def _defined_names(path, tree):
                     yield fn.name, f"{node.name}.{fn.name}"
 
 
+def _module_references(path, tree):
+    """(module stem, name) of each module-level name that an lsg module's
+    code refers to: a loaded name, resolved through the module's relative
+    imports (`from .grids import x as y`) or else to the module itself, and
+    an attribute on a name bound to an lsg module (`from . import x`)."""
+    imported, modules = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                else:
+                    imported[alias.asname or alias.name] = (node.module,
+                                                            alias.name)
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(imported.get(node.id, (path.stem, node.id)))
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in modules):
+            found.add((modules[node.value.id], node.attr))
+    return found
+
+
 def test_every_name_has_a_caller():
-    """A name that only the tests call belongs in the tests. A reference is
-    an identifier or attribute of that name in src/lsg (outside
-    __init__.py, which only re-exports) or in benchmark/'s own code; a
-    string is not one, so a `getattr` or a tracer target keeps nothing
-    alive. Names are matched bare, so a shared name can hide a dead one."""
-    referenced = set()
-    for path, tree in _parsed(_SRC) + _parsed(_BENCHMARK):
+    """A name that only the tests call belongs in the tests. A module-level
+    def or class is referenced by a `_module_references` entry of a module
+    of src/lsg other than __init__.py, which only re-exports; a method by
+    an attribute of its name there. benchmark/'s own code refers to either
+    by an identifier or attribute of its name. A string is not a
+    reference, so a `getattr` or a tracer target keeps nothing alive."""
+    referenced, attributes = set(), set()
+    for path, tree in _parsed(_SRC):
         if path.name == "__init__.py":
             continue
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+        referenced |= _module_references(path, tree)
+        attributes |= {node.attr for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute)}
+    benchmark = {getattr(node, "id", getattr(node, "attr", None))
+                 for _, tree in _parsed(_BENCHMARK) for node in ast.walk(tree)}
     uncalled = {qualified for path, tree in _parsed(_SRC)
                 for name, qualified in _defined_names(path, tree)
-                if name not in referenced}
+                if name not in benchmark
+                and not ((path.stem, name) in referenced if name == qualified
+                         else name in attributes)}
     assert uncalled == set(_UNCALLED_ON_PURPOSE)
 
 

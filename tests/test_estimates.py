@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lsg.errors import (InsufficientTimes, InvalidTime, UnsupportedExponent,
-                        ZeroData)
+from lsg.errors import (GridTooSmall, InsufficientTimes, InvalidTime,
+                        UnsupportedExponent, ZeroData)
 from lsg.estimates import (decay_exponent_fit, strichartz_inhomogeneous_check,
                            strichartz_norm, strichartz_pair, weighted_norm)
 from lsg.grids import (BiInvariantField, GridMode, RadialGrid, Representation,
@@ -329,3 +329,25 @@ def test_time_quadratures_refuse_bad_panel_counts(a1, arg, value):
     }
     with pytest.raises(ValueError):
         calls[arg]()
+
+
+@pytest.mark.parametrize("case", ["duhamel-data", "duhamel-forcing",
+                                  "strichartz-data", "weighted-q"])
+def test_non_finite_inputs_are_refused(a1, case):
+    """NaN in, a documented refusal out: no NaN result and no numpy
+    RuntimeWarning (an error under the suite's warning filters)."""
+    grid = RadialGrid(1, 8.0, 256)
+    f = gaussian_profile(grid, 1.0)
+    bad = f.with_values(np.where(grid.axis > 0, np.nan, f.values))
+    calls = {
+        "duhamel-data": lambda: duhamel_solve(a1, bad, lambda s: f, [1.0], 8),
+        "duhamel-forcing": lambda: duhamel_solve(a1, f, lambda s: bad,
+                                                 [1.0], 8),
+        "strichartz-data": lambda: strichartz_norm(a1, bad, 1.0),
+        "weighted-q": lambda: weighted_norm(a1, f, np.nan),
+    }
+    expected = UnsupportedExponent if case == "weighted-q" else GridTooSmall
+    with pytest.raises(expected) as err:
+        calls[case]()
+    if expected is GridTooSmall:
+        assert "not finite" in str(err.value)

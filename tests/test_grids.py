@@ -6,11 +6,12 @@ from lsg.grids import (BiInvariantField, GridMode, RadialGrid, Representation,
                        _chirp_z_axis, _chirp_z_plan, _mapped_residual,
                        _uniform_step, _weyl_lattice_maps, boundary_tail,
                        fourier_at, fourier_native, lq_norm, require_tail,
-                       simpson_weights, support_radius)
+                       simpson_weights)
 from lsg.rootsystem import build_root_system
 from lsg.spherical import conjugated_values
 
-from grid_helpers import grid_meshes, grid_nodes, weyl_symmetry_residual
+from grid_helpers import (grid_meshes, grid_nodes, support_radius,
+                          weyl_symmetry_residual)
 
 
 def test_grid_basic_properties():
