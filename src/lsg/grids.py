@@ -15,12 +15,16 @@ Two transform paths share one convention  F(xi) = h^l * sum_k e^{sign*i<xi,x_k>}
                       axis per axis, O((N+M) log(N+M)) per axis for M
                       output nodes
 
-Both apply their 1-D factors per axis and run their FFTs in place.
+Both apply their 1-D factors per axis and run their FFTs in place;
+`fourier_at` streams the rows of each axis through one work buffer of at
+most _BLOCK_VALUES complex values (or one row), so beside its input and
+result it holds no array of the FFT length times the number of rows.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -30,6 +34,7 @@ from .errors import GridTooSmall
 
 _UNIFORM_RTOL = 1e-12     # node drift allowed on a "uniform" fourier_at axis
 TAIL_TOL = 1e-12          # boundary tail allowed, relative to the peak
+_BLOCK_VALUES = 2**14     # complex values per chirp-z work buffer, or one row
 
 
 class Representation(enum.Enum):
@@ -372,19 +377,46 @@ def _chirp_z_plan(grid: RadialGrid, xi: np.ndarray, step: float, sign: int,
     return pre, kernel_hat, post
 
 
-def _chirp_z_axis(values: np.ndarray, ax: int, pre: np.ndarray,
-                  kernel_hat: np.ndarray, post: np.ndarray) -> np.ndarray:
-    """fourier_at along axis `ax` alone, by one `_chirp_z_plan`."""
-    moved = np.moveaxis(values, ax, -1)
-    spec = np.empty(moved.shape[:-1] + kernel_hat.shape, dtype=complex)
-    np.multiply(moved, pre, out=spec[..., :pre.size])
-    spec[..., pre.size:] = 0.0
-    # numpy.fft takes out= from NumPy 2.0 on (pyproject's floor)
-    np.fft.fft(spec, axis=-1, out=spec)
-    spec *= kernel_hat
-    conv = np.fft.ifft(spec, axis=-1, out=spec)[..., :post.size]
-    return np.multiply(np.moveaxis(conv, -1, ax), post.reshape(
-        (-1,) + (1,) * (values.ndim - 1 - ax)), order="C")
+def _chirp_z_axis(values: np.ndarray, ax: int, *plans: tuple) -> np.ndarray:
+    """fourier_at along axis `ax` alone, by one `_chirp_z_plan` or by
+    several in turn, each taking the last one's output nodes as its input.
+
+    The rows along `ax` pass through one work buffer, a block at a time:
+    at most _BLOCK_VALUES complex values, or one row where a row is
+    longer. A block is whole rows of the axes after `ax` for one or more
+    indices of the axes before it, or part of them for one index. Every
+    plan runs on a block before the next block starts, and the last
+    post-chirp writes the block into the C-ordered result.
+    """
+    shape = values.shape
+    outer, inner = math.prod(shape[:ax]), math.prod(shape[ax + 1:])
+    src = values.reshape(outer, shape[ax], inner)
+    m = plans[-1][2].size
+    result = np.empty(shape[:ax] + (m,) + shape[ax + 1:], dtype=complex)
+    dst = result.reshape(outer, m, inner)
+    width = max(kernel_hat.size for _, kernel_hat, _ in plans)
+    per_block = max(1, _BLOCK_VALUES // width)
+    step_i = min(inner, per_block)
+    step_o = min(outer, max(1, per_block // inner))
+    buf = np.empty((step_o * step_i, width), dtype=complex)
+    for o in range(0, outer, step_o):
+        for i in range(0, inner, step_i):
+            block = (slice(o, o + step_o), slice(None), slice(i, i + step_i))
+            rows = src[block].transpose(0, 2, 1)
+            work = buf[:rows.shape[0] * rows.shape[1]].reshape(
+                rows.shape[:2] + (width,))
+            for k, (pre, kernel_hat, post) in enumerate(plans, 1):
+                row = work[..., :kernel_hat.size]
+                np.multiply(rows, pre, out=row[..., :pre.size])
+                row[..., pre.size:] = 0.0
+                # numpy.fft takes out= from NumPy 2.0 on (pyproject's floor)
+                np.fft.fft(row, axis=-1, out=row)
+                row *= kernel_hat
+                np.fft.ifft(row, axis=-1, out=row)
+                rows = row[..., :post.size]
+                np.multiply(rows, post, out=rows if k < len(plans)
+                            else dst[block].transpose(0, 2, 1))
+    return result
 
 
 def fourier_at(values: np.ndarray, grid: RadialGrid,
@@ -398,12 +430,16 @@ def fourier_at(values: np.ndarray, grid: RadialGrid,
     algorithm), O((N+M) log(N+M)); axes with equal (length, first, last)
     share one plan.
 
-    Axis layout: the pre-chirp multiply writes its product, with the
-    transformed axis last, into a C-ordered buffer zero-padded to the FFT
-    length, and both FFTs transform that buffer in place along contiguous
-    memory; the post-chirp multiply puts the axis back in place, C-ordered,
-    for the next axis. The result is C-contiguous and the same to the bit
-    as transforming each axis along its own stride.
+    Axis layout: the rows along an axis go through one work buffer, a
+    block of rows at a time (`_chirp_z_axis`), at most _BLOCK_VALUES
+    complex values, or one row where a row is longer. The pre-chirp
+    multiply writes a block, with the transformed axis last, into the
+    buffer zero-padded to the FFT length; both FFTs transform it in place
+    along contiguous memory; the post-chirp multiply writes the block
+    straight into the C-ordered result, which the next axis reads. No
+    (rows, FFT length) array and no post-chirp copy is allocated. The
+    result is C-contiguous and the same to the bit as transforming each
+    axis along its own stride, whatever the block size.
     """
     out = np.asarray(values, dtype=complex)
     plans: dict[tuple[int, float, float], tuple] = {}
@@ -413,7 +449,7 @@ def fourier_at(values: np.ndarray, grid: RadialGrid,
         key = (xi.size, float(xi[0]), float(xi[-1]))
         if key not in plans:
             plans[key] = _chirp_z_plan(grid, xi, step, sign)
-        out = _chirp_z_axis(out, ax, *plans[key])
+        out = _chirp_z_axis(out, ax, plans[key])
     return out
 
 

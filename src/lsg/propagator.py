@@ -61,9 +61,9 @@ from .rootsystem import RootSystemSpec, build_root_system
 from .spherical import (conjugated, conjugated_with, denominator_on_grid,
                         spectral_input, to_plain)
 
-_MAX_FFT_NODES = 2**24          # memory guard, in complex values, on the
-                                # padded multiplier grid and on the spectral
-                                # oracle's largest per-axis chirp-z buffer
+_MAX_FFT_NODES = 2**24          # guard, in complex values, on the padded
+                                # multiplier grid and on the rows × FFT
+                                # length one spectral-oracle axis runs through
 _STACK_VALUES = 2**16           # complex values per stack of SCALED FFTs
 _ANTISYMMETRY_TOL = 1e-8
 
@@ -84,9 +84,8 @@ def gaussian_profile(grid: RadialGrid, rate: float,
     if not (0 < rate < math.inf and math.isfinite(chirp)):
         raise ValueError("gaussian rate must be positive and finite, the "
                          f"chirp finite; got {rate}, {chirp}")
-    rsq = grid.radius_sq()
-    vals = np.exp(-(rate - 1j * chirp) * rsq)
-    return BiInvariantField(grid, vals.astype(complex), Representation.PLAIN)
+    vals = -(rate - 1j * chirp) * grid.radius_sq()
+    return BiInvariantField(grid, np.exp(vals, out=vals), Representation.PLAIN)
 
 
 def _chirp(axis: np.ndarray, t: float) -> np.ndarray:
@@ -192,15 +191,17 @@ _refine_fft = _multiplier_step  # the benchmark traces it by the upsampler's nam
 
 
 def _padding(field: BiInvariantField, t: float, xi_sup: float) -> int:
-    """Nodes added per side so the box holds reach = y_sup + 2t·ξ_sup;
+    """Nodes added per side so the box holds reach = y_sup + 2t·ξ_sup,
+    rounded up so that N + 2·pad is an even 5-smooth FFT length;
     GridTooSmall where the padded grid passes _MAX_FFT_NODES."""
     grid = field.grid
+    half = grid.points_per_axis // 2
     reach = field.y_sup + 2.0 * t * xi_sup
     pad = max(0, math.ceil((reach - grid.half_width) / grid.spacing))
-    n = grid.points_per_axis + 2 * pad
+    n = 2 * _fast_fft_length(half + pad)
     if n ** grid.rank > _MAX_FFT_NODES:
         raise GridTooSmall(f"SCALED multiplier needs {n} nodes/axis at t={t:g}")
-    return pad
+    return n // 2 - half
 
 
 def _padded_spectrum(values: np.ndarray, pad: int) -> np.ndarray:
@@ -310,10 +311,11 @@ def suggest_spectral_grid(rs: RootSystemSpec, field: BiInvariantField,
     `reach_box`); spacing obeys Δλ·(L_out + 2t·λ_max) ≤ π/2, L_out the
     half-width of `out_grid` (default: the field's grid), which implies
     the documented precondition Δλ ≤ π/(4 t λ_max). The oracle transforms
-    one axis at a time, so with M spectral nodes and n = max(N, N_out)
-    nodes per axis in and out its largest buffer holds about
-    n^{l-1}·(M + n) complex values; GridTooSmall when that passes
-    _MAX_FFT_NODES.
+    one axis at a time through a bounded work buffer (`fourier_at`), so
+    it holds no array of M spectral nodes per row; with n = max(N, N_out)
+    nodes per axis in and out, the FFTs of one axis still run over about
+    n^{l-1}·(M + n) complex values, and GridTooSmall when that passes
+    _MAX_FFT_NODES bounds the work of a call.
     """
     half = conjugated(rs, field).xi_sup
     out_grid = out_grid or field.grid
@@ -341,9 +343,11 @@ def group_propagate_spectral(rs: RootSystemSpec, field: BiInvariantField,
     the weight e^{-it(|λ|²+|ρ|²)}, then `synthesize_conjugated`, their
     constants cancelled to (2π)^{-l}; per axis a chirp-z onto the spectral
     axis, e^{-itλ_d²} folded into the inverse plan's pre-chirp, and a
-    chirp-z onto the output axis: no M^l spectral grid. t = 0 is plain synthesis
-    of f̂. UnderResolvedPhase if the spectral spacing misses the chirp.
-    The data is conjugated once, for the grid and the transform alike.
+    chirp-z onto the output axis, both plans on one block of rows before
+    the next: no M^l spectral grid, and no N_out × M array for an axis.
+    t = 0 is plain synthesis of f̂. UnderResolvedPhase if the spectral
+    spacing misses the chirp. The data is conjugated once, for the grid
+    and the transform alike.
     """
     if not 0 <= t < math.inf:
         raise InvalidTime(f"spectral propagation needs 0 <= t < inf, got {t}")
@@ -364,7 +368,7 @@ def group_propagate_spectral(rs: RootSystemSpec, field: BiInvariantField,
     inv = _chirp_z_plan(spectral_grid, out_grid.axis, out_grid.spacing, +1,
                         np.exp(-1j * t * lam**2))
     for ax in range(rs.rank):
-        uphi = _chirp_z_axis(_chirp_z_axis(uphi, ax, *fwd), ax, *inv)
+        uphi = _chirp_z_axis(uphi, ax, fwd, inv)
     uphi *= (2.0 * np.pi) ** -rs.rank * np.exp(-1j * t * float(rs.rho @ rs.rho))
     result = BiInvariantField(out_grid, uphi, Representation.CONJUGATED)
     return PropagationResult(result, t, Method.SPECTRAL, mode)

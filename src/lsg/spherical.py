@@ -338,7 +338,8 @@ def roundtrip_error(rs: RootSystemSpec, field: BiInvariantField,
     g = conjugated(rs, field)
     spec = spherical_transform(rs, g, spectral_grid)
     uphi = synthesize_conjugated(rs, spec, [field.grid.axis] * rs.rank)
-    err = l2_norm(uphi - g.values, field.grid)
+    uphi -= g.values
+    err = l2_norm(uphi, field.grid)
     norm = l2_norm(g.values, field.grid)
     return err / norm if norm else err
 

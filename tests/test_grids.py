@@ -180,6 +180,25 @@ def test_fourier_at_equals_strided_axis_loop(sign, rank, n, sizes):
                           strided_fourier_at(vals.real, g, axes, sign))
 
 
+@pytest.mark.parametrize("rank, n, sizes", [
+    (1, 256, (700,)), (2, 96, (530, 211)), (3, 24, (17, 41, 30))])
+def test_fourier_at_is_the_same_to_the_bit_one_row_per_block(rank, n, sizes,
+                                                            monkeypatch):
+    """The work buffer's bound only groups rows: one row per block gives
+    the default blocks' result to the bit (on rank 3 those blocks take
+    part of a row set, several whole row sets, and rows along the last
+    axis)."""
+    from lsg import grids
+    rng = np.random.default_rng(rank)
+    g = RadialGrid(rank, 8.0, n)
+    vals = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    axes = [np.linspace(-5.0 + d, 6.0 - 0.5 * d, m)
+            for d, m in enumerate(sizes)]
+    blocked = fourier_at(vals, g, axes)
+    monkeypatch.setattr(grids, "_BLOCK_VALUES", 1)
+    assert np.array_equal(fourier_at(vals, g, axes), blocked)
+
+
 @pytest.mark.parametrize("sign", [-1, +1])
 def test_fourier_at_weight_is_an_input_outer_product(sign):
     """A weight folded into each axis's chirp-z pre-chirp, as the spectral
@@ -193,7 +212,7 @@ def test_fourier_at_weight_is_an_input_outer_product(sign):
     got = vals
     for ax, xi in enumerate(axes):
         plan = _chirp_z_plan(g, xi, _uniform_step(xi), sign, w)
-        got = _chirp_z_axis(got, ax, *plan)
+        got = _chirp_z_axis(got, ax, plan)
     assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
 

@@ -7,8 +7,9 @@ from lsg.errors import (ForcingNotAntisymmetrizable, GridTooSmall,
                         InvalidTime, UnderResolvedPhase)
 from lsg.grids import (BiInvariantField, GridMode, RadialGrid, Representation,
                        SpectralField, _chirp_z_axis, _chirp_z_plan,
-                       _times_axes, _uniform_step, boundary_tail,
-                       fourier_native, l2_norm, relative_l2, simpson_weights)
+                       _fast_fft_length, _times_axes, _uniform_step,
+                       boundary_tail, fourier_native, l2_norm, relative_l2,
+                       simpson_weights)
 from lsg.propagator import (_chirp, _chirp_sandwich, duhamel_solve,
                             euclidean_propagate, gaussian_profile,
                             group_propagate_closed_form,
@@ -233,13 +234,16 @@ def test_scaled_closed_form_matches_exact_evolution_across_regimes(name, n,
 def scaled_grid_by_native_rule(values, grid, t):
     """(regime, output grid) of a SCALED step by the rule that reads ξ_sup
     from support_radius of fourier_native: "sandwich" where h·y_sup/t ≤ π,
-    else the multiplier, "pad" or "no pad" by its zero padding."""
+    else the multiplier, "pad" or "no pad" by its zero padding, which
+    rounds N + 2·pad up to an even 5-smooth length."""
     y_sup = support_radius(values, grid)
     if grid.spacing * y_sup / t <= np.pi:
         return "sandwich", grid.dual().scaled(2.0 * t)
     dual, spec = fourier_native(values, grid)
     reach = y_sup + 2.0 * t * support_radius(spec, dual)
     pad = max(0, int(np.ceil((reach - grid.half_width) / grid.spacing)))
+    half = grid.points_per_axis // 2
+    pad = _fast_fft_length(half + pad) - half
     return ("pad" if pad else "no pad"), RadialGrid(
         grid.rank, grid.half_width + pad * grid.spacing,
         grid.points_per_axis + 2 * pad)
@@ -380,9 +384,9 @@ def test_fixed_evolution_on_the_reach_box_is_exact():
 
 @pytest.mark.parametrize("t", [0.5, 1.0])
 def test_closed_form_matches_spectral_rank3(t):
-    # the oracle runs one axis at a time, so the memory guard bounds its
-    # per-axis buffer, not an M^3 grid: 400 spectral nodes per axis here,
-    # where 2^24 values of M^3 would allow 256
+    # the oracle runs one axis at a time, so the guard bounds the values
+    # one axis's FFTs run through, not an M^3 grid: 400 spectral nodes per
+    # axis here, where 2^24 values of M^3 would allow 256
     rs = build_root_system("A1xA2")
     f = gaussian_profile(RadialGrid(3, 8.0, 64), 1.0)
     closed = group_propagate_closed_form(rs, f, t, GridMode.FIXED)
@@ -437,6 +441,21 @@ def test_spectral_propagation_is_the_public_composition(name, n, box,
         <= 1e-13 * np.linalg.norm(composed)
 
 
+def test_oracle_two_plan_pass_is_the_same_to_the_bit_one_row_per_block(
+        monkeypatch):
+    """Criterion 4's A2 oracle (128² → 192² through the suggested spectral
+    grid) runs its forward and inverse plans per block of rows; one row
+    per block gives the default blocks' result to the bit."""
+    from lsg import grids
+    rs = build_root_system("A2")
+    f = gaussian_profile(RadialGrid(2, 10.0, 128), 1.0)
+    out = RadialGrid(2, reach_box(rs, f, 1.0), 192)
+    blocked = group_propagate_spectral(rs, f, 1.0, out_grid=out).field.values
+    monkeypatch.setattr(grids, "_BLOCK_VALUES", 1)
+    one_row = group_propagate_spectral(rs, f, 1.0, out_grid=out).field.values
+    assert np.array_equal(one_row, blocked)
+
+
 def test_single_mode_phase_factor(a1):
     """Evolution of a single-mode spectrum, a spike pair in f̂ stored as
     G = π·f̂, is a global phase: the oracle's inverse chirp-z plan with its
@@ -454,9 +473,9 @@ def test_single_mode_phase_factor(a1):
     t = 0.8
     step = _uniform_step(out_axis)
     weight = np.exp(-1j * t * sgrid.axis**2)
-    full = _chirp_z_axis(vals, 0, *_chirp_z_plan(sgrid, out_axis, step, +1,
-                                                   weight))
-    base = _chirp_z_axis(vals, 0, *_chirp_z_plan(sgrid, out_axis, step, +1))
+    full = _chirp_z_axis(vals, 0, _chirp_z_plan(sgrid, out_axis, step, +1,
+                                                  weight))
+    base = _chirp_z_axis(vals, 0, _chirp_z_plan(sgrid, out_axis, step, +1))
     assert np.abs(full - np.exp(-1j * t * lam0**2) * base).max() \
         <= 1e-12 * np.abs(base).max()
 
