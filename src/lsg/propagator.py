@@ -21,8 +21,9 @@ multiplier e^{itΔ}g = ifft(e^{-it|ξ|²}·fft(g)) on the input grid,
 zero-padded to hold u(t) (at most about 3× the box per axis). Either is
 one FFT pass between 1-D factors, applied in place axis by axis, that
 carry every chirp, DFT sign and constant (h^l, t^{-l/2}, C, e^{-it|ρ|²}).
-FIXED always runs the sandwich, evaluated at the caller's uniform output
-grid by chirp-z, O((N+M) log(N+M)) per axis, grid-aligned for time series.
+FIXED on the input grid applies the multiplier where SCALED does, cropped
+to the box, and elsewhere the sandwich at the caller's uniform output grid
+by chirp-z, O((N+M) log(N+M)) per axis. `_padding` sizes every padded box.
 
 Every regime, guard and box reads the same few numbers of g: its boundary
 tail, its support edge y_sup and its Fourier edge ξ_sup. A CONJUGATED
@@ -35,7 +36,7 @@ FFTs.
 
 Duhamel's formula u(t) = S(t)f + i∫₀ᵗ S(t-s)ψ(s) ds needs S(τ) only on
 the input grid, where it is the multiplier e^{-iτ(|ξ|²+|ρ|²)} on a box
-zero-padded to the reach of the data and of every forcing sample. The
+padded by `_padding` for the reach of the data and every sample. The
 S(t - s) of one output time's Simpson nodes are powers of one step
 S(t/steps), so `duhamel_solve` sums them in Horner form on the samples'
 spectra: one FFT of the stacked samples per call, one inverse FFT per
@@ -139,20 +140,22 @@ def _scaled_sandwiches(values: np.ndarray, grid: RadialGrid, jobs
                 scale * t ** (-rank / 2.0) * grid.spacing ** rank, out=row)
 
 
-def _multiplier(field: BiInvariantField, jobs
+def _multiplier(field: BiInvariantField, jobs, crop: bool
                 ) -> Iterator[tuple[float, RadialGrid, np.ndarray]]:
-    """(t, padded grid, scale·e^{itΔ}g) for each (t, scale) job, g the
-    values of the CONJUGATED `field`, by the Fourier multiplier e^{-it|ξ|²}.
+    """(t, grid, scale·e^{itΔ}g) for each (t, scale) job, g the values of
+    the CONJUGATED `field`, by the Fourier multiplier e^{-it|ξ|²}.
 
     u(t) stays within reach = y_sup + 2t·ξ_sup of the origin (as in
-    `reach_box`), so on the box zero-padded to reach the periodic
-    evolution does not wrap around. That box is the output grid. Times
-    with one padding share one spectrum of the padded data. Where ξ_sup
-    is not yet known it is read from the unpadded spectrum, which then
-    serves padding 0. Each time is one `_multiplier_step`, in place on
-    the spectrum for its padding's last time.
+    `reach_box`), so on the period `_padding` picks the evolution does not
+    wrap back into the output box: the whole padded box, or with `crop`
+    the field's own box, cut from its middle. Times with one padding share
+    one spectrum of the padded data. Where ξ_sup is not yet known it is
+    read from the unpadded spectrum, which then serves padding 0. Each
+    time is one `_multiplier_step`, in place on the spectrum for its
+    padding's last time.
     """
     grid = field.grid
+    n, rank = grid.points_per_axis, grid.rank
     spectra: dict[int, np.ndarray] = {}     # by padding
 
     def unpadded() -> np.ndarray:
@@ -161,20 +164,22 @@ def _multiplier(field: BiInvariantField, jobs
 
     groups: dict[int, list] = {}
     for t, scale in jobs:
-        pad = _padding(field, t, field.fourier_edge(unpadded))
+        reach = field.y_sup + 2.0 * t * field.fourier_edge(unpadded)
+        pad = _padding(grid, reach, grid.half_width if crop else reach, 1, t)
         groups.setdefault(pad, []).append((t, scale))
     for pad, group in sorted(groups.items()):
         spec = spectra.pop(pad, None)
         spectra.clear()
         if spec is None:
             spec = _padded_spectrum(field.values, pad)
-        n = grid.points_per_axis + 2 * pad
-        out = RadialGrid(grid.rank, grid.half_width + pad * grid.spacing, n)
-        xi = 2.0 * np.pi * np.fft.fftfreq(n, grid.spacing)
+        xi = 2.0 * np.pi * np.fft.fftfreq(n + 2 * pad, grid.spacing)
+        out = grid if crop else RadialGrid(
+            rank, grid.half_width + pad * grid.spacing, n + 2 * pad)
+        box = (slice(pad, pad + n),) * rank
         for k, (t, scale) in enumerate(group):
             last = k == len(group) - 1
-            yield t, out, _multiplier_step(spec, xi, t, scale,
-                                           spec if last else None)
+            vals = _multiplier_step(spec, xi, t, scale, spec if last else None)
+            yield t, out, np.ascontiguousarray(vals[box]) if crop else vals
 
 
 def _multiplier_step(spec: np.ndarray, xi: np.ndarray, t: float,
@@ -190,17 +195,20 @@ def _multiplier_step(spec: np.ndarray, xi: np.ndarray, t: float,
 _refine_fft = _multiplier_step  # the benchmark traces it by the upsampler's name
 
 
-def _padding(field: BiInvariantField, t: float, xi_sup: float) -> int:
-    """Nodes added per side so the box holds reach = y_sup + 2t·ξ_sup,
-    rounded up so that N + 2·pad is an even 5-smooth FFT length;
-    GridTooSmall where the padded grid passes _MAX_FFT_NODES."""
-    grid = field.grid
+def _padding(grid: RadialGrid, reach: float, half_out: float, rows: int,
+             t: float) -> int:
+    """Nodes added per side: N + 2·pad is the smallest even 5-smooth length
+    ≥ N and ≥ (half_out + reach)/h, a period on which nothing within
+    `reach` of the origin wraps back into [-half_out, half_out).
+    GridTooSmall where `rows` such grids pass _MAX_FFT_NODES."""
     half = grid.points_per_axis // 2
-    reach = field.y_sup + 2.0 * t * xi_sup
-    pad = max(0, math.ceil((reach - grid.half_width) / grid.spacing))
-    n = 2 * _fast_fft_length(half + pad)
-    if n ** grid.rank > _MAX_FFT_NODES:
-        raise GridTooSmall(f"SCALED multiplier needs {n} nodes/axis at t={t:g}")
+    over = (half_out + reach - 2.0 * grid.half_width) / (2.0 * grid.spacing)
+    n = 2 * _fast_fft_length(half + math.ceil(min(max(over, 0.0),
+                                                  _MAX_FFT_NODES)))
+    if rows * n ** grid.rank > _MAX_FFT_NODES:
+        raise GridTooSmall(
+            f"the multiplier needs {rows} row(s) of {n} nodes/axis at "
+            f"t={t:g}, past {_MAX_FFT_NODES} values; coarsen the grid")
     return n // 2 - half
 
 
@@ -223,15 +231,6 @@ def reach_box(rs: RootSystemSpec, field: BiInvariantField, t: float) -> float:
     return box
 
 
-def _fixed_chirp_guard(grid: RadialGrid, y_sup: float, t: float) -> None:
-    """GridTooSmall where h·y_sup/t > 2π: the FIXED sandwich's chirp is not
-    resolved on data supported within y_sup."""
-    if grid.spacing * y_sup / t > 2.0 * np.pi:
-        raise GridTooSmall(
-            f"grid spacing {grid.spacing:.3g} cannot resolve the t={t:g} "
-            "chirp on the data support; use SCALED mode or refine")
-
-
 def _free_constant(rank: int) -> complex:
     """(4πi)^{-l/2}, the constant of the free kernel on R^l."""
     return (4.0 * np.pi * 1j) ** (-rank / 2.0)
@@ -251,19 +250,28 @@ def group_propagate_closed_form(rs: RootSystemSpec, field: BiInvariantField,
     """Closed-form evolution of bi-invariant data; returns u·φ, the
     Euclidean evolution of g = f·φ times e^{-it|ρ|²}, for 0 < t < ∞. With
     y_sup read from |g|, h·y_sup/t (twice the chirp's phase step per node
-    at the data's edge) picks the regime: SCALED runs the sandwich up to
-    π, the multiplier beyond; FIXED refuses beyond 2π. A CONJUGATED
-    `field` keeps y_sup and its other resolution scalars between calls."""
+    at the data's edge) picks the regime: the sandwich up to π, the
+    multiplier beyond, on SCALED's padded box or, for FIXED, cropped to
+    the input grid. FIXED onto any other `out_grid` runs the sandwich and
+    refuses beyond 2π. A CONJUGATED `field` keeps y_sup and its other
+    resolution scalars between calls."""
     if not 0 < t < math.inf:
         raise InvalidTime(f"closed-form propagation needs 0 < t < inf, got {t}")
     if mode is GridMode.SCALED:
         _, out, vals = next(_scaled_evolutions(rs, field, [t]))
     else:
         g = _resolved(rs, field)
-        _fixed_chirp_guard(g.grid, g.y_sup, t)
         scale = np.exp(-1j * t * float(rs.rho @ rs.rho))
-        out, vals = _chirp_sandwich(g.values, g.grid, t, out_grid,
-                                    scale * _free_constant(rs.rank))
+        edge = g.grid.spacing * g.y_sup
+        if out_grid in (None, g.grid) and edge / t > np.pi:
+            _, out, vals = next(_multiplier(g, [(t, scale)], crop=True))
+        elif edge / t > 2.0 * np.pi:
+            raise GridTooSmall(f"grid spacing {g.grid.spacing:.3g} cannot "
+                               f"resolve the t={t:g} chirp on the data "
+                               "support; use SCALED mode or refine")
+        else:
+            out, vals = _chirp_sandwich(g.values, g.grid, t, out_grid,
+                                        scale * _free_constant(rs.rank))
     result = BiInvariantField(out, vals, Representation.CONJUGATED)
     return PropagationResult(result, t, Method.CLOSED_FORM, mode)
 
@@ -288,7 +296,7 @@ def _scaled_evolutions(rs: RootSystemSpec, field: BiInvariantField, times
     wide = [(t, np.exp(-1j * t * rho_sq)) for t in times if edge / t > np.pi]
     near = [(t, np.exp(-1j * t * rho_sq) * _free_constant(rs.rank))
             for t in times if not edge / t > np.pi]
-    yield from _multiplier(g, wide)
+    yield from _multiplier(g, wide, crop=False)
     yield from _scaled_sandwiches(g.values, g.grid, near)
 
 
@@ -393,14 +401,12 @@ def duhamel_solve(rs: RootSystemSpec, field: BiInvariantField, forcing,
     maximum over rows, gives the boundary tail (checked against TAIL_TOL,
     so non-finite input is refused), y_sup and, from one unpadded FFT,
     ξ_sup. Every row then stays within reach = y_sup + 2·t_max·ξ_sup of
-    the origin up to the largest time t_max (as in `reach_box`), so on P
-    ≥ (L + reach)/h nodes per axis, zero-padded past the box [-L, L), the
-    periodic evolution does not wrap back into the box. The padded stack,
-    one FFT, holds rows·P^l complex values, rows being one plus the
-    number of distinct s; GridTooSmall where that passes _MAX_FFT_NODES.
+    the origin up to the largest time t_max (as in `reach_box`), so the
+    stack is zero-padded on both sides by `_padding` for the box [-L, L),
+    rows being one plus the number of distinct s, and one FFT takes it.
     Each output time t, with δ = t/steps and E = e^{-iδ(|ξ|²+|ρ|²)}, sums
     its nodes in Horner form, A ← E·A + w_j·ψ̂_j from A = ĝ + w_0·ψ̂_0,
-    then takes one inverse FFT of E·A, cropped to the box, and adds the
+    then takes one inverse FFT of E·A, cropped to the middle, and adds the
     node s = t in space. φ and the Weyl lattice maps are built once per
     call; each sample is checked for antisymmetry.
     """
@@ -422,14 +428,7 @@ def duhamel_solve(rs: RootSystemSpec, field: BiInvariantField, forcing,
     row_of = {s: k + 1 for k, s in
               enumerate(sorted({s for row in nodes for s in row}))}
     rows, t_max = 1 + len(row_of), max(times)
-
-    def guard(size: int) -> None:
-        if rows * size ** rank > _MAX_FFT_NODES:
-            raise GridTooSmall(
-                f"duhamel_solve needs {rows} rows of {size} nodes/axis at "
-                f"t={t_max:g}; take fewer steps or times")
-
-    guard(n)
+    _padding(grid, 0.0, grid.half_width, rows, t_max)
     stack = np.empty((rows,) + grid.shape, dtype=complex)
     stack[0] = conjugated_with(field, phi)
     for s, k in row_of.items():
@@ -446,13 +445,12 @@ def duhamel_solve(rs: RootSystemSpec, field: BiInvariantField, forcing,
     check_tail(_tail_of(mag), TAIL_TOL, "Duhamel data and forcing")
     reach = (_support_of(mag, grid) + 2.0 * t_max
              * _xi_sup(relative_max(np.fft.fftn(stack, axes=axes)), grid))
-    need = (grid.half_width + reach) / grid.spacing
-    size = _fast_fft_length(max(n, math.ceil(min(need, _MAX_FFT_NODES))))
-    guard(size)
-    spec = np.fft.fftn(stack, s=(size,) * rank, axes=axes)
-    xi_sq = (2.0 * np.pi * np.fft.fftfreq(size, grid.spacing)) ** 2
+    pad = _padding(grid, reach, grid.half_width, rows, t_max)
+    spec = np.pad(stack, [(0, 0)] + [(pad, pad)] * rank)
+    np.fft.fftn(spec, axes=axes, out=spec)
+    xi_sq = (2.0 * np.pi * np.fft.fftfreq(n + 2 * pad, grid.spacing)) ** 2
     rho_sq = float(rs.rho @ rs.rho)
-    box = (slice(0, n),) * rank
+    box = (slice(pad, pad + n),) * rank
     weights = simpson_weights(steps)
     results = []
     for tk, row in zip(times, nodes):

@@ -251,6 +251,22 @@ def test_cli_evolve_tiny_t_returns_the_initial_data(tmp_path, capsys):
     assert np.linalg.norm(uphi - fphi) <= 1e-5 * np.linalg.norm(fphi)
 
 
+def test_cli_evolve_fixed_at_small_t_writes_the_exact_evolution(tmp_path,
+                                                                capsys):
+    # h·y_sup/t > 2π: the sandwich would refuse this call (exit 3); the
+    # multiplier on the input grid evolves it exactly
+    path = tmp_path / "o.csv"
+    code, _, _ = run_main(capsys, "evolve", "--group", "euclid:1", "--t",
+                          "0.05", "--grid", "256,12", "--mode", "fixed",
+                          "--out", str(path))
+    assert code == 0
+    rows = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 1, 2))
+    h, u = rows[:, 0], rows[:, 1] + 1j * rows[:, 2]
+    den = 1.0 + 4j * 0.05
+    want = den ** -0.5 * np.exp(-h * h / den)
+    assert np.abs(u - want).max() <= 1e-12 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("t", ["nan", "inf"])
 def test_cli_evolve_non_finite_time_is_a_config_error(t, tmp_path, capsys):
     path = tmp_path / "x.csv"
@@ -336,6 +352,17 @@ def test_cli_hardy_check_lemma1(capsys):
     payload = json.loads(out.splitlines()[0])
     assert payload["classification"] == "CRITICAL"
     assert abs(payload["product"] - 1.0) <= 1e-3
+
+
+def test_cli_hardy_check_rate_where_fixed_evolves_by_the_multiplier(capsys):
+    # at t0 = 0.12 on this grid the sandwich aliases (rate_u 0.054); the
+    # multiplier keeps e^{-|H|²}'s evolved width rate 1/(1 + 16·t0²)
+    code, out, _ = run_main(capsys, "hardy-check", "--group", "euclid:1",
+                            "--grid", "256,12", "--init", "gaussian:a=1",
+                            "--t0", "0.12")
+    assert code == 0
+    payload = json.loads(out.splitlines()[0])
+    assert abs(payload["rate_u"] - 1.0 / (1.0 + 16.0 * 0.12**2)) <= 1e-6
 
 
 def test_cli_hardy_check_runs_the_lemma1_preset(capsys):

@@ -303,11 +303,13 @@ def test_scaled_products_match_exact_evolution(name, n, box, times, tol):
 
 
 def test_scaled_multiplier_grid_is_memory_guarded(a2, monkeypatch):
+    # FIXED on the input grid pads as SCALED does before it crops
     from lsg import propagator
     f = gaussian_profile(RadialGrid(2, 9.0, 96), 1.0)
     monkeypatch.setattr(propagator, "_MAX_FFT_NODES", 96 * 96)
-    with pytest.raises(GridTooSmall):
-        group_propagate_closed_form(a2, f, 0.2, GridMode.SCALED)
+    for mode in (GridMode.SCALED, GridMode.FIXED):
+        with pytest.raises(GridTooSmall, match="nodes/axis at t=0.2"):
+            group_propagate_closed_form(a2, f, 0.2, mode)
 
 
 @pytest.mark.parametrize("grid, t", [(RadialGrid(1, 12.0, 512), 0.7),
@@ -489,10 +491,76 @@ def test_under_resolved_phase_guard(a1):
 
 
 def test_fixed_mode_chirp_guard(a1):
-    grid = RadialGrid(1, 12.0, 128)   # too coarse for t this small
+    # on its own grid FIXED evolves by the multiplier at t this small;
+    # onto another grid the sandwich's chirp is too coarse for it
+    grid = RadialGrid(1, 12.0, 128)
     f = gaussian_profile(grid, 1.0)
-    with pytest.raises(GridTooSmall):
-        group_propagate_closed_form(a1, f, 0.01, GridMode.FIXED)
+    got = group_propagate_closed_form(a1, f, 0.01, GridMode.FIXED).field
+    assert got.grid == grid
+    want = gaussian_chirp_conjugated(a1, grid.axis, 1.0, 0.0, 0.01)
+    assert _peak_error(got.values, want) <= 1e-14
+    with pytest.raises(GridTooSmall, match="cannot resolve the t=0.01 chirp"):
+        group_propagate_closed_form(a1, f, 0.01, GridMode.FIXED,
+                                    RadialGrid(1, 12.0, 256))
+
+
+# FIXED on the input grid, where the sandwich aliases (the first four) or
+# refuses at its chirp guard: the multiplier is exact on each
+@pytest.mark.parametrize("name,n,box,a,c,t", [
+    ("euclid:1", 256, 12.0, 1.0, 0.0, 0.1),
+    ("A1", 256, 12.0, 0.888, 0.843, 0.105),
+    ("euclid:1", 256, 12.0, 1.0, 0.0, 0.12),
+    ("euclid:2", 64, 9.0, 1.0, 0.0, 0.25),
+    ("euclid:1", 256, 12.0, 1.0, 0.0, 0.05),
+    ("A1", 128, 12.0, 1.0, 0.0, 0.01),
+    ("A2", 96, 9.0, 1.0, 0.0, 0.05),
+    ("G2", 96, 9.0, 1.0, 0.0, 0.02),
+    ("A1xA1", 64, 8.0, 1.0, 0.0, 0.1)])
+def test_fixed_on_the_input_grid_is_exact_where_the_sandwich_was_not(
+        name, n, box, a, c, t):
+    rs = build_root_system(name)
+    grid = RadialGrid(rs.rank, box, n)
+    got = group_propagate_closed_form(rs, gaussian_profile(grid, a, c), t,
+                                      GridMode.FIXED).field
+    assert got.grid == grid
+    want = gaussian_chirp_conjugated(rs, grid.axis, a, c, t)
+    assert _peak_error(got.values, want) <= 1e-12
+
+
+# grids that resolve each system's data to 1e-10 (a = 2 on 64 nodes does not)
+_FIXED_SWEEP_SYSTEMS = (("euclid:1", 256, 12.0), ("A1", 256, 12.0),
+                        ("A2", 96, 9.0), ("B2", 96, 9.0), ("G2", 128, 9.0),
+                        ("A1xA1", 96, 8.0), ("euclid:2", 96, 9.0))
+
+
+def test_fixed_on_the_input_grid_multiplier_regime_is_exact_or_refused():
+    """Every t of a log sweep with h·y_sup/t > π, where FIXED on its own
+    grid evolves by the multiplier: exact to 1e-10 of the peak, or
+    GridTooSmall (here, the boundary tail of a = 0.5 on the rank-2 boxes)."""
+    exact = refused = 0
+    for name, n, box in _FIXED_SWEEP_SYSTEMS:
+        rs = build_root_system(name)
+        grid = RadialGrid(rs.rank, box, n)
+        for a in (0.5, 1.0, 2.0):
+            for c in (0.0, 0.25, -0.25, 1.0, -1.0):
+                f = gaussian_profile(grid, a, c)
+                edge = grid.spacing * support_radius(
+                    conjugated_values(rs, f), grid)
+                for t in np.geomspace(1e-3, 1e2, 21):
+                    if not edge / t > np.pi:
+                        continue
+                    try:
+                        got = group_propagate_closed_form(rs, f, t,
+                                                          GridMode.FIXED)
+                    except GridTooSmall:
+                        refused += 1
+                        continue
+                    exact += 1
+                    want = gaussian_chirp_conjugated(rs, grid.axis, a, c, t)
+                    assert got.field.grid == grid
+                    assert _peak_error(got.field.values, want) <= 1e-10, (
+                        name, a, c, t)
+    assert (exact, refused) == (845, 220)
 
 
 def test_mass_conservation_and_antisymmetry(a1):
@@ -763,7 +831,7 @@ def test_duhamel_forced_solution_is_fourth_order_down_to_rounding(name, n,
 
 
 def test_duhamel_zero_forcing_evolves_exactly_where_fixed_aliases():
-    # FIXED on this grid at t = 0.1 aliases, 18 % off the peak
+    # the chirp sandwich aliases on this grid at t = 0.1, 18 % off the peak
     rs = build_root_system("euclid:1")
     grid = RadialGrid(1, 12.0, 256)
     f = gaussian_profile(grid, 1.0)
@@ -818,9 +886,9 @@ def test_duhamel_rule_ends_exactly_at_t(a1, steps):
 
 def _widening_forcing(grid):
     """Conjugated forcing x·e^{-rx²}, r = 4/(1 + 1.5s)², whose support
-    grows with s, so that late samples meet the FIXED chirp guard at small
-    τ; and its exact evolution x·(1+4irτ)^{-3/2}·e^{-rx²/(1+4irτ)}·e^{-iτ|ρ|²}
-    on A1."""
+    grows with s, so that late samples meet the sandwich's chirp guard at
+    small τ; and its exact evolution
+    x·(1+4irτ)^{-3/2}·e^{-rx²/(1+4irτ)}·e^{-iτ|ρ|²} on A1."""
     rho = build_root_system("A1").rho
     rho_sq = float(rho @ rho)
 
@@ -840,7 +908,7 @@ def _widening_forcing(grid):
     return forcing, forcing_at
 
 
-# Per-propagation FIXED refuses 7 of these sets at its chirp guard; the
+# The FIXED sandwich refuses 7 of these sets at its chirp guard; the
 # solver evolves each by the multiplier and is exact on all of them
 @pytest.mark.parametrize("times", [(0.1,), (0.3,), (0.8,), (1.2,), (3.0,),
                                    (0.3, 0.6, 1.2), (1.2, 0.3),
@@ -1043,6 +1111,7 @@ def test_duhamel_refusal_names_its_own_remedies(a1, monkeypatch):
     forcing, _ = _widening_forcing(grid)
     # the data and 9 samples fit unpadded; padded to the reach they do not
     monkeypatch.setattr(propagator, "_MAX_FFT_NODES", 10 * 256)
-    with pytest.raises(GridTooSmall, match=r"needs 10 rows of \d+ nodes/axis "
-                       r"at t=0.4; take fewer steps or times$"):
+    with pytest.raises(GridTooSmall, match=r"^the multiplier needs 10 row\(s\) "
+                       r"of 320 nodes/axis at t=0.4, past 2560 values; "
+                       r"coarsen the grid$"):
         duhamel_solve(a1, f, forcing, [0.4], steps=8)
