@@ -16,12 +16,12 @@ import numpy as np
 from .estimates import (CAUCHY_TOL, DECAY_SLOPE_TOL, L2_SLOPE_TOL,
                         decay_exponent_fit, strichartz_inhomogeneous_check,
                         strichartz_norm, strichartz_pair)
-from .grids import GridMode, RadialGrid, l2_norm, relative_l2
+from .grids import RadialGrid, l2_norm, relative_l2
 from .hardy import Classification, fit_envelope_report, uniqueness_experiment
 from .heisenberg import (cutlocus_distance, projection_residual,
                          schrodinger_integrand, singularities)
 from .propagator import (gaussian_profile, group_propagate_closed_form,
-                         group_propagate_spectral, reach_box)
+                         group_propagate_spectral)
 from .rootsystem import build_root_system
 from .spherical import (conjugated, eigen_residual_field, pi_product,
                         roundtrip_error)
@@ -42,10 +42,10 @@ PROFILES = {
         "roundtrip": {"cases": (("A1", 512, 12.0, 768, 16.0, 1e-6),
                                 ("A2", 256, 10.0, 256, 16.0, 1e-4)),
                       "rates": (0.5, 1.0, 2.0)},
-        "equiv": {"a1": ("A1", 512, 12.0, (0.25, 1.0, 4.0), 1024, 1e-6),
-                  "a2": ("A2", 128, 10.0, (1.0,), 192, 1e-4)},
+        "equiv": {"a1": ("A1", 512, 12.0, (0.25, 1.0, 4.0), 1e-6),
+                  "a2": ("A2", 128, 10.0, (1.0,), 1e-4)},
         "mass": {"grid": (512, 12.0), "times": (0.25, 0.5, 1.0, 2.0, 4.0),
-                 "n_out": 1024, "tol_spectral": 1e-10, "tol_closed": 1e-8},
+                 "tol_spectral": 1e-10, "tol_closed": 1e-8},
         "lemma1": {"n": 2048, "box": 12.0},
         "hardy": {"rates": (0.5, 1.0, 2.0), "n_times": 10,
                   "curve_grid": (2048, 12.0), "n_euclid": 40, "n_group": 10,
@@ -60,9 +60,8 @@ PROFILES = {
         "eigen": {"systems": (("A1", 256, 12.0),), "n_lambda": 2},
         "roundtrip": {"cases": (("A1", 256, 12.0, 384, 16.0, 1e-6),),
                       "rates": (1.0,)},
-        "equiv": {"a1": ("A1", 256, 12.0, (1.0,), 512, 1e-6),
-                  "a2": None},
-        "mass": {"grid": (256, 12.0), "times": (0.5, 1.0), "n_out": 512,
+        "equiv": {"a1": ("A1", 256, 12.0, (1.0,), 1e-6), "a2": None},
+        "mass": {"grid": (256, 12.0), "times": (0.5, 1.0),
                  "tol_spectral": 1e-10, "tol_closed": 1e-8},
         "lemma1": {"n": 1024, "box": 12.0},
         "hardy": {"rates": (1.0,), "n_times": 4, "curve_grid": (1024, 12.0),
@@ -145,12 +144,12 @@ def criterion_propagator_equivalence(params, seed) -> AcceptanceRow:
     for case in (p["a1"], p["a2"]):
         if case is None:
             continue
-        name, n, box, times, n_out, tol = case
+        name, n, box, times, tol = case
         rs = build_root_system(name)
         f = conjugated(rs, gaussian_profile(RadialGrid(rs.rank, box, n), 1.0))
         for t in times:
-            out = RadialGrid(rs.rank, reach_box(rs, f, t), n_out)
-            closed = group_propagate_closed_form(rs, f, t, GridMode.FIXED, out)
+            closed = group_propagate_closed_form(rs, f, t)
+            out = closed.field.grid
             oracle = group_propagate_spectral(rs, f, t, out_grid=out)
             a, b = closed.field.values, oracle.field.values
             rel = relative_l2(a, b, out)
@@ -176,10 +175,10 @@ def criterion_mass_conservation(params, seed) -> AcceptanceRow:
     base = l2_norm(f.values, f.grid)
     drifts, ok = {}, True
     for t in p["times"]:
-        out = RadialGrid(rs.rank, reach_box(rs, f, t), p["n_out"])
+        closed = group_propagate_closed_form(rs, f, t)
+        out = closed.field.grid
         for tag, result, tol in (
-                ("closed", group_propagate_closed_form(
-                    rs, f, t, GridMode.FIXED, out), p["tol_closed"]),
+                ("closed", closed, p["tol_closed"]),
                 ("spectral", group_propagate_spectral(
                     rs, f, t, out_grid=out), p["tol_spectral"])):
             drift = abs(l2_norm(result.field.values, out) - base) / base
@@ -195,8 +194,7 @@ def criterion_lemma1(params, seed) -> AcceptanceRow:
     p = params["lemma1"]
     grid = RadialGrid(1, p["box"], p["n"])
     f = gaussian_profile(grid, 1.0, chirp=-0.25)
-    report = uniqueness_experiment(build_root_system("euclid:1"), f, t0=1.0,
-                                   mode=GridMode.FIXED)
+    report = uniqueness_experiment(build_root_system("euclid:1"), f, t0=1.0)
     rate_err = abs(report.envelope_u.rate - 1.0 / 16.0)
     product_err = abs(report.verdict.product - 1.0)
     ok = (rate_err <= 1e-6 and product_err <= 1e-3
@@ -219,9 +217,7 @@ def criterion_hardy_curve(params, seed) -> AcceptanceRow:
         f = conjugated(r1, gaussian_profile(grid_in, a))
         fit_f = fit_envelope_report(f, floor=1e-6)
         for t in np.linspace(0.25, 2.5, p["n_times"]):
-            out = RadialGrid(1, reach_box(r1, f, float(t)), n)
-            res = group_propagate_closed_form(r1, f, float(t),
-                                              GridMode.FIXED, out)
+            res = group_propagate_closed_form(r1, f, float(t))
             mag = res.field.with_values(np.abs(res.field.values))
             fit_u = fit_envelope_report(mag, floor=1e-6)
             product = 16.0 * fit_f.envelope.rate * fit_u.envelope.rate * t * t
@@ -238,8 +234,8 @@ def criterion_hardy_curve(params, seed) -> AcceptanceRow:
         a = rng.uniform(0.3, 2.0)
         c = rng.uniform(-0.6, 0.6)
         t0 = rng.uniform(0.4, 1.6)
-        rep = uniqueness_experiment(
-            r1, gaussian_profile(egrid, a, c), float(t0), mode=GridMode.SCALED)
+        rep = uniqueness_experiment(r1, gaussian_profile(egrid, a, c),
+                                    float(t0))
         if not rep.degenerate and \
                 rep.verdict.classification is Classification.MUST_VANISH:
             vanish += 1
@@ -253,8 +249,8 @@ def criterion_hardy_curve(params, seed) -> AcceptanceRow:
         a = rng.uniform(0.5, 1.2)
         c = rng.uniform(0.0, 0.25)
         t0 = rng.uniform(0.5, 1.2)
-        rep = uniqueness_experiment(
-            rs, gaussian_profile(ggrid, a, c), float(t0), mode=GridMode.FIXED)
+        rep = uniqueness_experiment(rs, gaussian_profile(ggrid, a, c),
+                                    float(t0))
         if not rep.degenerate and \
                 rep.verdict.classification is Classification.MUST_VANISH:
             vanish += 1

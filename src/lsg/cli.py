@@ -245,7 +245,7 @@ def _cmd_evolve(args) -> ResultRecord:
 def _cmd_hardy(args) -> ResultRecord:
     rs = build_root_system(args.group)
     report = uniqueness_experiment(rs, _profile(args, rs), args.t0,
-                                   tol_crit=args.tol_crit, mode=GridMode.FIXED)
+                                   tol_crit=args.tol_crit)
     payload = {
         "system": rs.name, "t0": args.t0,
         "classification": report.classification_name,

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InsufficientDecaySamples, NotGaussianDecay
-from .grids import BiInvariantField, GridMode, RadialGrid, Representation
-from .propagator import group_propagate_closed_form, reach_box
+from .grids import BiInvariantField, RadialGrid, Representation
+from .propagator import group_propagate_closed_form
 from .rootsystem import RootSystemSpec
 from .spherical import conjugated
 
@@ -158,19 +158,19 @@ def _tail_magnitudes(grid: RadialGrid, values: np.ndarray) -> BiInvariantField:
 
 def uniqueness_experiment(system: RootSystemSpec,
                           field: BiInvariantField, t0: float,
-                          tol_crit: float = TOL_CRIT_DEFAULT,
-                          mode: GridMode = GridMode.SCALED) -> UniquenessReport:
-    """Propagate to t₀ by the closed form and certify the decay hypotheses.
+                          tol_crit: float = TOL_CRIT_DEFAULT
+                          ) -> UniquenessReport:
+    """Propagate to t₀ by the SCALED closed form; certify the decay hypotheses.
 
     Envelopes are measured on the conjugated magnitudes |fφ|, |uφ| against
     the Cartan norm: that is the level at which the uniqueness argument
     actually runs, and a Gaussian rate certified for u·φ certifies the
     same rate for u (the φ factors move only the amplitude). On R^n
-    ("euclid:<n>", no roots) φ ≡ 1 and these are |f| and |u|. FIXED mode
-    evaluates u on max(L, y_sup + 2t₀·ξ_sup), the `reach_box` that holds
-    it (GridTooSmall when its width overflows). Fits are restricted to
-    radii beyond the magnitude peak. A propagated field below the noise
-    floor everywhere reports DEGENERATE rather than a verdict.
+    ("euclid:<n>", no roots) φ ≡ 1 and these are |f| and |u|. u·φ comes
+    on a grid that holds it: the input box padded to y_sup + 2t₀·ξ_sup,
+    or the 2t₀-scaled dual grid. Fits are restricted to radii beyond the
+    magnitude peak. A propagated field below the noise floor everywhere
+    reports DEGENERATE rather than a verdict.
     ConfigError unless 0 ≤ tol_crit < ∞.
     """
     if not 0 <= tol_crit < math.inf:
@@ -180,12 +180,7 @@ def uniqueness_experiment(system: RootSystemSpec,
         return UniquenessReport(None, None, None, 0.0, 0.0, 0.0, True)
 
     g = conjugated(system, field)
-    out_grid = None
-    if mode is GridMode.FIXED:
-        out_grid = RadialGrid(system.rank, reach_box(system, g, t0),
-                              field.grid.points_per_axis)
-    result = group_propagate_closed_form(system, g, t0, mode=mode,
-                                         out_grid=out_grid)
+    result = group_propagate_closed_form(system, g, t0)
     sample_f = _tail_magnitudes(field.grid, g.values)
     sample_u = _tail_magnitudes(result.field.grid, result.field.values)
 

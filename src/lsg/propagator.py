@@ -21,9 +21,11 @@ multiplier e^{itΔ}g = ifft(e^{-it|ξ|²}·fft(g)) on the input grid,
 zero-padded to hold u(t) (at most about 3× the box per axis). Either is
 one FFT pass between 1-D factors, applied in place axis by axis, that
 carry every chirp, DFT sign and constant (h^l, t^{-l/2}, C, e^{-it|ρ|²}).
-FIXED on the input grid applies the multiplier where SCALED does, cropped
-to the box, and elsewhere the sandwich at the caller's uniform output grid
-by chirp-z, O((N+M) log(N+M)) per axis. `_padding` sizes every padded box.
+FIXED on the input grid runs the sandwich, by chirp-z in O(N log N) per
+axis, only where no alias image of R̂ reaches the window |ξ| ≤ L/2t that
+it reads, L + y_sup + 2t·ξ_sup ≤ 4πt/h, and the multiplier, cropped to
+the box, elsewhere; onto another uniform `out_grid` it runs the sandwich.
+`_padding` sizes every padded box.
 
 Every regime, guard and box reads the same few numbers of g: its boundary
 tail, its support edge y_sup and its Fourier edge ξ_sup. A CONJUGATED
@@ -145,14 +147,14 @@ def _multiplier(field: BiInvariantField, jobs, crop: bool
     """(t, grid, scale·e^{itΔ}g) for each (t, scale) job, g the values of
     the CONJUGATED `field`, by the Fourier multiplier e^{-it|ξ|²}.
 
-    u(t) stays within reach = y_sup + 2t·ξ_sup of the origin (as in
-    `reach_box`), so on the period `_padding` picks the evolution does not
-    wrap back into the output box: the whole padded box, or with `crop`
-    the field's own box, cut from its middle. Times with one padding share
-    one spectrum of the padded data. Where ξ_sup is not yet known it is
-    read from the unpadded spectrum, which then serves padding 0. Each
-    time is one `_multiplier_step`, in place on the spectrum for its
-    padding's last time.
+    Free evolution moves g by at most 2t·ξ_sup, so u(t) stays within
+    reach = y_sup + 2t·ξ_sup of the origin, and on the period `_padding`
+    picks it does not wrap back into the output box: the whole padded box,
+    or with `crop` the field's own box, cut from its middle. Times with
+    one padding share one spectrum of the padded data. Where ξ_sup is not
+    yet known it is read from the unpadded spectrum, which then serves
+    padding 0. Each time is one `_multiplier_step`, in place on the
+    spectrum for its padding's last time.
     """
     grid = field.grid
     n, rank = grid.points_per_axis, grid.rank
@@ -219,18 +221,6 @@ def _padded_spectrum(values: np.ndarray, pad: int) -> np.ndarray:
     return np.fft.fftn(spec, out=spec)
 
 
-def reach_box(rs: RootSystemSpec, field: BiInvariantField, t: float) -> float:
-    """Half-width max(L, y_sup + 2t·ξ_sup) of a box that holds u(t)·φ:
-    free evolution moves g = f·φ, within y_sup of the origin, by at most
-    2t·ξ_sup, ξ_sup its Fourier support edge. L is the field's half-width;
-    GridTooSmall where twice the box overflows a float."""
-    g = conjugated(rs, field)
-    box = max(g.grid.half_width, g.y_sup + 2.0 * t * g.xi_sup)
-    if not 2.0 * box < math.inf:
-        raise GridTooSmall(f"t = {t:g} needs a box wider than floats")
-    return box
-
-
 def _free_constant(rank: int) -> complex:
     """(4πi)^{-l/2}, the constant of the free kernel on R^l."""
     return (4.0 * np.pi * 1j) ** (-rank / 2.0)
@@ -250,11 +240,13 @@ def group_propagate_closed_form(rs: RootSystemSpec, field: BiInvariantField,
     """Closed-form evolution of bi-invariant data; returns u·φ, the
     Euclidean evolution of g = f·φ times e^{-it|ρ|²}, for 0 < t < ∞. With
     y_sup read from |g|, h·y_sup/t (twice the chirp's phase step per node
-    at the data's edge) picks the regime: the sandwich up to π, the
-    multiplier beyond, on SCALED's padded box or, for FIXED, cropped to
-    the input grid. FIXED onto any other `out_grid` runs the sandwich and
-    refuses beyond 2π. A CONJUGATED `field` keeps y_sup and its other
-    resolution scalars between calls."""
+    at the data's edge) picks SCALED's regime: the sandwich up to π, the
+    multiplier on a padded box beyond. FIXED on the input grid also needs
+    L + y_sup + 2t·ξ_sup ≤ 4πt/h for the sandwich, and otherwise crops the
+    multiplier to the box; ξ_sup ≤ π/h, so it is read only where
+    h·(L + y_sup)/t > 2π. FIXED onto any other `out_grid` runs the
+    sandwich and refuses beyond h·y_sup/t = 2π. A CONJUGATED `field` keeps
+    y_sup and its other resolution scalars between calls."""
     if not 0 < t < math.inf:
         raise InvalidTime(f"closed-form propagation needs 0 < t < inf, got {t}")
     if mode is GridMode.SCALED:
@@ -262,8 +254,11 @@ def group_propagate_closed_form(rs: RootSystemSpec, field: BiInvariantField,
     else:
         g = _resolved(rs, field)
         scale = np.exp(-1j * t * float(rs.rho @ rs.rho))
-        edge = g.grid.spacing * g.y_sup
-        if out_grid in (None, g.grid) and edge / t > np.pi:
+        h, span = g.grid.spacing, g.grid.half_width + g.y_sup
+        edge = h * g.y_sup
+        if out_grid in (None, g.grid) and (edge / t > np.pi or (
+                h * span > 2.0 * np.pi * t
+                and h * (span + 2.0 * t * g.xi_sup) > 4.0 * np.pi * t)):
             _, out, vals = next(_multiplier(g, [(t, scale)], crop=True))
         elif edge / t > 2.0 * np.pi:
             raise GridTooSmall(f"grid spacing {g.grid.spacing:.3g} cannot "
@@ -315,13 +310,14 @@ def suggest_spectral_grid(rs: RootSystemSpec, field: BiInvariantField,
                           out_grid: RadialGrid | None = None) -> RadialGrid:
     """Spectral grid sized for the data's bandwidth and the t-chirp.
 
-    Half-width λ_max = ξ_sup, the Fourier support edge of g = f·φ (as in
-    `reach_box`); spacing obeys Δλ·(L_out + 2t·λ_max) ≤ π/2, L_out the
-    half-width of `out_grid` (default: the field's grid), which implies
-    the documented precondition Δλ ≤ π/(4 t λ_max). The oracle transforms
-    one axis at a time through a bounded work buffer (`fourier_at`), so
-    it holds no array of M spectral nodes per row; with n = max(N, N_out)
-    nodes per axis in and out, the FFTs of one axis still run over about
+    Half-width λ_max = ξ_sup, the Fourier support edge of g = f·φ, whose
+    evolution stays within y_sup + 2t·ξ_sup; spacing obeys
+    Δλ·(L_out + 2t·λ_max) ≤ π/2, L_out the half-width of `out_grid`
+    (default: the field's grid), which implies the documented
+    precondition Δλ ≤ π/(4 t λ_max). The oracle transforms one axis at a
+    time through a bounded work buffer (`fourier_at`), so it holds no
+    array of M spectral nodes per row; with n = max(N, N_out) nodes per
+    axis in and out, the FFTs of one axis still run over about
     n^{l-1}·(M + n) complex values, and GridTooSmall when that passes
     _MAX_FFT_NODES bounds the work of a call.
     """
@@ -400,8 +396,8 @@ def duhamel_solve(rs: RootSystemSpec, field: BiInvariantField, forcing,
     one stack, measured once: each row's magnitude over its own peak, the
     maximum over rows, gives the boundary tail (checked against TAIL_TOL,
     so non-finite input is refused), y_sup and, from one unpadded FFT,
-    ξ_sup. Every row then stays within reach = y_sup + 2·t_max·ξ_sup of
-    the origin up to the largest time t_max (as in `reach_box`), so the
+    ξ_sup. Every row then stays within reach = y_sup + 2t·ξ_sup of the
+    origin up to the largest time t = t_max, as in `_multiplier`, so the
     stack is zero-padded on both sides by `_padding` for the box [-L, L),
     rows being one plus the number of distinct s, and one FFT takes it.
     Each output time t, with δ = t/steps and E = e^{-iδ(|ξ|²+|ρ|²)}, sums

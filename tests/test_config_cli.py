@@ -20,7 +20,7 @@ from lsg.grids import RadialGrid
 from lsg.heisenberg import geodesic_coords
 from lsg.rootsystem import build_root_system
 
-from grid_helpers import grid_nodes, wall_mask
+from grid_helpers import gaussian_chirp_conjugated, grid_nodes, wall_mask
 
 PRESETS = os.path.join(os.path.dirname(cli.__file__), "presets")
 
@@ -363,6 +363,28 @@ def test_cli_hardy_check_rate_where_fixed_evolves_by_the_multiplier(capsys):
     assert code == 0
     payload = json.loads(out.splitlines()[0])
     assert abs(payload["rate_u"] - 1.0 / (1.0 + 16.0 * 0.12**2)) <= 1e-6
+
+
+def test_cli_hardy_check_evolves_the_exact_u_phi(capsys, monkeypatch):
+    # FIXED onto a box sized by the reach y_sup + 2t0·ξ_sup aliased here:
+    # u·φ came out 99 % off, and the product 0.0073
+    from lsg import hardy
+    evolved = []
+    propagate = hardy.group_propagate_closed_form
+
+    def kept(*args, **kwargs):
+        evolved.append(propagate(*args, **kwargs))
+        return evolved[-1]
+    monkeypatch.setattr(hardy, "group_propagate_closed_form", kept)
+    code, out, _ = run_main(capsys, "hardy-check", "--group", "G2", "--grid",
+                            "96,9", "--init", "gaussian:a=2", "--t0", "0.178")
+    assert code == 0
+    [result] = evolved
+    want = gaussian_chirp_conjugated(build_root_system("G2"),
+                                     result.field.grid.axis, 2.0, 0.0, 0.178)
+    assert (np.abs(result.field.values - want).max()
+            <= 1e-12 * np.abs(want).max())
+    assert json.loads(out.splitlines()[0])["product"] > 0.1
 
 
 def test_cli_hardy_check_runs_the_lemma1_preset(capsys):

@@ -121,11 +121,42 @@ def test_every_option_is_set_outside_the_tests():
     assert unset == _UNSET_ON_PURPOSE
 
 
+_CLOSED_FORM = ("group_propagate_closed_form", "euclidean_propagate")
+
+
+def test_no_call_in_lsg_passes_out_grid_to_the_closed_form():
+    """Inside src/lsg the closed form evolves on the input grid or on
+    SCALED's own; FIXED onto another grid is the benchmark's alone, so
+    taking `out_grid` away changes the benchmark and deletes code, nothing
+    more. A call inside one of these functions only forwards its own
+    `out_grid`."""
+    src = _parsed(_SRC)
+    option = {fn.name: (index, default) for _, tree in src
+              for fn, is_method, _ in _functions(tree)
+              if fn.name in _CLOSED_FORM
+              for index, name, default in _options(fn, is_method)
+              if name == "out_grid"}
+    assert set(option) == set(_CLOSED_FORM)
+    passing = []
+    for path, tree in src:
+        forwarding = {id(node) for fn, _, _ in _functions(tree)
+                      if fn.name in option for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in forwarding:
+                continue
+            func = node.func
+            name = getattr(func, "id", getattr(func, "attr", None))
+            if name in option and _sets(node, option[name][0], "out_grid",
+                                        option[name][1]):
+                passing.append(f"{path.name}:{node.lineno} {name}")
+    assert passing == []
+
+
 # Names that nothing in src/lsg or benchmark/ refers to, each kept for the
 # reason it names, which `test_every_uncalled_name_keeps_its_reason` checks:
 # "advertised" is library surface that lsg/__init__ exports and README
 # describes; "benchmark-bound" is a name the benchmark looks up by string,
-# kept until the benchmark is realigned (ROADMAP item 4).
+# kept until the benchmark is realigned (ROADMAP item 3).
 _UNCALLED_ON_PURPOSE = {
     "spherical_function": "advertised",
     "inverse_spherical_transform": "advertised",

@@ -142,8 +142,7 @@ def test_classification_bands(product_target):
 def test_experiment_lemma1_critical():
     grid = RadialGrid(1, 12.0, 2048)
     f = gaussian_profile(grid, 1.0, chirp=-0.25)
-    rep = uniqueness_experiment(build_root_system("euclid:1"), f, 1.0,
-                                mode=GridMode.FIXED)
+    rep = uniqueness_experiment(build_root_system("euclid:1"), f, 1.0)
     assert rep.verdict.classification is Classification.CRITICAL
     assert abs(rep.verdict.product - 1.0) <= 1e-3
     assert abs(rep.envelope_u.rate - 1.0 / 16.0) <= 1e-6
@@ -152,7 +151,7 @@ def test_experiment_lemma1_critical():
 def test_experiment_group_gaussian_inconclusive(a1):
     grid = RadialGrid(1, 12.0, 2048)
     f = gaussian_profile(grid, 1.0)
-    rep = uniqueness_experiment(a1, f, 1.0, mode=GridMode.FIXED)
+    rep = uniqueness_experiment(a1, f, 1.0)
     assert not rep.degenerate
     assert rep.verdict.product < 1.0
     assert rep.verdict.classification is Classification.INCONCLUSIVE
@@ -178,14 +177,14 @@ def test_contrapositive_mini_suite(a1):
         c = rng.uniform(-0.5, 0.5)
         t0 = rng.uniform(0.5, 1.4)
         rep = uniqueness_experiment(r1, gaussian_profile(egrid, a, c),
-                                    float(t0), mode=GridMode.SCALED)
+                                    float(t0))
         assert rep.verdict.classification is not Classification.MUST_VANISH
     for _ in range(4):
         a = rng.uniform(0.6, 1.1)
         c = rng.uniform(0.0, 0.2)
         t0 = rng.uniform(0.6, 1.1)
         rep = uniqueness_experiment(a1, gaussian_profile(ggrid, a, c),
-                                    float(t0), mode=GridMode.FIXED)
+                                    float(t0))
         assert rep.verdict.classification is not Classification.MUST_VANISH
 
 
@@ -196,7 +195,7 @@ def test_euclid_product_curve_formula():
     grid = RadialGrid(1, 12.0, 2048)
     f = gaussian_profile(grid, a)
     for t in (0.4, 1.0, 1.8):
-        rep = uniqueness_experiment(r1, f, t, mode=GridMode.SCALED)
+        rep = uniqueness_experiment(r1, f, t)
         expected = 16 * a * a * t * t / (1.0 + 16 * a * a * t * t)
         assert rep.verdict.product == pytest.approx(expected, abs=1e-6)
 

@@ -14,12 +14,13 @@ from lsg.propagator import (_chirp, _chirp_sandwich, duhamel_solve,
                             euclidean_propagate, gaussian_profile,
                             group_propagate_closed_form,
                             group_propagate_spectral, plain_magnitude,
-                            reach_box, suggest_spectral_grid)
+                            suggest_spectral_grid)
 from lsg.rootsystem import build_root_system
 from lsg.spherical import (conjugated_values, denominator_on_grid,
                            spherical_transform, synthesize_conjugated)
 
-from grid_helpers import grid_nodes, support_radius, weyl_symmetry_residual
+from grid_helpers import (gaussian_chirp_conjugated, grid_nodes,
+                          support_radius, weyl_symmetry_residual)
 
 
 def gaussian_exact_evolution(x, a, c, t):
@@ -32,25 +33,6 @@ def gaussian_exact_evolution(x, a, c, t):
     w = a - 1j * c
     den = 1.0 + 4j * w * t
     return den ** -0.5 * np.exp(-w * x**2 / den)
-
-
-def gaussian_chirp_conjugated(rs, axis, a, c, t):
-    """Exact u·φ at time t for f = e^{-(a - ic)|H|^2}, on the tensor grid of axis.
-
-    Each Weyl term of f·φ = Σ_s det(s) e^{|ρ|²/4w} e^{-w|H - sρ/2w|²},
-    w = a - ic, is a shifted complex Gaussian: it evolves like the one above,
-    one factor per axis, and the whole sum picks up e^{-it|ρ|²}.
-    """
-    w = a - 1j * c
-    den = 1.0 + 4j * w * t
-    rho_sq = float(rs.rho @ rs.rho)
-    total = 0.0
-    for s_rho, sign in zip(rs.orbit(rs.rho), rs.weyl_signs()):
-        term = sign * np.exp(rho_sq / (4.0 * w))
-        for centre in s_rho / (2.0 * w):
-            term = np.multiply.outer(term, np.exp(-w * (axis - centre)**2 / den))
-        total = total + term
-    return np.exp(-1j * t * rho_sq) * den ** (-rs.rank / 2.0) * total
 
 
 # --- Euclidean propagator ----------------------------------------------------
@@ -177,8 +159,8 @@ def test_no_root_spectral_oracle_matches_closed_form(n, points, box, times):
     rs = build_root_system(f"euclid:{n}")
     f = gaussian_profile(RadialGrid(n, box, points), 1.0)
     for t in times:
-        out = RadialGrid(n, reach_box(rs, f, t), points)
-        closed = group_propagate_closed_form(rs, f, t, GridMode.FIXED, out)
+        closed = group_propagate_closed_form(rs, f, t)
+        out = closed.field.grid
         oracle = group_propagate_spectral(rs, f, t, out_grid=out)
         assert relative_l2(closed.field.values, oracle.field.values,
                            out) <= 1e-12
@@ -327,8 +309,8 @@ def test_separable_chirp_matches_full_grid_phase(grid, t):
 def test_closed_form_matches_spectral_a1(a1, t):
     grid = RadialGrid(1, 12.0, 512)
     f = gaussian_profile(grid, 1.0)
-    out = RadialGrid(1, reach_box(a1, f, t), 1024)
-    closed = group_propagate_closed_form(a1, f, t, GridMode.FIXED, out)
+    closed = group_propagate_closed_form(a1, f, t)
+    out = closed.field.grid
     oracle = group_propagate_spectral(a1, f, t, out_grid=out)
     assert relative_l2(closed.field.values, oracle.field.values, out) <= 1e-6
 
@@ -348,10 +330,11 @@ _REACH_SYSTEMS = (("A1", 512, 12.0), ("euclid:1", 512, 12.0),
 
 
 def test_fixed_evolution_on_the_reach_box_is_exact():
-    """u(t)·φ lies within y_sup + 2t·ξ_sup of the origin, so FIXED on
-    reach_box with N nodes keeps the exact u·φ, tail included. Cases that
-    break the support-sum rule L_out + y_sup + 2t·ξ_sup ≤ 4πt/h alias in
-    the trapezoid sum, which no box mends; they are counted, not run."""
+    """u(t)·φ lies within y_sup + 2t·ξ_sup of the origin, so FIXED onto the
+    box max(L, y_sup + 2t·ξ_sup) with N nodes keeps the exact u·φ, tail
+    included; where that box is L it is the input grid. Cases that break
+    the support-sum rule L_out + y_sup + 2t·ξ_sup ≤ 4πt/h alias in the
+    trapezoid sum, which no box mends; they are counted, not run."""
     from lsg.grids import _xi_sup
     ran = skipped = 0
     worst_tail = worst_err = 0.0
@@ -365,8 +348,8 @@ def test_fixed_evolution_on_the_reach_box_is_exact():
                 y_sup = support_radius(g, grid)
                 xi_sup = _xi_sup(np.fft.fftn(g), grid)
                 for t in (0.25, 0.5, 1.0, 4.0):
-                    out = RadialGrid(rs.rank, reach_box(rs, f, t), n)
-                    assert out.half_width == max(box, y_sup + 2 * t * xi_sup)
+                    out = RadialGrid(rs.rank,
+                                     max(box, y_sup + 2 * t * xi_sup), n)
                     if (out.half_width + y_sup + 2 * t * xi_sup
                             > 4 * np.pi * t / grid.spacing):
                         skipped += 1
@@ -445,13 +428,14 @@ def test_spectral_propagation_is_the_public_composition(name, n, box,
 
 def test_oracle_two_plan_pass_is_the_same_to_the_bit_one_row_per_block(
         monkeypatch):
-    """Criterion 4's A2 oracle (128² → 192² through the suggested spectral
-    grid) runs its forward and inverse plans per block of rows; one row
-    per block gives the default blocks' result to the bit."""
+    """Criterion 4's A2 oracle (128² onto SCALED's output grid through the
+    suggested spectral grid) runs its forward and inverse plans per block
+    of rows; one row per block gives the default blocks' result to the
+    bit."""
     from lsg import grids
     rs = build_root_system("A2")
     f = gaussian_profile(RadialGrid(2, 10.0, 128), 1.0)
-    out = RadialGrid(2, reach_box(rs, f, 1.0), 192)
+    out = group_propagate_closed_form(rs, f, 1.0).field.grid
     blocked = group_propagate_spectral(rs, f, 1.0, out_grid=out).field.values
     monkeypatch.setattr(grids, "_BLOCK_VALUES", 1)
     one_row = group_propagate_spectral(rs, f, 1.0, out_grid=out).field.values
@@ -504,13 +488,15 @@ def test_fixed_mode_chirp_guard(a1):
                                     RadialGrid(1, 12.0, 256))
 
 
-# FIXED on the input grid, where the sandwich aliases (the first four) or
+# FIXED on the input grid, where the sandwich aliases (the first five) or
 # refuses at its chirp guard: the multiplier is exact on each
 @pytest.mark.parametrize("name,n,box,a,c,t", [
     ("euclid:1", 256, 12.0, 1.0, 0.0, 0.1),
     ("A1", 256, 12.0, 0.888, 0.843, 0.105),
     ("euclid:1", 256, 12.0, 1.0, 0.0, 0.12),
     ("euclid:2", 64, 9.0, 1.0, 0.0, 0.25),
+    # h·y_sup/t ≤ π, but R̂'s alias images reach the window |ξ| ≤ L/2t
+    ("A1", 512, 24.0, 1.0, 0.0, 0.178),
     ("euclid:1", 256, 12.0, 1.0, 0.0, 0.05),
     ("A1", 128, 12.0, 1.0, 0.0, 0.01),
     ("A2", 96, 9.0, 1.0, 0.0, 0.05),
@@ -525,6 +511,41 @@ def test_fixed_on_the_input_grid_is_exact_where_the_sandwich_was_not(
     assert got.grid == grid
     want = gaussian_chirp_conjugated(rs, grid.axis, a, c, t)
     assert _peak_error(got.values, want) <= 1e-12
+
+
+# data whose boundary t* of the support-sum rule has h·y_sup/t* ≤ π, so
+# that the rule alone picks FIXED's regime on either side of it
+@pytest.mark.parametrize("name,n,box,a", [
+    ("A1", 512, 24.0, 1.0), ("A2", 96, 9.0, 2.0), ("G2", 96, 9.0, 2.0),
+    ("euclid:2", 64, 9.0, 1.0)])
+def test_fixed_on_the_input_grid_switches_regime_at_the_support_sum_rule(
+        name, n, box, a, monkeypatch):
+    """FIXED on the input grid runs the sandwich just above the t* where
+    L + y_sup + 2t·ξ_sup = 4πt/h, and the multiplier just below it, where
+    an alias image of R̂ would reach the window |ξ| ≤ L/2t; both are
+    exact to 1e-12 of the peak."""
+    from lsg import propagator
+    from lsg.spherical import conjugated
+    rs = build_root_system(name)
+    grid = RadialGrid(rs.rank, box, n)
+    g = conjugated(rs, gaussian_profile(grid, a))
+    h = grid.spacing
+    t_star = h * (box + g.y_sup) / (4.0 * np.pi - 2.0 * h * g.xi_sup)
+    assert h * g.y_sup / t_star <= np.pi
+    sandwich_times = []
+    sandwich = propagator._chirp_sandwich
+
+    def spied(values, grid, t, out_grid, scale):
+        sandwich_times.append(t)
+        return sandwich(values, grid, t, out_grid, scale)
+    monkeypatch.setattr(propagator, "_chirp_sandwich", spied)
+    below, above = t_star * (1.0 - 1e-9), t_star * (1.0 + 1e-9)
+    for t in (below, above):
+        got = group_propagate_closed_form(rs, g, t, GridMode.FIXED).field
+        want = gaussian_chirp_conjugated(rs, grid.axis, a, 0.0, t)
+        assert got.grid == grid
+        assert _peak_error(got.values, want) <= 1e-12
+    assert sandwich_times == [above]
 
 
 # grids that resolve each system's data to 1e-10 (a = 2 on 64 nodes does not)
@@ -569,9 +590,10 @@ def test_mass_conservation_and_antisymmetry(a1):
     base = l2_norm(conjugated_values(a1, f), grid)
     mats, signs = a1.weyl_matrices(), a1.weyl_signs()
     for t in (0.5, 2.0):
-        out = RadialGrid(1, reach_box(a1, f, t), 1024)
+        closed = group_propagate_closed_form(a1, f, t)
+        out = closed.field.grid
         for result, tol in (
-                (group_propagate_closed_form(a1, f, t, GridMode.FIXED, out), 1e-8),
+                (closed, 1e-8),
                 (group_propagate_spectral(a1, f, t, out_grid=out), 1e-10)):
             drift = abs(l2_norm(result.field.values, out) - base) / base
             assert drift <= tol
@@ -1001,7 +1023,8 @@ def _fresh(field):
 def test_a_resolved_field_propagates_as_a_fresh_copy_does(name, n, box):
     """One conjugated field taken to many times, boxes and oracle grids
     gives, bit for bit, what a fresh copy gives at each: SCALED on both
-    sides of h·y_sup/t = π, FIXED on the reach box, the spectral grid."""
+    sides of h·y_sup/t = π, FIXED on the input grid, the spectral grid
+    onto SCALED's output."""
     from lsg.spherical import conjugated
     rs = build_root_system(name)
     grid = RadialGrid(rs.rank, box, n)
@@ -1018,13 +1041,11 @@ def test_a_resolved_field_propagates_as_a_fresh_copy_does(name, n, box):
             assert kept.grid == again.grid
             assert np.array_equal(kept.values, again.values)
     for t in (edge / np.pi, 0.5, 2.0):
-        box_t = reach_box(rs, g, t)
-        assert box_t == reach_box(rs, _fresh(g), t)
-        out = RadialGrid(rs.rank, box_t, n)
-        kept = group_propagate_closed_form(rs, g, t, GridMode.FIXED, out)
+        kept = group_propagate_closed_form(rs, g, t, GridMode.FIXED)
         again = group_propagate_closed_form(rs, _fresh(g), t,
-                                            GridMode.FIXED, out)
+                                            GridMode.FIXED)
         assert np.array_equal(kept.field.values, again.field.values)
+        out = group_propagate_closed_form(rs, g, t).field.grid
         assert (suggest_spectral_grid(rs, g, t, out)
                 == suggest_spectral_grid(rs, _fresh(g), t, out))
     assert set(g.__dict__["_record"]) == {"tail", "y_sup", "xi_sup"}
@@ -1036,7 +1057,7 @@ def test_only_a_conjugated_field_keeps_a_resolution(a1, a1_grid):
     with pytest.raises(ValueError, match="CONJUGATED"):
         plain.y_sup
     group_propagate_closed_form(a1, plain, 0.5)
-    reach_box(a1, plain, 0.5)
+    suggest_spectral_grid(a1, plain, 0.5)
     assert "_record" not in plain.__dict__
 
 
@@ -1076,8 +1097,9 @@ def _count_fftn(monkeypatch):
 def test_plain_input_runs_no_more_ffts_than_before(a1, monkeypatch):
     """Per call on PLAIN data: the sandwich and the unpadded multiplier one
     fftn (the multiplier reads ξ_sup off the spectrum it then evolves),
-    the padded multiplier two, FIXED none, reach_box, the oracle grid and
-    the oracle one each. A kept ξ_sup saves the padded multiplier's first."""
+    the padded multiplier two, FIXED on the input grid none where
+    h·(L + y_sup)/t ≤ 2π, the oracle grid and the oracle one each. A kept
+    ξ_sup saves the padded multiplier's first."""
     from lsg.spherical import conjugated
     wide = gaussian_profile(RadialGrid(1, 12.0, 512), 1.0)
     tight = gaussian_profile(RadialGrid(1, 6.0, 256), 1.0)
@@ -1096,7 +1118,6 @@ def test_plain_input_runs_no_more_ffts_than_before(a1, monkeypatch):
     assert n == 2 and out.field.grid.half_width > tight.grid.half_width
     assert count(lambda: group_propagate_closed_form(
         a1, wide, 2.0, GridMode.FIXED))[0] == 0
-    assert count(lambda: reach_box(a1, wide, 1.0))[0] == 1
     assert count(lambda: suggest_spectral_grid(a1, wide, 1.0))[0] == 1
     assert count(lambda: group_propagate_spectral(a1, wide, 1.0))[0] == 1
     g = conjugated(a1, tight)

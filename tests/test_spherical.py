@@ -630,15 +630,17 @@ def test_spectral_pair_keeps_memory_per_node_small(a2, g2):
     chirp-z passes stream their rows through one bounded work buffer into
     the result. The oracle, run axis by axis with both plans per block,
     never builds a 564² grid, nor N_out × M for an axis; criterion 4's A2
-    oracle (128² → 192² through 702 spectral nodes) peaks below 2.5 MB."""
+    oracle (128² onto SCALED's 128² output through 872 spectral nodes)
+    peaks below 2.5 MB."""
     import tracemalloc
-    from lsg.propagator import group_propagate_spectral, reach_box
+    from lsg.propagator import (group_propagate_closed_form,
+                                group_propagate_spectral)
     field = gaussian_profile(RadialGrid(2, 9.0, 96), 1.0, 0.1)
     sgrid = RadialGrid(2, 13.06, 564)
     field_bytes = 16 * 564**2
     spec = spherical_transform(g2, field, sgrid)
     f4 = gaussian_profile(RadialGrid(2, 10.0, 128), 1.0)
-    out4 = RadialGrid(2, reach_box(a2, f4, 1.0), 192)
+    out4 = group_propagate_closed_form(a2, f4, 1.0).field.grid
     tracemalloc.start()
     try:
         for run, bound in (
